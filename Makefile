@@ -4,7 +4,7 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-diff profile-base fuzz-smoke
+.PHONY: check vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
 
 check: vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate
 
@@ -153,6 +153,16 @@ profile:
 		-cpuprofile out/cpu.prof -memprofile out/mem.prof .
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects out/mem.prof
 	@echo "profiles in out/cpu.prof, out/mem.prof (go tool pprof -http=: out/cpu.prof)"
+
+# profile-policies CPU-profiles one pass of the Fig. 11 related-proposals
+# sweep and prints the top 15 nodes. The quick run that profile covers uses
+# DAP only, so SBD, SBD-WT and BATMAN (and the deep DRAM queues they build)
+# are seen only here.
+profile-policies:
+	mkdir -p out
+	$(GO) test -bench=Fig11RelatedProposals -benchtime=1x -run=^$$ \
+		-cpuprofile out/cpu_policies.prof .
+	$(GO) tool pprof -top -nodecount=15 out/cpu_policies.prof
 
 # profile-diff re-profiles the end-to-end quick run and diffs its allocation
 # sites against the committed baseline (profiles/mem_base.prof, recorded by

@@ -537,6 +537,27 @@ func (c *Cache) ForEachInSet(si int, fn func(r Ref)) {
 	}
 }
 
+// DirtySetMask returns bit i set when set first+i holds a valid dirty line,
+// for the n (at most 64) consecutive sets starting at first; sets past the
+// end of the array read as clean. It is the closure-free form of testing
+// each set with ForEachInSet. Consecutive sets are contiguous in the
+// packed arrays, so the run is one flat scan.
+func (c *Cache) DirtySetMask(first, n int) uint64 {
+	end := min(first+n, c.Sets)
+	if first >= end {
+		return 0
+	}
+	tv := c.tv[first*c.Ways : end*c.Ways]
+	meta := c.meta[first*c.Ways : end*c.Ways]
+	var bits uint64
+	for k, v := range tv {
+		if v&1 != 0 && meta[k]&metaDirty != 0 {
+			bits |= 1 << uint(k/c.Ways)
+		}
+	}
+	return bits
+}
+
 // InvalidateSet clears an entire set, invoking fn for each valid line first.
 func (c *Cache) InvalidateSet(si int, fn func(r Ref)) {
 	base := si * c.Ways

@@ -27,6 +27,53 @@ type queued struct {
 	enqueued mem.Cycle
 }
 
+// window is how many of the oldest queued requests the scheduler considers
+// for issue.
+const window = 16
+
+// reqQueue is a FIFO of queued requests whose live entries are
+// buf[head:]. The scheduler only ever removes one of the oldest window
+// entries, so removal shifts the entries in front of it one slot toward
+// the tail and advances head: O(window) instead of shifting the whole
+// backlog. Dead head slots are reclaimed by compacting when a push finds
+// the buffer full and at least half of it dead; otherwise the push grows
+// the buffer, so capacity stays within a small multiple of the peak depth
+// and a steady stream allocates nothing.
+type reqQueue struct {
+	buf  []queued
+	head int
+}
+
+func (q *reqQueue) len() int { return len(q.buf) - q.head }
+
+// live returns the queued requests, oldest first.
+func (q *reqQueue) live() []queued { return q.buf[q.head:] }
+
+func (q *reqQueue) push(e queued) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, e)
+}
+
+// remove takes out live entry i, keeping the others in FIFO order. The
+// vacated head slot is cleared so it no longer points at a pooled request.
+func (q *reqQueue) remove(i int) queued {
+	live := q.buf[q.head:]
+	e := live[i]
+	for ; i > 0; i-- { // at most window-1 moves; no runtime copy call
+		live[i] = live[i-1]
+	}
+	live[0] = queued{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return e
+}
+
 // ChannelStats aggregates per-channel activity.
 type ChannelStats struct {
 	Reads      uint64
@@ -56,8 +103,8 @@ type channel struct {
 	eng    *sim.Engine
 	pool   *mem.RequestPool // owned by the device, shared by its channels
 	banks  []bank
-	readQ  []queued
-	writeQ []queued
+	readQ  reqQueue
+	writeQ reqQueue
 
 	busFree   mem.Cycle
 	draining  bool // write-drain mode
@@ -75,8 +122,8 @@ func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
 		// Queues sized for the usual backlog up front: growing them from
 		// nil one doubling at a time was the largest allocation site of a
 		// freshly built device.
-		readQ:  make([]queued, 0, 64),
-		writeQ: make([]queued, 0, 64),
+		readQ:  reqQueue{buf: make([]queued, 0, 64)},
+		writeQ: reqQueue{buf: make([]queued, 0, 64)},
 	}
 	for i := range ch.banks {
 		ch.banks[i].openRow = -1
@@ -117,18 +164,18 @@ func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
 func (ch *channel) enqueue(r *mem.Request, bk int, row int64) {
 	q := queued{req: r, gen: ch.pool.Generation(r), bank: bk, row: row, enqueued: ch.eng.Now()}
 	if r.Kind.IsWrite() && !ch.cfg.ReadOnly {
-		ch.writeQ = append(ch.writeQ, q)
+		ch.writeQ.push(q)
 	} else {
-		ch.readQ = append(ch.readQ, q)
+		ch.readQ.push(q)
 	}
-	if n := len(ch.readQ) + len(ch.writeQ); n > ch.stats.QueuePeak {
+	if n := ch.queueLen(); n > ch.stats.QueuePeak {
 		ch.stats.QueuePeak = n
 	}
 	ch.kick(ch.eng.Now())
 }
 
 // queueLen reports pending requests (used by SBD's latency estimate).
-func (ch *channel) queueLen() int { return len(ch.readQ) + len(ch.writeQ) }
+func (ch *channel) queueLen() int { return ch.readQ.len() + ch.writeQ.len() }
 
 func (ch *channel) kick(at mem.Cycle) {
 	if ch.scheduled {
@@ -164,7 +211,6 @@ func (ch *channel) estStart(e *queued, now mem.Cycle) mem.Cycle {
 // pick selects the issuable request with the earliest achievable data start
 // among the oldest window entries (FR-FCFS: row hits to ready banks win).
 func (ch *channel) pick(q []queued, now mem.Cycle) int {
-	const window = 16
 	n := len(q)
 	if n > window {
 		n = window
@@ -180,33 +226,33 @@ func (ch *channel) pick(q []queued, now mem.Cycle) int {
 
 // selectQueue applies write-batching hysteresis and returns the queue to
 // serve next (nil when idle).
-func (ch *channel) selectQueue() *[]queued {
+func (ch *channel) selectQueue() *reqQueue {
 	if ch.cfg.WriteOnly {
-		if len(ch.writeQ) > 0 {
+		if ch.writeQ.len() > 0 {
 			return &ch.writeQ
 		}
 		return nil
 	}
 	if ch.cfg.ReadOnly {
-		if len(ch.readQ) > 0 {
+		if ch.readQ.len() > 0 {
 			return &ch.readQ
 		}
 		return nil
 	}
 	if ch.draining {
-		if len(ch.writeQ) == 0 || (len(ch.writeQ) <= ch.cfg.WriteLow && len(ch.readQ) > 0) {
+		if ch.writeQ.len() == 0 || (ch.writeQ.len() <= ch.cfg.WriteLow && ch.readQ.len() > 0) {
 			ch.draining = false
 		}
 	} else {
-		if (ch.cfg.WriteHigh > 0 && len(ch.writeQ) >= ch.cfg.WriteHigh) ||
-			(len(ch.readQ) == 0 && len(ch.writeQ) > 0) {
+		if (ch.cfg.WriteHigh > 0 && ch.writeQ.len() >= ch.cfg.WriteHigh) ||
+			(ch.readQ.len() == 0 && ch.writeQ.len() > 0) {
 			ch.draining = true
 		}
 	}
-	if ch.draining && len(ch.writeQ) > 0 {
+	if ch.draining && ch.writeQ.len() > 0 {
 		return &ch.writeQ
 	}
-	if len(ch.readQ) > 0 {
+	if ch.readQ.len() > 0 {
 		return &ch.readQ
 	}
 	return nil
@@ -226,9 +272,7 @@ func (ch *channel) schedule() {
 			ch.kick(maxCycle(now+1, ch.busFree-horizon))
 			return
 		}
-		i := ch.pick(*q, now)
-		e := (*q)[i]
-		*q = append((*q)[:i], (*q)[i+1:]...)
+		e := q.remove(ch.pick(q.live(), now))
 		ch.issue(&e, now)
 	}
 }

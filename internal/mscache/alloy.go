@@ -358,20 +358,7 @@ func (a *Alloy) tad(addr mem.Addr, kind mem.Kind, coreID int, done func(mem.Cycl
 // dbcBitsFromTags rebuilds a DBC entry from the tag array (models a
 // TAD-sourced refill of the dirty-bit cache).
 func (a *Alloy) dbcBitsFromTags(group uint64) uint64 {
-	var bits uint64
-	base := int(group * 64)
-	for i := 0; i < 64; i++ {
-		set := base + i
-		if set >= a.tags.Sets {
-			break
-		}
-		dirty := false
-		a.tags.ForEachInSet(set, func(l cache.Ref) { dirty = dirty || l.Dirty() })
-		if dirty {
-			bits |= 1 << uint(i)
-		}
-	}
-	return bits
+	return a.tags.DirtySetMask(int(group*64), 64)
 }
 
 // Read implements cpu.Backend.

@@ -87,20 +87,43 @@ func TestSBDSteering(t *testing.T) {
 	}
 }
 
+// TestSBDDecay observes list-count halving through eviction order: page
+// 0x100 listed with count 3 and page 0x200 with count 2 evict 0x200, but
+// after a decay both hold 1 and the tie goes to the lower page.
 func TestSBDDecay(t *testing.T) {
-	s := NewSBD(false)
-	p := mem.Addr(7)
-	for i := 0; i < int(s.DirtyThreshold); i++ {
-		s.NoteWrite(p)
+	victim := func(decay bool) mem.Addr {
+		s := NewSBD(false)
+		s.ListCap = 2
+		for _, pc := range []struct {
+			page  mem.Addr
+			count int
+		}{{0x100, 3}, {0x200, 2}} {
+			for i := 0; i < 64 && !s.InDirtyList(pc.page); i++ {
+				s.NoteWrite(pc.page)
+			}
+			if !s.InDirtyList(pc.page) {
+				t.Fatalf("page %#x never promoted", pc.page)
+			}
+			for i := 0; i < pc.count; i++ {
+				s.NoteWrite(pc.page)
+			}
+		}
+		if decay {
+			s.decay()
+		}
+		for i := 0; i < 64; i++ {
+			if ev, clean := s.NoteWrite(0x300); clean {
+				return ev
+			}
+		}
+		t.Fatal("page 0x300 never displaced a listed page")
+		return 0
 	}
-	if !s.InDirtyList(p) {
-		t.Fatal("promoted")
+	if v := victim(false); v != 0x200 {
+		t.Fatalf("without decay evicted %#x, want the lower count 0x200", v)
 	}
-	// force decay epochs: counts halve
-	before := s.dirty[p]
-	s.decay()
-	if s.dirty[p] > before/2+1 {
-		t.Fatal("decay must halve list counts")
+	if v := victim(true); v != 0x100 {
+		t.Fatalf("after decay evicted %#x, want 0x100: halved counts tie at 1", v)
 	}
 }
 

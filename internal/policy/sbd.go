@@ -27,8 +27,15 @@ type SBD struct {
 	// page with the smallest recent write count.
 	ListCap int
 
-	counters []uint8             // counting Bloom filter bank
-	dirty    map[mem.Addr]uint32 // page -> recent write count
+	counters []uint8 // counting Bloom filter bank
+
+	// The Dirty List is an indexed binary min-heap of (count, page) ordered
+	// by recent write count with ties going to the lower page, so the root
+	// is always the eviction victim; slot maps each listed page to its heap
+	// index. Promotion into a full list replaces the root and a write to a
+	// listed page sifts it down, both O(log n) instead of a scan of the list.
+	heap []dirtyEntry
+	slot map[mem.Addr]int32
 
 	// hit predictor: global EWMA of DRAM cache read hit outcomes, in
 	// 1/1024 units.
@@ -56,7 +63,7 @@ func NewSBD(writeThroughOnly bool) *SBD {
 		DirtyThreshold:   4,
 		ListCap:          1024,
 		counters:         make([]uint8, 4096),
-		dirty:            make(map[mem.Addr]uint32),
+		slot:             make(map[mem.Addr]int32),
 		hitEWMA:          512,
 	}
 }
@@ -69,7 +76,7 @@ func (s *SBD) hash(page mem.Addr, i uint64) int {
 
 // InDirtyList reports whether the page is currently write-backed.
 func (s *SBD) InDirtyList(page mem.Addr) bool {
-	_, ok := s.dirty[page]
+	_, ok := s.slot[page]
 	return ok
 }
 
@@ -79,7 +86,7 @@ func (s *SBD) InDirtyList(page mem.Addr) bool {
 // page that ever accumulated enough writes may hold (or once held) dirty
 // blocks, so the hardware cannot prove the memory copy fresh.
 func (s *SBD) Steerable(page mem.Addr) bool {
-	if _, ok := s.dirty[page]; ok {
+	if _, ok := s.slot[page]; ok {
 		return false
 	}
 	for i := uint64(0); i < 4; i++ {
@@ -99,8 +106,9 @@ func (s *SBD) NoteWrite(page mem.Addr) (evicted mem.Addr, mustClean bool) {
 	if s.writes%16384 == 0 {
 		s.decay()
 	}
-	if _, ok := s.dirty[page]; ok {
-		s.dirty[page]++
+	if i, ok := s.slot[page]; ok {
+		s.heap[i].count++
+		s.siftDown(int(i))
 		return 0, false
 	}
 	minCount := uint8(255)
@@ -117,46 +125,101 @@ func (s *SBD) NoteWrite(page mem.Addr) (evicted mem.Addr, mustClean bool) {
 		return 0, false
 	}
 	s.Promotions++
-	if len(s.dirty) >= s.ListCap {
-		// Evict the page with the smallest recent write count. Ties are
-		// broken by the lower page address: map iteration order is
-		// randomized, so picking whichever tied page the range visits
-		// first would make the whole simulation non-reproducible.
-		var victim mem.Addr
-		best := ^uint32(0)
-		first := true
-		for p, c := range s.dirty {
-			if first || c < best || (c == best && p < victim) {
-				victim, best, first = p, c, false
-			}
-		}
-		delete(s.dirty, victim)
-		s.dirty[page] = 0
-		if !s.WriteThroughOnly {
-			s.Cleanings++
-			return victim, true
-		}
+	if len(s.heap) < max(s.ListCap, 1) {
+		s.heap = append(s.heap, dirtyEntry{page: page})
+		s.siftUp(len(s.heap) - 1)
 		return 0, false
 	}
-	s.dirty[page] = 0
+	// Evict the page with the smallest recent write count, ties going to
+	// the lower page address (the heap root), so the victim never depends
+	// on insertion order or map layout.
+	victim := s.heap[0].page
+	delete(s.slot, victim)
+	s.heap[0] = dirtyEntry{page: page}
+	s.siftDown(0)
+	if !s.WriteThroughOnly {
+		s.Cleanings++
+		return victim, true
+	}
 	return 0, false
 }
 
-// decay halves all Bloom counters and list counts (epoch aging).
+// decay halves all Bloom counters and list counts (epoch aging). Halving
+// can tie counts that were ordered, leaving page order to decide, so the
+// heap is rebuilt.
 func (s *SBD) decay() {
 	for i := range s.counters {
 		s.counters[i] >>= 1
 	}
-	for p := range s.dirty {
-		s.dirty[p] >>= 1
+	for i := range s.heap {
+		s.heap[i].count >>= 1
 	}
+	s.heapify()
 	if s.OnDecay != nil {
 		s.OnDecay()
 	}
 }
 
+// dirtyEntry is one Dirty List page with its recent write count.
+type dirtyEntry struct {
+	page  mem.Addr
+	count uint32
+}
+
+// less is the Dirty List eviction order.
+func (a dirtyEntry) less(b dirtyEntry) bool {
+	return a.count < b.count || (a.count == b.count && a.page < b.page)
+}
+
+// heapify restores the heap order over the whole list in O(n).
+func (s *SBD) heapify() {
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+}
+
+// siftUp and siftDown move an entry along its heap path, shifting the
+// entries it passes into the hole it leaves; every moved page's index is
+// rewritten once.
+func (s *SBD) siftUp(i int) {
+	e := s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(s.heap[p]) {
+			break
+		}
+		s.heap[i] = s.heap[p]
+		s.slot[s.heap[i].page] = int32(i)
+		i = p
+	}
+	s.heap[i] = e
+	s.slot[e.page] = int32(i)
+}
+
+func (s *SBD) siftDown(i int) {
+	e := s.heap[i]
+	n := len(s.heap)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.heap[r].less(s.heap[m]) {
+			m = r
+		}
+		if !s.heap[m].less(e) {
+			break
+		}
+		s.heap[i] = s.heap[m]
+		s.slot[s.heap[i].page] = int32(i)
+		i = m
+	}
+	s.heap[i] = e
+	s.slot[e.page] = int32(i)
+}
+
 // DirtyPages returns the current Dirty List occupancy.
-func (s *SBD) DirtyPages() int { return len(s.dirty) }
+func (s *SBD) DirtyPages() int { return len(s.heap) }
 
 // NoteReadOutcome trains the hit predictor.
 func (s *SBD) NoteReadOutcome(hit bool) {

@@ -1,8 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dap/internal/ckpt"
 	"dap/internal/mem"
@@ -16,23 +17,20 @@ import (
 // training them.
 
 // SaveState serializes the SBD decision state: the counting Bloom filter
-// bank, the Dirty List (sorted by page so the byte stream is deterministic
-// despite map iteration order), the hit-predictor EWMA and the decay
-// bookkeeping.
+// bank, the Dirty List (sorted by page, so the bytes depend only on the
+// listed pages and counts, never on the heap layout), the hit-predictor
+// EWMA and the decay bookkeeping.
 func (s *SBD) SaveState(e *ckpt.Enc) {
 	e.U32(uint32(len(s.counters)))
 	for _, c := range s.counters {
 		e.U8(c)
 	}
-	pages := make([]mem.Addr, 0, len(s.dirty))
-	for p := range s.dirty {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	e.U32(uint32(len(pages)))
-	for _, p := range pages {
-		e.U64(uint64(p))
-		e.U32(s.dirty[p])
+	list := slices.Clone(s.heap)
+	slices.SortFunc(list, func(a, b dirtyEntry) int { return cmp.Compare(a.page, b.page) })
+	e.U32(uint32(len(list)))
+	for _, d := range list {
+		e.U64(uint64(d.page))
+		e.U32(d.count)
 	}
 	e.U32(s.hitEWMA)
 	e.U64(s.writes)
@@ -56,11 +54,20 @@ func (s *SBD) LoadState(d *ckpt.Dec) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	s.dirty = make(map[mem.Addr]uint32, n)
-	for i := 0; i < n; i++ {
+	s.heap = make([]dirtyEntry, n)
+	s.slot = make(map[mem.Addr]int32, n)
+	for i := range s.heap {
 		p := mem.Addr(d.U64())
-		s.dirty[p] = d.U32()
+		if _, dup := s.slot[p]; dup {
+			if err := d.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("policy: SBD checkpoint lists page %#x twice", uint64(p))
+		}
+		s.heap[i] = dirtyEntry{page: p, count: d.U32()}
+		s.slot[p] = int32(i)
 	}
+	s.heapify()
 	s.hitEWMA = d.U32()
 	s.writes = d.U64()
 	s.SteeredMM = d.U64()
