@@ -4,9 +4,13 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
+.PHONY: check fmt vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
 
-check: vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate
+check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate
+
+# fmt fails when any Go file is not gofmt-formatted, and lists the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -30,13 +34,13 @@ obs-check:
 # obs-race drives the service-grade observability surface under the race
 # detector: job-lifecycle tracing + flight recorder + context logging
 # (internal/obs), the latency histograms and request-log middleware
-# (internal/telemetry), the instrumented queue/service end to end
-# (internal/jobqueue), and the harness's flight-recorder stall capture and
+# (internal/telemetry), the instrumented sweep service end to end
+# (internal/sweep), and the harness's flight-recorder stall capture and
 # bit-identity guarantees.
 obs-race:
 	$(GO) test -race -count=1 ./internal/telemetry/ \
 		-run 'TestHistogram|TestRequestLog|TestStatusWriter'
-	$(GO) test -race -count=1 ./internal/jobqueue/ -run 'TestServiceObservabilityEndToEnd'
+	$(GO) test -race -count=1 ./internal/sweep/ -run 'TestServiceObservabilityEndToEnd'
 	$(GO) test -race -count=1 -short ./internal/harness/ \
 		-run 'TestObservabilityIsBitIdenticalWithFlight|TestFlightRecorder|TestSweepExecutor'
 
@@ -47,13 +51,13 @@ telemetry-race:
 	$(GO) vet ./internal/telemetry/...
 	$(GO) test -race ./internal/telemetry/... -count=1
 
-# queue-race runs the sweep-service packages — the durable job queue with
-# its WAL/lease/backoff machinery and the crash-consistent result store —
-# under the race detector: workers, reaper, heartbeats and checkpointing
-# all race against each other by design.
+# queue-race runs the sweep-service packages — the sweep service and the
+# crash-consistent result store it keeps its progress in — under the race
+# detector: concurrent workers, HTTP handlers deriving job states, Close
+# and cancellation all race against each other by design.
 queue-race:
-	$(GO) vet ./internal/jobqueue/... ./internal/store/...
-	$(GO) test -race -count=1 ./internal/jobqueue/... ./internal/store/...
+	$(GO) vet ./internal/sweep/... ./internal/store/...
+	$(GO) test -race -count=1 ./internal/sweep/... ./internal/store/...
 
 # ckpt-race drives the warmup-checkpoint cache under the race detector:
 # eight concurrent policy/DRAM variants of one figure point restore from a
@@ -72,9 +76,9 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # crash-smoke SIGKILLs a running sweep service mid-sweep and verifies the
-# restarted process resumes from its journal: all jobs done, all results
-# served, clean SIGINT exit. The in-process counterpart lives in
-# internal/harness/sweep_crash_test.go.
+# restarted process runs the persisted sweep to completion: all jobs done,
+# all results served, clean SIGINT exit. The in-process counterpart lives
+# in internal/harness/sweep_crash_test.go.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -29,11 +29,10 @@ import (
 	"dap/internal/core"
 	"dap/internal/faultinject"
 	"dap/internal/harness"
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
 	"dap/internal/sim"
 	"dap/internal/stats"
-	"dap/internal/store"
+	"dap/internal/sweep"
 	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
@@ -352,87 +351,44 @@ func ParseArchitecture(name string) (Architecture, error) { return harness.Parse
 // "sbd", "sbd-wt", "batman") to its enum.
 func ParsePolicyName(name string) (Policy, error) { return harness.ParsePolicy(name) }
 
-// SweepService is the durable sweep execution service behind
-// `dapsim -serve -sweep-dir`: a crash-safe job queue (WAL + checkpoints)
-// feeding a worker pool, with leases, retry-with-backoff, a dead-letter
-// list and a crash-consistent result store keyed by configuration
-// fingerprint. See ServeSweeps.
-type SweepService = jobqueue.Service
+// SweepService is the sweep execution service behind
+// `dapsim -serve -sweep-dir`: persisted sweep specs run against a
+// crash-consistent result store keyed by configuration fingerprint, which
+// is the service's only record of progress. See ServeSweeps.
+type SweepService = sweep.Service
 
 // SweepSpec is the client-facing sweep request: the cross product of
 // mixes × archs × policies × seeds (POST /jobs).
-type SweepSpec = jobqueue.SweepSpec
+type SweepSpec = sweep.SweepSpec
 
 // ServeSweeps starts the telemetry server on addr with the sweep service
-// mounted on it (POST/GET/DELETE /jobs, /jobs/{id}/results, /deadletters).
-// State lives under dir ("queue/" and "results/"): a process killed at any
-// point reopens the same dir, replays its journal and resumes the sweep —
-// completed jobs are served from the result store, not re-simulated. Stop
-// with svc.Close then srv.Shutdown.
-func ServeSweeps(addr, dir string, workers int) (*TelemetryServer, *SweepService, string, error) {
-	return ServeSweepsObserved(addr, dir, SweepServeOptions{Workers: workers})
-}
-
-// SweepServeOptions parameterizes ServeSweepsObserved beyond the state
-// directory: worker count, structured logging, job-lifecycle trace capacity
-// and where stalled jobs' flight-recorder dumps land.
-type SweepServeOptions struct {
-	// Workers is the concurrent executor count (0 = GOMAXPROCS).
-	Workers int
-	// Logger receives every job state transition, simulation lifecycle
-	// record and HTTP request, each stamped with the job's correlation ID
-	// where one applies. nil serves silently.
-	Logger *slog.Logger
-	// JobTraceCap bounds the in-memory job-lifecycle trace served at /trace
-	// (0 = 65536 events).
-	JobTraceCap int
-	// FlightDir is where aborted jobs' flight-recorder dumps are persisted
-	// and served from at /jobs/{id}/flight ("" = <dir>/flight).
-	FlightDir string
-}
-
-// ServeSweepsObserved is ServeSweeps with service-grade observability: a
-// structured logger threading one correlation ID per job from submission
-// through execution to acknowledgment, a bounded job-lifecycle Chrome trace
-// at GET /trace (open in Perfetto), and stalled jobs' flight-recorder dumps
-// persisted under FlightDir and served at GET /jobs/{id}/flight.
-func ServeSweepsObserved(addr, dir string, opts SweepServeOptions) (*TelemetryServer, *SweepService, string, error) {
-	qcfg := harness.SweepQueueConfig(filepath.Join(dir, "queue"))
-	qcfg.Logger = opts.Logger
-	qcfg.Tracer = obs.NewJobTracer(opts.JobTraceCap)
-	q, err := jobqueue.Open(qcfg)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	st, err := store.Open(filepath.Join(dir, "results"))
-	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the open error
-		return nil, nil, "", err
-	}
-	flightDir := opts.FlightDir
-	if flightDir == "" {
-		flightDir = filepath.Join(dir, "flight")
-	}
-	// Jobs resume from shared warmup checkpoints persisted next to the
-	// queue: policy variants of the same sweep point warm up once.
+// mounted on it (POST/GET/DELETE /jobs, /jobs/{id}/results,
+// /jobs/{id}/flight, /trace). State lives under dir: "sweeps/" holds the
+// submitted specs, "results/" every job's result or failure record, and
+// "ckpt/" the warmup checkpoints policy variants of a sweep point share. A
+// process killed at any point reopens the same dir and runs the persisted
+// sweeps again; jobs whose outcome is stored are skipped, not re-simulated.
+// workers bounds concurrent simulations (0 = GOMAXPROCS). logger receives
+// every job edge, simulation record and HTTP request, stamped with the
+// job's correlation ID where one applies; nil serves silently. Stop with
+// svc.Close then srv.Shutdown.
+func ServeSweeps(addr, dir string, workers int, logger *slog.Logger) (*TelemetryServer, *SweepService, string, error) {
 	ck, err := harness.NewCheckpoints(filepath.Join(dir, "ckpt"))
 	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the open error
 		return nil, nil, "", err
 	}
-	svc := jobqueue.NewService(q, st, harness.SweepExecutorCkpt(ck), jobqueue.ServiceConfig{
-		Workers: opts.Workers, FlightDir: flightDir,
+	svc, err := sweep.Open(dir, harness.SweepExecutorCkpt(ck), sweep.Config{
+		Workers: workers, Key: harness.SweepKey, Validate: harness.SweepValidate,
+		Logger: logger, Tracer: obs.NewJobTracer(0),
 	})
-	if _, _, err := svc.Reconcile(); err != nil {
-		q.Close() //nolint:errcheck // surfacing the reconcile error
+	if err != nil {
 		return nil, nil, "", err
 	}
 	srv := telemetry.NewServer(telemetry.Default, telemetry.Runs)
-	srv.Logger = opts.Logger
-	jobqueue.NewAPI(svc).Attach(srv)
+	srv.Logger = logger
+	svc.Attach(srv)
 	bound, err := srv.Start(addr)
 	if err != nil {
-		q.Close() //nolint:errcheck // surfacing the start error
 		return nil, nil, "", err
 	}
 	svc.Start()

@@ -59,7 +59,7 @@ func TestNRUVictimPrefersNotRecentlyUsed(t *testing.T) {
 	}
 	// insert and make sure the cache still functions
 	c.Insert(mem.Addr(4<<6), false)
-	if !c.Probe(mem.Addr(4<<6)).Ok() {
+	if !c.Probe(mem.Addr(4 << 6)).Ok() {
 		t.Fatal("new line must be present")
 	}
 }
@@ -148,7 +148,7 @@ func TestInvalidateSet(t *testing.T) {
 	if c.Probe(mem.Addr(0)).Ok() || c.Probe(mem.Addr(2*64)).Ok() {
 		t.Fatal("set 0 must be empty")
 	}
-	if !c.Probe(mem.Addr(1*64)).Ok() {
+	if !c.Probe(mem.Addr(1 * 64)).Ok() {
 		t.Fatal("set 1 must be untouched")
 	}
 }

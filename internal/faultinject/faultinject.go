@@ -12,6 +12,7 @@ package faultinject
 
 import (
 	"fmt"
+	"os"
 
 	"dap/internal/dram"
 	"dap/internal/mem"
@@ -127,4 +128,39 @@ func (i *Injector) ArmCreditFault(schedule func(delay mem.Cycle, fn func()), tar
 func (i *Injector) String() string {
 	return fmt.Sprintf("faults injected: %d responses dropped, %d metadata fetches delayed, %d credit corruptions",
 		i.Dropped, i.Delayed, i.Corrupted)
+}
+
+// TruncateTail simulates a torn write by cutting the last n bytes off a
+// file (clamped at emptying it) — the shape a crash mid-append leaves
+// behind.
+func TruncateTail(path string, n int64) error {
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	size := info.Size() - n
+	if size < 0 {
+		size = 0
+	}
+	return os.Truncate(path, size)
+}
+
+// FlipByte simulates silent media corruption by XOR-flipping one byte at
+// offset (negative offsets count from the end).
+func FlipByte(path string, offset int64) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(raw) == 0 {
+		return fmt.Errorf("faultinject: %s is empty", path)
+	}
+	if offset < 0 {
+		offset += int64(len(raw))
+	}
+	if offset < 0 || offset >= int64(len(raw)) {
+		return fmt.Errorf("faultinject: offset %d outside %s (%d bytes)", offset, path, len(raw))
+	}
+	raw[offset] ^= 0xff
+	return os.WriteFile(path, raw, 0o644)
 }

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"dap/internal/faultinject"
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
+	"dap/internal/sweep"
 )
 
 // TestObservabilityIsBitIdenticalWithFlight extends the bit-identity
@@ -112,7 +112,7 @@ func TestFlightRecorderCapturesStall(t *testing.T) {
 // whose dump is stamped with the job's correlation ID and store key — the
 // contract the sweep service's postmortem path relies on.
 func TestSweepExecutorWrapsFlightError(t *testing.T) {
-	spec := jobqueue.JobSpec{
+	spec := sweep.JobSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "dap",
 		Cores: 2, Instr: 150_000, Warm: 60_000, Quick: true,
 	}
@@ -153,7 +153,7 @@ func TestSweepExecutorLogsWithCorr(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := obs.WithLogger(obs.WithCorr(context.Background(), "s7-j9"),
 		slog.New(slog.NewJSONHandler(&buf, nil)))
-	spec := jobqueue.JobSpec{
+	spec := sweep.JobSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "baseline",
 		Cores: 1, Instr: 60_000, Warm: 30_000, Quick: true,
 	}

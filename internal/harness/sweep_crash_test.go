@@ -9,18 +9,19 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dap/internal/faultinject"
-	"dap/internal/jobqueue"
 	"dap/internal/store"
+	"dap/internal/sweep"
 )
 
 // The kill-and-restart integration test: a sweep service process is crashed
-// mid-sweep at a deterministic chaos point (immediately after a result-store
-// write, before the completion is journaled), then a second process reopens
-// the same state directory and resumes. The resumed sweep must
+// mid-sweep at a deterministic point (as its 3rd simulation starts, which
+// with one worker is right after the 2nd result-store write), then a second
+// process opens the same state directory and runs the persisted sweep
+// again. The resumed sweep must
 //
 //   - complete every job,
 //   - produce result payloads byte-identical to an uninterrupted in-process
@@ -34,48 +35,49 @@ import (
 
 const (
 	sweepHelperEnv     = "DAP_SWEEP_HELPER_DIR"
-	sweepCrashAfterEnv = "DAP_CRASH_AFTER_PUTS"
+	sweepCrashAtEnv    = "DAP_CRASH_AT_EXEC"
 	sweepCrashExitCode = 7
 )
 
 // crashSweepSpec is the sweep both processes work on: 4 tiny jobs.
-func crashSweepSpec() jobqueue.SweepSpec {
-	return jobqueue.SweepSpec{
+func crashSweepSpec() sweep.SweepSpec {
+	return sweep.SweepSpec{
 		Mixes:    []string{"mcf", "omnetpp"},
 		Policies: []string{"baseline", "dap"},
 		Cores:    2, Instr: 40_000, Warm: 20_000, Quick: true,
 	}
 }
 
+// openCrashSweep opens the sweep service the way both processes do: keys
+// from the config fingerprint, one worker so execution order is
+// submission order.
+func openCrashSweep(t *testing.T, dir string, exec sweep.Executor) *sweep.Service {
+	t.Helper()
+	svc, err := sweep.Open(dir, exec, sweep.Config{Workers: 1, Key: SweepKey, Validate: SweepValidate})
+	if err != nil {
+		t.Fatalf("open sweep service: %v", err)
+	}
+	return svc
+}
+
 // TestSweepCrashHelper is the subprocess body (skipped in a normal test
 // run): it opens the sweep service under $DAP_SWEEP_HELPER_DIR, submits the
-// sweep on first start, arms the chaos crash point from the environment,
-// and runs to completion — or to the injected crash.
+// sweep on first start, and runs to completion — or exits as the
+// $DAP_CRASH_AT_EXEC-th simulation starts.
 func TestSweepCrashHelper(t *testing.T) {
 	dir := os.Getenv(sweepHelperEnv)
 	if dir == "" {
 		t.Skip("subprocess helper (driven by TestSweepResumeAfterKill)")
 	}
-
-	q, err := jobqueue.Open(SweepQueueConfig(filepath.Join(dir, "queue")))
-	if err != nil {
-		t.Fatalf("open queue: %v", err)
-	}
-	st, err := store.Open(filepath.Join(dir, "results"))
-	if err != nil {
-		t.Fatalf("open store: %v", err)
-	}
-
-	var chaos *faultinject.ServiceChaos
-	if n, _ := strconv.ParseUint(os.Getenv(sweepCrashAfterEnv), 10, 64); n > 0 {
-		chaos = faultinject.NewServiceChaos(faultinject.ServicePlan{
-			CrashAfterPut: n, CrashExitCode: sweepCrashExitCode,
-		})
-	}
+	crashAt, _ := strconv.ParseInt(os.Getenv(sweepCrashAtEnv), 10, 64)
 
 	// Log each actual simulation so the parent can prove completed jobs were
 	// served from the store, not re-run.
-	exec := func(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+	var execs atomic.Int64
+	exec := func(ctx context.Context, spec sweep.JobSpec) ([]byte, error) {
+		if execs.Add(1) == crashAt {
+			os.Exit(sweepCrashExitCode)
+		}
 		payload, err := SweepExecutor(ctx, spec)
 		if err == nil {
 			fmt.Printf("SIMDONE %s\n", SweepKey(spec))
@@ -83,14 +85,9 @@ func TestSweepCrashHelper(t *testing.T) {
 		return payload, err
 	}
 
-	svc := jobqueue.NewService(q, st, exec, jobqueue.ServiceConfig{
-		Workers: 1, Poll: time.Millisecond, Chaos: chaos,
-	})
-	if _, _, err := svc.Reconcile(); err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	if len(q.Sweeps()) == 0 { // first start: submit; restarts resume
-		if _, err := q.Submit(crashSweepSpec()); err != nil {
+	svc := openCrashSweep(t, dir, exec)
+	if len(svc.Sweeps()) == 0 { // first start: submit; restarts resume
+		if _, err := svc.Submit(crashSweepSpec()); err != nil {
 			t.Fatalf("submit: %v", err)
 		}
 	}
@@ -109,7 +106,7 @@ func TestSweepCrashHelper(t *testing.T) {
 }
 
 // runSweepHelper re-executes the test binary against the helper with the
-// given state dir and chaos env, returning combined output and exit code.
+// given state dir and crash env, returning combined output and exit code.
 func runSweepHelper(t *testing.T, dir string, extraEnv ...string) (string, int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestSweepCrashHelper$", "-test.v")
@@ -155,20 +152,19 @@ func TestSweepResumeAfterKill(t *testing.T) {
 		reference[SweepKey(spec)] = payload
 	}
 
-	// Process 1: crash immediately after the 2nd result lands in the store —
-	// after Put, before Ack, the nastiest window (result durable, completion
-	// not journaled).
-	out1, code1 := runSweepHelper(t, dir, sweepCrashAfterEnv+"=2")
+	// Process 1: crash as the 3rd simulation starts — right after the 2nd
+	// result landed in the store, with nothing else recording that it did.
+	out1, code1 := runSweepHelper(t, dir, sweepCrashAtEnv+"=3")
 	if code1 != sweepCrashExitCode {
-		t.Fatalf("process 1 exited %d; want chaos exit %d\n%s", code1, sweepCrashExitCode, out1)
+		t.Fatalf("process 1 exited %d; want crash exit %d\n%s", code1, sweepCrashExitCode, out1)
 	}
 	keys1 := simDoneKeys(out1)
 	if len(keys1) != 2 {
 		t.Fatalf("process 1 simulated %d jobs before the crash; want 2\n%s", len(keys1), out1)
 	}
 
-	// Process 2: same dir, no chaos. It must replay the journal, reconcile
-	// the orphaned lease against the store, and finish the remaining jobs.
+	// Process 2: same dir, no crash. It must run the persisted sweep again,
+	// skip the stored jobs and finish the remaining ones.
 	out2, code2 := runSweepHelper(t, dir)
 	if code2 != 0 {
 		t.Fatalf("resumed process exited %d\n%s", code2, out2)
@@ -179,7 +175,7 @@ func TestSweepResumeAfterKill(t *testing.T) {
 	keys2 := simDoneKeys(out2)
 
 	// No job was simulated twice across the crash: every stored result was
-	// reused, including the one whose ack the crash swallowed.
+	// reused.
 	seen := map[string]bool{}
 	for _, k := range append(append([]string(nil), keys1...), keys2...) {
 		if seen[k] {
@@ -191,15 +187,11 @@ func TestSweepResumeAfterKill(t *testing.T) {
 		t.Fatalf("simulated %d jobs across both processes; want exactly %d", got, len(specs))
 	}
 
-	// The queue on disk agrees: every job done, nothing dead or stuck.
-	q, err := jobqueue.Open(SweepQueueConfig(filepath.Join(dir, "queue")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	counts, total := q.Counts()
-	if total != len(specs) || counts["done"] != len(specs) {
-		t.Fatalf("final queue counts = %v (total %d)", counts, total)
+	// The service on disk agrees: every job done, nothing failed or queued.
+	svc := openCrashSweep(t, dir, nil)
+	sweeps := svc.Sweeps()
+	if len(sweeps) != 1 || sweeps[0].Total != len(specs) || sweeps[0].Counts["done"] != len(specs) {
+		t.Fatalf("final sweeps = %+v", sweeps)
 	}
 
 	// Bit-identical results: the interrupted-and-resumed sweep's merged

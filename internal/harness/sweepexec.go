@@ -6,15 +6,15 @@ import (
 	"errors"
 	"fmt"
 
-	"dap/internal/jobqueue"
 	"dap/internal/obs"
 	"dap/internal/sim"
 	"dap/internal/stats"
+	"dap/internal/sweep"
 	"dap/internal/workload"
 )
 
-// This file wires the simulator into the durable sweep service: resolving
-// job specs to configurations, deriving store keys from the configuration
+// This file wires the simulator into the sweep service: resolving job
+// specs to configurations, deriving store keys from the configuration
 // fingerprint, and executing jobs deterministically so stored results are
 // byte-for-byte interchangeable with fresh runs.
 
@@ -41,7 +41,7 @@ func ParsePolicy(name string) (Policy, error) {
 }
 
 // sweepConfig resolves a job spec to a runnable (Config, Mix) pair.
-func sweepConfig(spec jobqueue.JobSpec) (Config, workload.Mix, error) {
+func sweepConfig(spec sweep.JobSpec) (Config, workload.Mix, error) {
 	cfg := Default()
 	if spec.Quick {
 		cfg = Quick()
@@ -95,20 +95,20 @@ func resolveMix(name string, cores int) (workload.Mix, error) {
 // (which covers arch, policy, core count and run lengths — see Fingerprint)
 // plus the mix name and seed. Identical requests — even from different
 // sweeps or across restarts — therefore share a key and a stored result.
-func SweepKey(spec jobqueue.JobSpec) string {
+func SweepKey(spec sweep.JobSpec) string {
 	cfg, mix, err := sweepConfig(spec)
 	if err != nil {
 		// Unresolvable specs are caught by SweepValidate before submission;
-		// fall back to the spec string so the queue still has a stable key.
+		// fall back to the spec string so the job still has a stable key.
 		return "invalid-" + spec.String()
 	}
 	return fmt.Sprintf("%s-%s-s%d", Fingerprint(cfg), mix.Name, spec.Seed)
 }
 
 // SweepValidate rejects specs that do not resolve to a runnable
-// configuration, so malformed requests 400 at submission instead of
-// dead-lettering after doomed retries.
-func SweepValidate(spec jobqueue.JobSpec) error {
+// configuration, so malformed requests 400 at submission instead of being
+// persisted and stored as failures.
+func SweepValidate(spec sweep.JobSpec) error {
 	_, _, err := sweepConfig(spec)
 	return err
 }
@@ -130,26 +130,32 @@ type SweepResult struct {
 }
 
 // SweepExecutor runs one job spec through the simulator and renders its
-// SweepResult. It is the jobqueue.Executor of the sweep service. The
+// SweepResult. It is the sweep.Executor of the sweep service. The
 // context carries the job's correlation ID and logger (obs.WithCorr /
 // obs.WithLogger); an aborted run comes back as an *obs.FlightError
-// wrapping the cause, so the service can persist and serve the frozen
-// flight recording as a postmortem.
-func SweepExecutor(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+// wrapping the cause, so the service can store the frozen flight
+// recording in the job's failure record and serve it as a postmortem.
+//
+// Every error it returns depends only on the spec (resolution, watchdog
+// stall, audit violation, result encoding), which is why the service
+// stores a failure instead of retrying.
+func SweepExecutor(ctx context.Context, spec sweep.JobSpec) ([]byte, error) {
 	return sweepExecute(ctx, spec, nil)
 }
 
-// SweepExecutorCkpt returns a jobqueue.Executor that resumes each job from
+// SweepExecutorCkpt returns a sweep.Executor that resumes each job from
 // the shared warmup-checkpoint cache: concurrent jobs differing only in
 // runtime policy restore from one single-flight snapshot. Results stay
-// byte-identical to SweepExecutor's.
-func SweepExecutorCkpt(ck *Checkpoints) jobqueue.Executor {
-	return func(ctx context.Context, spec jobqueue.JobSpec) ([]byte, error) {
+// byte-identical to SweepExecutor's. Checkpoint disk I/O is best-effort,
+// so the only error it adds is checkpoint encoding, which also depends only
+// on the spec.
+func SweepExecutorCkpt(ck *Checkpoints) sweep.Executor {
+	return func(ctx context.Context, spec sweep.JobSpec) ([]byte, error) {
 		return sweepExecute(ctx, spec, ck)
 	}
 }
 
-func sweepExecute(ctx context.Context, spec jobqueue.JobSpec, ck *Checkpoints) ([]byte, error) {
+func sweepExecute(ctx context.Context, spec sweep.JobSpec, ck *Checkpoints) ([]byte, error) {
 	cfg, mix, err := sweepConfig(spec)
 	if err != nil {
 		return nil, err
@@ -202,14 +208,4 @@ func classifyAbort(err error) (reason, snapshot string) {
 		return "audit-violation", ""
 	}
 	return "run-error", ""
-}
-
-// SweepQueueConfig is the queue configuration the sweep service uses: state
-// under dir, keys from the config fingerprint, validation at submission.
-func SweepQueueConfig(dir string) jobqueue.Config {
-	return jobqueue.Config{
-		Dir:      dir,
-		KeyFunc:  SweepKey,
-		Validate: SweepValidate,
-	}
 }

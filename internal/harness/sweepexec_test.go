@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"testing"
 
-	"dap/internal/jobqueue"
+	"dap/internal/sweep"
 )
 
 // tinySweepSpec is the smallest job that exercises the full simulator path.
-func tinySweepSpec() jobqueue.JobSpec {
-	return jobqueue.JobSpec{
+func tinySweepSpec() sweep.JobSpec {
+	return sweep.JobSpec{
 		Mix: "mcf", Arch: "sectored", Policy: "baseline", Seed: 0,
 		Cores: 2, Instr: 40_000, Warm: 20_000, Quick: true,
 	}
@@ -42,7 +42,7 @@ func TestSweepValidate(t *testing.T) {
 	if err := SweepValidate(tinySweepSpec()); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	for _, bad := range []jobqueue.JobSpec{
+	for _, bad := range []sweep.JobSpec{
 		{Mix: "no-such-mix", Arch: "sectored", Policy: "baseline"},
 		{Mix: "mcf", Arch: "bogus", Policy: "baseline"},
 		{Mix: "mcf", Arch: "sectored", Policy: "bogus"},
@@ -68,12 +68,12 @@ func TestSweepKeyIsFingerprintBased(t *testing.T) {
 		t.Fatalf("key = %q; want %q", k1, want)
 	}
 	// Any behavior-affecting knob moves the key.
-	for _, mutate := range []func(*jobqueue.JobSpec){
-		func(s *jobqueue.JobSpec) { s.Policy = "dap" },
-		func(s *jobqueue.JobSpec) { s.Arch = "alloy" },
-		func(s *jobqueue.JobSpec) { s.Seed = 1 },
-		func(s *jobqueue.JobSpec) { s.Instr = 50_000 },
-		func(s *jobqueue.JobSpec) { s.Cores = 4 },
+	for _, mutate := range []func(*sweep.JobSpec){
+		func(s *sweep.JobSpec) { s.Policy = "dap" },
+		func(s *sweep.JobSpec) { s.Arch = "alloy" },
+		func(s *sweep.JobSpec) { s.Seed = 1 },
+		func(s *sweep.JobSpec) { s.Instr = 50_000 },
+		func(s *sweep.JobSpec) { s.Cores = 4 },
 	} {
 		other := tinySweepSpec()
 		mutate(&other)
@@ -156,7 +156,7 @@ func TestSweepExecutorSampledJob(t *testing.T) {
 }
 
 func TestSweepExecutorRejectsBadSpec(t *testing.T) {
-	if _, err := SweepExecutor(context.Background(), jobqueue.JobSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
+	if _, err := SweepExecutor(context.Background(), sweep.JobSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
 		t.Fatal("executor ran an unresolvable spec")
 	}
 }

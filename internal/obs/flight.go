@@ -96,13 +96,12 @@ func (fr *FlightRecorder) Entries() []FlightEntry {
 }
 
 // FlightDump is a frozen flight recording plus the failure context — what
-// gets written to disk, logged and served from /jobs/{id}/flight when a run
-// aborts.
+// the sweep service stores in a failed job's record and serves from
+// /jobs/{id}/flight when a run aborts.
 type FlightDump struct {
 	Corr     string        `json:"corr,omitempty"`     // job correlation ID
-	Job      uint64        `json:"job,omitempty"`      // job ID, when service-run
 	Key      string        `json:"key,omitempty"`      // config fingerprint / store key
-	Reason   string        `json:"reason"`             // "watchdog-stall", "run-error", "attempts-exhausted"
+	Reason   string        `json:"reason"`             // "watchdog-stall", "audit-violation", "run-error"
 	Error    string        `json:"error,omitempty"`    // the triggering error's text
 	Snapshot string        `json:"snapshot,omitempty"` // engine state at failure
 	Entries  []FlightEntry `json:"entries"`
@@ -124,7 +123,7 @@ func (fr *FlightRecorder) Dump(reason, snapshot string) *FlightDump {
 }
 
 // FlightError attaches a flight recording to the error that aborted a run,
-// so layers above the harness (the sweep service) can persist and serve the
+// so layers above the harness (the sweep service) can store and serve the
 // dump without importing harness types. It unwraps to the underlying error.
 type FlightError struct {
 	Dump *FlightDump

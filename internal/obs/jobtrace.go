@@ -8,15 +8,15 @@ import (
 )
 
 // JobTracer records the service-level lifecycle of sweep jobs — spans for
-// the queue wait, execution and store write, instants for submit, lease,
-// ack, retry, dead-letter and requeue edges — as wall-clock events keyed by
-// job ID, and renders them as Chrome trace-event JSON so a whole sweep
-// opens in Perfetto with one track per job.
+// execution and the store write, instants for the submit, cache-hit and
+// failed edges — as wall-clock events keyed by job ID, and renders them as
+// Chrome trace-event JSON so a whole sweep opens in Perfetto with one
+// track per job.
 //
 // Unlike the simulation Tracer (single-threaded, simulated cycles), the
-// JobTracer is shared by every service goroutine: workers, the reaper and
-// HTTP handlers record concurrently, so it is mutex-protected and
-// wall-clock based. The buffer is bounded; events past the cap are counted
+// JobTracer is shared by every service goroutine: workers and HTTP
+// handlers record concurrently, so it is mutex-protected and wall-clock
+// based. The buffer is bounded; events past the cap are counted
 // in Dropped rather than retained. A nil *JobTracer is a valid disabled
 // tracer — every method is a nil-safe no-op.
 type JobTracer struct {
@@ -120,7 +120,7 @@ func (jt *JobTracer) Dropped() uint64 {
 }
 
 // HasInstant reports whether an instant event with the given name was
-// recorded — used by tests to assert lifecycle edges (e.g. "retry").
+// recorded — used by tests to assert lifecycle edges (e.g. "failed").
 func (jt *JobTracer) HasInstant(name string) bool {
 	if jt == nil {
 		return false

@@ -10,7 +10,7 @@ import (
 // The sweep service logs through log/slog with one convention: every record
 // about a job carries the attribute "corr", the job's correlation ID
 // ("s<sweep>-j<job>"), so a grep for one corr value reconstructs the job's
-// whole lifecycle across submit, lease, execute, store and ack — whichever
+// whole lifecycle across submit, execute and store — whichever
 // component emitted each record. The logger and the correlation ID travel
 // on the context; a nil or absent logger degrades to a silent one so
 // library code can log unconditionally.

@@ -10,8 +10,8 @@ import (
 	"path/filepath"
 )
 
-// magic identifies (and versions) the checksummed file envelope shared by
-// the result store and the job queue's checkpoints.
+// magic identifies (and versions) the checksummed file envelope of every
+// store entry.
 const magic = "dapstore1"
 
 // ErrCorrupt marks a file that exists but fails envelope verification — a
@@ -24,9 +24,8 @@ var ErrCorrupt = errors.New("store: corrupt or torn entry")
 //	dapstore1 <crc32-ieee of payload, hex> <payload length> <url-escaped tag>\n
 //	<payload bytes>
 //
-// The tag carries the logical key (or a checkpoint label) so the file is
-// self-describing; length and checksum make truncation and corruption
-// detectable byte-for-byte.
+// The tag carries the logical key so the file is self-describing; length
+// and checksum make truncation and corruption detectable byte-for-byte.
 func encodeEnvelope(tag string, payload []byte) []byte {
 	header := fmt.Sprintf("%s %08x %d %s\n", magic, crc32.ChecksumIEEE(payload), len(payload), url.QueryEscape(tag))
 	out := make([]byte, 0, len(header)+len(payload))
@@ -65,15 +64,11 @@ func decodeEnvelope(raw []byte) (payload []byte, tag string, err error) {
 	return payload, tag, nil
 }
 
-// WriteFileAtomic durably writes payload (under the checksummed envelope,
-// tagged with tag) to path: staged in a sibling temp file, fsynced, renamed
+// writeFileAtomic durably writes payload (under the checksummed envelope,
+// tagged with tag) to path: staged in the temp file tmp, fsynced, renamed
 // into place, directory fsynced. A reader — or a post-crash recovery —
 // observes either the old complete file or the new complete file.
-func WriteFileAtomic(path, tag string, payload []byte) error {
-	return writeFileAtomicVia(path+".tmp", path, tag, payload)
-}
-
-func writeFileAtomicVia(tmp, path, tag string, payload []byte) error {
+func writeFileAtomic(tmp, path, tag string, payload []byte) error {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -94,10 +89,10 @@ func writeFileAtomicVia(tmp, path, tag string, payload []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// ReadFileVerified reads a file written by WriteFileAtomic, verifying the
+// readFileVerified reads a file written by writeFileAtomic, verifying the
 // envelope. It returns os.ErrNotExist-style errors for absent files and
 // ErrCorrupt-wrapped errors for torn or corrupt ones.
-func ReadFileVerified(path string) (payload []byte, tag string, err error) {
+func readFileVerified(path string) (payload []byte, tag string, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err

@@ -1,11 +1,10 @@
 // Package store is a crash-consistent on-disk result store keyed by
-// arbitrary strings (the sweep service keys it by config fingerprint ×
-// workload × seed).
+// arbitrary strings (the sweep service keys results by config fingerprint
+// × workload × seed, and persists its sweep specs in a second store).
 //
-// Every entry is one file written with the torn-write-safe discipline the
-// whole persistence layer shares (see WriteFileAtomic): payload bytes behind
-// a checksummed envelope, staged in a temp file, fsynced, and atomically
-// renamed into place. A reader therefore observes either the previous
+// Every entry is one file written with a torn-write-safe discipline (see
+// writeFileAtomic): payload bytes behind a checksummed envelope, staged in
+// a temp file, fsynced, and atomically renamed into place. A reader therefore observes either the previous
 // complete entry or the new complete entry, never a mixture; a crash at any
 // instruction leaves at most an ignorable temp file. Corrupt or truncated
 // entries — a torn envelope, a checksum mismatch, a short payload — are
@@ -89,7 +88,7 @@ func (s *Store) path(key string) string {
 // returned as a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
 	path := s.path(key)
-	payload, gotKey, err := ReadFileVerified(path)
+	payload, gotKey, err := readFileVerified(path)
 	switch {
 	case err == nil && gotKey == key:
 		s.hits.Add(1)
@@ -115,9 +114,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Has reports whether key resolves to a valid entry without counting a
-// hit/miss (used by recovery reconciliation).
+// hit/miss (the sweep service derives job states with it).
 func (s *Store) Has(key string) bool {
-	payload, gotKey, err := ReadFileVerified(s.path(key))
+	payload, gotKey, err := readFileVerified(s.path(key))
 	return err == nil && gotKey == key && payload != nil
 }
 
@@ -127,7 +126,7 @@ func (s *Store) Has(key string) bool {
 func (s *Store) Put(key string, payload []byte) error {
 	t0 := time.Now()
 	tmp := fmt.Sprintf("%s.tmp.%d.%d", s.path(key), os.Getpid(), s.tmpSeq.Add(1))
-	if err := writeFileAtomicVia(tmp, s.path(key), key, payload); err != nil {
+	if err := writeFileAtomic(tmp, s.path(key), key, payload); err != nil {
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
 	s.puts.Add(1)
@@ -150,7 +149,7 @@ func (s *Store) Keys() []string {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".res") {
 			continue
 		}
-		if _, key, err := ReadFileVerified(filepath.Join(s.dir, e.Name())); err == nil {
+		if _, key, err := readFileVerified(filepath.Join(s.dir, e.Name())); err == nil {
 			keys = append(keys, key)
 		}
 	}

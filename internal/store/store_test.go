@@ -208,26 +208,6 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicReadBack(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-	if err := WriteFileAtomic(path, "tag-1", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	payload, tag, err := ReadFileVerified(path)
-	if err != nil || tag != "tag-1" || string(payload) != "payload" {
-		t.Fatalf("ReadFileVerified = %q, %q, %v", payload, tag, err)
-	}
-	// Overwrite keeps the envelope intact.
-	if err := WriteFileAtomic(path, "tag-2", []byte("next")); err != nil {
-		t.Fatal(err)
-	}
-	payload, tag, err = ReadFileVerified(path)
-	if err != nil || tag != "tag-2" || string(payload) != "next" {
-		t.Fatalf("after overwrite: %q, %q, %v", payload, tag, err)
-	}
-}
-
 func TestEnvelopeRejectsTamper(t *testing.T) {
 	enc := encodeEnvelope("t", []byte("hello"))
 	for i := range enc {

@@ -1,4 +1,4 @@
-package jobqueue
+package sweep
 
 import (
 	"bytes"
@@ -11,28 +11,17 @@ import (
 	"testing"
 	"time"
 
-	"dap/internal/store"
 	"dap/internal/telemetry"
 )
 
 // newAPIServer stands up the full HTTP surface over a real service.
-func newAPIServer(t *testing.T, exec Executor, validate func(JobSpec) error) (*httptest.Server, *Service) {
+func newAPIServer(t *testing.T, exec Executor, cfg Config) (*httptest.Server, *Service) {
 	t.Helper()
-	dir := t.TempDir()
-	cfg := fastCfg(dir + "/queue")
-	cfg.Validate = validate
-	q, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(q, st, exec, ServiceConfig{Workers: 1, Poll: time.Millisecond, Reap: 5 * time.Millisecond})
+	cfg.Workers = 1
+	svc := openSvc(t, t.TempDir(), exec, cfg)
 	reg := telemetry.NewRegistry()
 	srv := telemetry.NewServer(reg, telemetry.NewRunRegistry(reg))
-	NewAPI(svc).Attach(srv)
+	svc.Attach(srv)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -76,8 +65,25 @@ func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any)
 	}
 }
 
+// pollSweep polls GET /jobs/{id} until done reports true.
+func pollSweep(t *testing.T, base string, id int64, done func(SweepSnapshot) bool) SweepSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var snap SweepSnapshot
+		doJSON(t, "GET", fmt.Sprintf("%s/jobs/%d", base, id), nil, http.StatusOK, &snap)
+		if done(snap) {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %d never settled: %+v", id, snap)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestSubmitPollResultsLifecycle(t *testing.T) {
-	ts, svc := newAPIServer(t, echoExec, nil)
+	ts, svc := newAPIServer(t, echoExec, Config{})
 	svc.Start()
 
 	var created struct {
@@ -91,24 +97,12 @@ func TestSubmitPollResultsLifecycle(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 
-	// Poll until done.
-	deadline := time.Now().Add(10 * time.Second)
-	var snap SweepSnapshot
-	for {
-		doJSON(t, "GET", fmt.Sprintf("%s/jobs/%d", ts.URL, created.ID), nil, http.StatusOK, &snap)
-		if snap.Counts["done"] == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never completed: %+v", snap)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	snap := pollSweep(t, ts.URL, created.ID, func(s SweepSnapshot) bool { return s.Counts["done"] == 4 })
 	if len(snap.Jobs) != 4 {
 		t.Fatalf("detail view has %d jobs", len(snap.Jobs))
 	}
 	for _, j := range snap.Jobs {
-		if j.State != "done" || j.Key == "" {
+		if j.State != "done" || j.Key == "" || j.Corr != fmt.Sprintf("s1-j%d", j.ID) {
 			t.Fatalf("job = %+v", j)
 		}
 	}
@@ -136,16 +130,15 @@ func TestSubmitPollResultsLifecycle(t *testing.T) {
 }
 
 func TestSubmitValidationAndDecodeErrors(t *testing.T) {
-	ts, _ := newAPIServer(t, echoExec, func(js JobSpec) error {
+	ts, _ := newAPIServer(t, echoExec, Config{Validate: func(js JobSpec) error {
 		if js.Mix == "bogus" {
 			return fmt.Errorf("unknown mix %q", js.Mix)
 		}
 		return nil
-	})
+	}})
 
 	// Unknown mix -> 400 with the validator's message.
-	req, _ := http.NewRequest("POST", ts.URL+"/jobs", strings.NewReader(`{"mixes":["bogus"]}`))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"mixes":["bogus"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +149,7 @@ func TestSubmitValidationAndDecodeErrors(t *testing.T) {
 		t.Fatalf("invalid submit = %d %q", resp.StatusCode, buf.String())
 	}
 
-	// Malformed JSON and unknown fields -> 400.
+	// Malformed JSON, unknown fields and an empty sweep -> 400.
 	for _, body := range []string{`{not json`, `{"mixxes":["mcf"]}`, `{}`} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -170,8 +163,8 @@ func TestSubmitValidationAndDecodeErrors(t *testing.T) {
 }
 
 func TestCancelSweepOverHTTP(t *testing.T) {
-	// No workers started: jobs stay queued so cancellation hits all of them.
-	ts, svc := newAPIServer(t, echoExec, nil)
+	// Not started: jobs stay queued so cancellation hits all of them.
+	ts, _ := newAPIServer(t, echoExec, Config{})
 	var created struct {
 		ID int64 `json:"id"`
 	}
@@ -182,43 +175,59 @@ func TestCancelSweepOverHTTP(t *testing.T) {
 	if !snap.Cancelled || snap.Counts["cancelled"] != 2 {
 		t.Fatalf("cancel snapshot = %+v", snap)
 	}
-	if _, ok := svc.Queue().Lease("w"); ok {
-		t.Fatal("cancelled job still dispatchable")
-	}
-	// Unknown sweep -> 404; bad ID -> 400.
+	// Unknown sweep -> 404; bad ID -> 400, on every per-sweep route.
 	doJSON(t, "DELETE", ts.URL+"/jobs/99", nil, http.StatusNotFound, nil)
 	doJSON(t, "DELETE", ts.URL+"/jobs/xyz", nil, http.StatusBadRequest, nil)
 	doJSON(t, "GET", ts.URL+"/jobs/99", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/jobs/xyz", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", ts.URL+"/jobs/99/results", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/jobs/99/flight", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", ts.URL+"/jobs/xyz/flight", nil, http.StatusBadRequest, nil)
+	// No tracer configured -> /trace says so instead of serving nothing.
+	doJSON(t, "GET", ts.URL+"/trace", nil, http.StatusNotFound, nil)
 }
 
-func TestDeadLettersEndpoint(t *testing.T) {
-	exec := func(_ context.Context, _ JobSpec) ([]byte, error) {
+func TestRunningJobOverHTTP(t *testing.T) {
+	// An executing job is visible over the API as running, then as done.
+	started, release := make(chan struct{}), make(chan struct{})
+	ts, svc := newAPIServer(t, blockingExec(started, release).exec, Config{})
+	doJSON(t, "POST", ts.URL+"/jobs", SweepSpec{Mixes: []string{"a", "b"}}, http.StatusCreated, nil)
+	svc.Start()
+	<-started
+
+	var snap SweepSnapshot
+	doJSON(t, "GET", ts.URL+"/jobs/1", nil, http.StatusOK, &snap)
+	if snap.Counts["running"] != 1 || snap.Jobs[0].State != "running" || snap.Jobs[1].State != "queued" {
+		t.Fatalf("in-flight sweep = %+v", snap)
+	}
+	close(release)
+	pollSweep(t, ts.URL, 1, func(s SweepSnapshot) bool { return s.Counts["done"] == 2 })
+}
+
+func TestFailedJobOverHTTP(t *testing.T) {
+	exec := func(context.Context, JobSpec) ([]byte, error) {
 		return nil, fmt.Errorf("doomed")
 	}
-	ts, svc := newAPIServer(t, exec, nil)
+	ts, svc := newAPIServer(t, exec, Config{})
 	doJSON(t, "POST", ts.URL+"/jobs", SweepSpec{Mixes: []string{"a"}}, http.StatusCreated, nil)
 	svc.Start()
 
-	deadline := time.Now().Add(10 * time.Second)
-	var dead []JobSnapshot
-	for {
-		doJSON(t, "GET", ts.URL+"/deadletters", nil, http.StatusOK, &dead)
-		if len(dead) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never dead-lettered")
-		}
-		time.Sleep(5 * time.Millisecond)
+	snap := pollSweep(t, ts.URL, 1, func(s SweepSnapshot) bool { return s.Counts["failed"] == 1 })
+	if j := snap.Jobs[0]; j.State != "failed" || j.Error != "doomed" {
+		t.Fatalf("failed job = %+v", j)
 	}
-	if dead[0].State != "dead" || dead[0].Attempts != 3 || dead[0].Error != "doomed" {
-		t.Fatalf("dead letter = %+v", dead[0])
+	// A plain error carries no flight recording, and no result is served.
+	doJSON(t, "GET", ts.URL+"/jobs/1/flight", nil, http.StatusNotFound, nil)
+	var res sweepResults
+	doJSON(t, "GET", ts.URL+"/jobs/1/results", nil, http.StatusOK, &res)
+	if res.Done != 0 || res.Total != 1 || len(res.Results) != 0 {
+		t.Fatalf("results of a failed sweep = %+v", res)
 	}
 }
 
 func TestTelemetryRoutesStillServe(t *testing.T) {
 	// Mounting the API must not displace the telemetry surface.
-	ts, _ := newAPIServer(t, echoExec, nil)
+	ts, _ := newAPIServer(t, echoExec, Config{})
 	for _, path := range []string{"/healthz", "/metrics", "/runs"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

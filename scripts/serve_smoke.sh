@@ -113,10 +113,7 @@ echo "serve-smoke: sweep service on $addr"
 
 code=$(curl -s -o "$tmp/smetrics" -w '%{http_code}' "http://$addr/metrics") || fail "curl sweep /metrics"
 [ "$code" = 200 ] || fail "sweep /metrics returned $code"
-for family in jobqueue_queue_wait_seconds_bucket jobqueue_lease_seconds_bucket \
-    jobqueue_execute_seconds_bucket jobqueue_wal_append_seconds_bucket \
-    jobqueue_checkpoint_seconds_bucket store_put_seconds_bucket \
-    jobqueue_depth jobqueue_deadletters; do
+for family in sweep_execute_seconds_bucket store_put_seconds_bucket; do
     grep -q "^$family" "$tmp/smetrics" || fail "sweep /metrics missing $family"
 done
 
