@@ -4,9 +4,9 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
 
-check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate
+check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate bench-smoke
 
 # fmt fails when any Go file is not gofmt-formatted, and lists the files.
 fmt:
@@ -133,6 +133,13 @@ bench-gate:
 
 bench-figures:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# bench-smoke runs the end-to-end benchmark's own tests (bench/ is a module
+# of its own, so the root `go test ./...` skips it): every workload,
+# untraced and traced, at a tiny scale with all of its correctness checks,
+# including the resumed Alloy run's digest against a cold run.
+bench-smoke:
+	cd bench && $(GO) test -count=1 ./...
 
 # bench-cmp gates a bench report against a baseline: prints the per-benchmark
 # delta table and exits non-zero when any shared benchmark regressed by more

@@ -23,7 +23,6 @@ func TestHotPathAllocs(t *testing.T) {
 			if r := c.Probe(ad); r.Ok() {
 				_ = r.Tag()
 				_ = r.Dirty()
-				_ = r.State()
 				_ = r.VMask()
 			}
 		}

@@ -1,19 +1,19 @@
-// Package cache implements the set-associative SRAM structures used
-// throughout the hierarchy: the L1/L2/L3 data caches, the DRAM-cache SRAM
-// tag cache, the Alloy dirty-bit cache and assorted predictor tables.
+// Package cache implements the set-associative tag arrays used throughout
+// the hierarchy: the L1/L2/L3 data caches, and the tag arrays and SRAM tag
+// cache of the sectored DRAM and eDRAM caches. The direct-mapped Alloy
+// cache keeps its own tag store in internal/mscache.
 //
-// The caches are tag-only (the simulator never moves real data); each line
-// carries a small state word that callers interpret.
+// The caches are tag-only (the simulator never moves real data).
 //
 // Layout: the tag array is structure-of-arrays. The probe-critical word per
 // line is tv = tag<<1 | valid, so a probe is a single 64-bit compare per way
 // over a contiguous way group (an invalid line holds 0 and can never equal
 // tag<<1|1). Replacement metadata lives in a second packed word — dirty,
 // NRU bit and SRRIP RRPV in the low byte, the 32-bit LRU stamp in the high
-// half — touched only on hits and installs. The rarely-used payloads
-// (caller state word, sector valid/dirty masks) live in side arrays that are
-// allocated lazily on first nonzero write, so ordinary caches never pay for
-// them in memory, checkpoint bytes, or probe bandwidth.
+// half — touched only on hits and installs. The sector valid/dirty masks
+// live in side arrays that are allocated lazily on first nonzero write, so
+// ordinary caches never pay for them in memory, checkpoint bytes, or probe
+// bandwidth.
 package cache
 
 import "dap/internal/mem"
@@ -45,7 +45,6 @@ type Line struct {
 	Tag   uint64
 	Valid bool
 	Dirty bool
-	State uint32 // caller-defined payload
 	VMask uint64 // per-block valid bits (sector caches; 1 bit per 64 B block)
 	DMask uint64 // per-block dirty bits (sector caches)
 }
@@ -90,7 +89,6 @@ type Cache struct {
 	meta []uint64 // Sets*Ways: dirty | nru | rrpv<<2 | lru<<32
 
 	// Lazily allocated side arrays: nil until the first nonzero write.
-	state []uint32 // caller payload (Alloy reuse bit)
 	vmask []uint64 // sector valid masks
 	dmask []uint64 // sector dirty masks
 
@@ -196,37 +194,6 @@ func (r Ref) SetDirty(d bool) {
 // MarkDirty sets the dirty bit.
 func (r Ref) MarkDirty() { r.c.meta[r.i] |= metaDirty }
 
-// State returns the caller-defined payload word.
-func (r Ref) State() uint32 {
-	if r.c.state == nil {
-		return 0
-	}
-	return r.c.state[r.i]
-}
-
-// SetState stores the payload word (allocating the side array on the first
-// nonzero write).
-func (r Ref) SetState(v uint32) {
-	if r.c.state == nil {
-		if v == 0 {
-			return
-		}
-		r.c.state = make([]uint32, len(r.c.tv))
-	}
-	r.c.state[r.i] = v
-}
-
-// OrState ORs bits into the payload word.
-func (r Ref) OrState(v uint32) {
-	if r.c.state == nil {
-		if v == 0 {
-			return
-		}
-		r.c.state = make([]uint32, len(r.c.tv))
-	}
-	r.c.state[r.i] |= v
-}
-
 // VMask returns the sector valid mask.
 func (r Ref) VMask() uint64 {
 	if r.c.vmask == nil {
@@ -308,9 +275,6 @@ func (r Ref) Line() Line { return r.c.snapshot(int(r.i)) }
 
 func (c *Cache) snapshot(i int) Line {
 	l := Line{Tag: c.tv[i] >> 1, Valid: c.tv[i]&1 != 0, Dirty: c.meta[i]&metaDirty != 0}
-	if c.state != nil {
-		l.State = c.state[i]
-	}
 	if c.vmask != nil {
 		l.VMask = c.vmask[i]
 	}
@@ -320,13 +284,10 @@ func (c *Cache) snapshot(i int) Line {
 	return l
 }
 
-// clearSlot zeroes one slot completely (tv, meta, side payloads).
+// clearSlot zeroes one slot completely (tv, meta, sector masks).
 func (c *Cache) clearSlot(i int) {
 	c.tv[i] = 0
 	c.meta[i] = 0
-	if c.state != nil {
-		c.state[i] = 0
-	}
 	if c.vmask != nil {
 		c.vmask[i] = 0
 	}
@@ -482,9 +443,6 @@ func (c *Cache) Insert(a mem.Addr, dirty bool) (evicted Line) {
 		m = metaDirty
 	}
 	c.meta[vi] = m
-	if c.state != nil {
-		c.state[vi] = 0
-	}
 	if c.vmask != nil {
 		c.vmask[vi] = 0
 	}
@@ -535,27 +493,6 @@ func (c *Cache) ForEachInSet(si int, fn func(r Ref)) {
 			fn(Ref{c, int32(base + w)})
 		}
 	}
-}
-
-// DirtySetMask returns bit i set when set first+i holds a valid dirty line,
-// for the n (at most 64) consecutive sets starting at first; sets past the
-// end of the array read as clean. It is the closure-free form of testing
-// each set with ForEachInSet. Consecutive sets are contiguous in the
-// packed arrays, so the run is one flat scan.
-func (c *Cache) DirtySetMask(first, n int) uint64 {
-	end := min(first+n, c.Sets)
-	if first >= end {
-		return 0
-	}
-	tv := c.tv[first*c.Ways : end*c.Ways]
-	meta := c.meta[first*c.Ways : end*c.Ways]
-	var bits uint64
-	for k, v := range tv {
-		if v&1 != 0 && meta[k]&metaDirty != 0 {
-			bits |= 1 << uint(k/c.Ways)
-		}
-	}
-	return bits
 }
 
 // InvalidateSet clears an entire set, invoking fn for each valid line first.

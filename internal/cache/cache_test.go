@@ -209,43 +209,3 @@ func TestInsertThenProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: DirtySetMask agrees with testing each set through ForEachInSet,
-// for direct-mapped and associative arrays, aligned and unaligned runs,
-// and runs that hang off the end of the array.
-func TestDirtySetMaskMatchesForEachInSet(t *testing.T) {
-	f := func(ops []uint32, first uint8, n uint8) bool {
-		for _, geo := range [][2]int{{128, 1}, {32, 4}} {
-			c := New(geo[0], geo[1], LRU, 1)
-			for _, op := range ops {
-				a := mem.Addr(op%4096) << 6
-				switch op >> 30 {
-				case 0:
-					c.Invalidate(a)
-				case 1:
-					if r := c.Probe(a); r.Ok() {
-						r.SetDirty(false)
-					}
-				default:
-					c.Insert(a, op&(1<<12) != 0)
-				}
-			}
-			lo, cnt := int(first)%c.Sets, int(n)%65
-			var want uint64
-			for i := 0; i < cnt && lo+i < c.Sets; i++ {
-				dirty := false
-				c.ForEachInSet(lo+i, func(r Ref) { dirty = dirty || r.Dirty() })
-				if dirty {
-					want |= 1 << uint(i)
-				}
-			}
-			if c.DirtySetMask(lo, cnt) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -7,7 +7,7 @@ import (
 )
 
 // SaveState serializes the cache's complete mutable state — the packed tag
-// and metadata arrays, the lazily-present side payloads, the recency tick,
+// and metadata arrays, the lazily-present sector masks, the recency tick,
 // the random-victim RNG and the hit/miss counters — into a checkpoint
 // section. Geometry (sets, ways, policy, set skip) is written first so
 // LoadState can refuse a checkpoint taken under a different configuration.
@@ -27,10 +27,6 @@ func (c *Cache) SaveState(e *ckpt.Enc) {
 	e.U64(c.Stats.DirtyEvic)
 	e.U64s(c.tv)
 	e.U64s(c.meta)
-	e.Bool(c.state != nil)
-	if c.state != nil {
-		e.U32s(c.state)
-	}
 	e.Bool(c.vmask != nil)
 	if c.vmask != nil {
 		e.U64s(c.vmask)
@@ -62,14 +58,6 @@ func (c *Cache) LoadState(d *ckpt.Dec) error {
 	c.Stats.DirtyEvic = d.U64()
 	d.U64s(c.tv)
 	d.U64s(c.meta)
-	if d.Bool() {
-		if c.state == nil {
-			c.state = make([]uint32, len(c.tv))
-		}
-		d.U32s(c.state)
-	} else {
-		c.state = nil
-	}
 	if d.Bool() {
 		if c.vmask == nil {
 			c.vmask = make([]uint64, len(c.tv))

@@ -40,10 +40,12 @@ import (
 // caller re-runs warmup instead of resuming from garbage.
 //
 // Version history: 1 = per-field AoS cache lines; 2 = packed SoA tag arrays
-// with lazily-present side payloads and bulk little-endian word arrays.
+// with lazily-present side payloads and bulk little-endian word arrays;
+// 3 = no caller-state side array in cache sections, and the Alloy section
+// holds its direct-mapped tag words plus dirty and reused bitmaps.
 const (
 	Magic   = "DAPCKPT1"
-	Version = 2
+	Version = 3
 )
 
 // ErrCorrupt is returned (wrapped) for any structural damage: bad magic,

@@ -33,7 +33,8 @@ func (e *AuditError) Error() string {
 func (e *AuditError) Unwrap() error { return e.Err }
 
 // auditable is implemented by controllers whose internal structures can be
-// structurally checked (the sector caches: dirty mask ⊆ valid mask).
+// structurally checked (the sector caches: dirty mask ⊆ valid mask; the
+// Alloy cache: its dirty-bit cache covers every dirty set).
 type auditable interface {
 	AuditInvariants() error
 }
@@ -95,7 +96,9 @@ const reservationHorizon = 256
 //     reqCounter wrapper, which also catches double completions inline);
 //   - delivered bandwidth per source never exceeds its peak — each device's
 //     CAS delta over the window must fit the window's line budget;
-//   - sector-cache metadata consistency (dirty mask ⊆ valid mask);
+//   - memory-side cache metadata consistency (sector caches: dirty mask ⊆
+//     valid mask; Alloy: each dirty-bit-cache entry covers its group's
+//     dirty sets, and dirty or reused bits sit only on valid sets);
 //   - CPU core-model structure (ROB window, fetch ordering, prefetch
 //     accounting).
 //

@@ -215,8 +215,10 @@ func (s *System) LoadCheckpoint(blob []byte) error {
 // checkpoint exactly once; the rest wait and restore) optionally backed by
 // a crash-safe on-disk store so checkpoints survive across processes. A
 // damaged store file is quarantined by the store layer and counted as a
-// miss, and a blob that fails semantic restore is dropped and rebuilt — in
-// both cases the affected run silently falls back to the plain warmup.
+// miss, a stored blob whose checkpoint envelope does not verify (another
+// format version) is rebuilt and overwritten, and a blob that fails
+// semantic restore is dropped and rebuilt — in every case the affected run
+// falls back to the plain warmup.
 type Checkpoints struct {
 	st *store.Store // nil = in-memory only
 
@@ -290,10 +292,15 @@ func (c *Checkpoints) get(key string, cfg Config, mix workload.Mix, seed uint64)
 	c.mu.Unlock()
 	e.once.Do(func() {
 		if c.st != nil {
+			// A blob from another checkpoint format version passes the
+			// store's checksum but can never load: treat it as a miss, so
+			// it is rebuilt once and overwritten below.
 			if blob, ok := c.st.Get(key); ok {
-				c.storeHits.Add(1)
-				e.blob = blob
-				return
+				if _, err := ckpt.NewReader(blob); err == nil {
+					c.storeHits.Add(1)
+					e.blob = blob
+					return
+				}
 			}
 		}
 		sys := Build(cfg, mix)

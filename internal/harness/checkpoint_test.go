@@ -2,13 +2,17 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"dap/internal/ckpt"
 	"dap/internal/dram"
 	"dap/internal/faultinject"
+	"dap/internal/store"
 	"dap/internal/workload"
 )
 
@@ -217,6 +221,54 @@ func TestCheckpointStoreReuseAndCorruption(t *testing.T) {
 	check("torn tail", ck4, 1, 0)
 	if st := ck4.Stats(); st.Store.Corrupt == 0 {
 		t.Fatalf("torn tail not quarantined: store stats %+v", st.Store)
+	}
+}
+
+// TestCheckpointStoreRebuildsStaleVersion: a store entry whose envelope is
+// intact but whose checkpoint has another format version, as every entry
+// has after a version bump, is rebuilt once and overwritten. It must not be
+// served, fail to load and re-warm on every run.
+func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
+	cfg := tinyCkptCfg(AlloyCache, DAP)
+	mix := quickMix()
+	straight := RunMix(cfg, mix)
+	dir := t.TempDir()
+
+	// Plant a real checkpoint relabelled as the previous version, its
+	// checksum repaired so that only the version is wrong.
+	s := Build(cfg, mix)
+	s.reseed(mix, 0)
+	s.Warmup()
+	blob, err := s.SaveCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[len(ckpt.Magic):], ckpt.Version-1)
+	h := fnv.New64a()
+	h.Write(blob[:len(blob)-8])
+	binary.LittleEndian.PutUint64(blob[len(blob)-8:], h.Sum64())
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(WarmKey(cfg, mix, 0), blob); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, want := range []CkptStats{{Builds: 1}, {StoreHits: 1}} {
+		ck, err := NewCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			if r := RunMixCkpt(cfg, mix, ck); !reflect.DeepEqual(straight.Run, r.Run) {
+				t.Fatalf("process %d run %d diverged from the straight run", i, run)
+			}
+		}
+		if got := ck.Stats(); got.Builds != want.Builds || got.StoreHits != want.StoreHits || got.LoadFailures != 0 {
+			t.Fatalf("process %d: builds=%d hits=%d load failures=%d, want builds=%d hits=%d and no load failure",
+				i, got.Builds, got.StoreHits, got.LoadFailures, want.Builds, want.StoreHits)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"dap/internal/check"
 	"dap/internal/faultinject"
 	"dap/internal/sim"
+	"dap/internal/workload"
 )
 
 // hardenConfig is a shortened configuration for the fault-injection tests:
@@ -138,6 +139,29 @@ func TestAuditModeIsNonPerturbing(t *testing.T) {
 	for i := range a.Cores {
 		if a.Cores[i].Instructions != b.Cores[i].Instructions || a.Cores[i].Cycles != b.Cores[i].Cycles {
 			t.Fatalf("audited runs diverged on core %d", i)
+		}
+	}
+}
+
+// TestAuditedAlloyRuns: the Alloy metadata audit (DBC bits cover every
+// dirty set; dirty and reused bits only on valid sets) holds through whole
+// audited runs, with BEAR off and on, under the baseline and DAP, on a
+// pointer-chasing mix and a store-heavy one.
+func TestAuditedAlloyRuns(t *testing.T) {
+	for _, name := range []string{"mcf", "parboil-lbm"} {
+		spec, _ := workload.ByName(name)
+		mix := workload.RateMix(spec, 8)
+		for _, bear := range []bool{false, true} {
+			for _, pol := range []Policy{Baseline, DAP} {
+				cfg := hardenConfig()
+				cfg.Arch = AlloyCache
+				cfg.Alloy.BEAR = bear
+				cfg.Policy = pol
+				cfg.Audit = true
+				if _, err := RunMixE(cfg, mix); err != nil {
+					t.Errorf("%s BEAR=%v %v: %v", name, bear, pol, err)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package mscache
 
 import (
-	"dap/internal/cache"
 	"dap/internal/core"
 	"dap/internal/dram"
 	"dap/internal/mem"
@@ -120,7 +119,7 @@ type Alloy struct {
 	dev *dram.Device
 	mm  *dram.Device
 
-	tags *cache.Cache // direct-mapped; Line.State bit0 = reused-since-fill
+	tags *dmTags
 	dbc  *dbc
 
 	part core.Partitioner
@@ -215,13 +214,11 @@ func (op *alloyOp) mmDone(t mem.Cycle) {
 // no parallel access was launched, starts — the main-memory read.
 func (op *alloyOp) tadDone(t mem.Cycle) {
 	a := op.a
-	line := a.tags.Probe(op.addr)
-	hit := line.Ok()
+	set, hit := a.tags.lookup(op.addr)
 	a.trainPred(op.addr, op.coreID, hit)
 	if hit {
 		a.st.ReadHits++
-		line.OrState(1) // reused
-		a.tags.Lookup(op.addr)
+		a.tags.markReused(set)
 		op.sp.Decide(stats.BDTechNone)
 		op.sp.Serve(stats.BDSrcCache)
 		done := op.done
@@ -289,8 +286,7 @@ func NewAlloy(cfg AlloyConfig, eng *sim.Engine, mm *dram.Device, part core.Parti
 	a := &Alloy{cfg: cfg, eng: eng, mm: mm, part: part}
 	a.fwd.mm = mm
 	a.dev = dram.NewDevice(cfg.Array, eng)
-	sets := cfg.CapacityBytes / mem.LineBytes
-	a.tags = cache.New(sets, 1, cache.LRU, 1)
+	a.tags = newDMTags(cfg.CapacityBytes / mem.LineBytes)
 	a.dbc = newDBC(cfg.DBCEntries, cfg.DBCWays)
 	a.pred = make([]uint8, 4096)
 	a.fillPred = make([]uint8, 4096)
@@ -344,11 +340,13 @@ func (a *Alloy) trainPred(addr mem.Addr, coreID int, hit bool) {
 // setOf returns the direct-mapped set of an address plus its DBC group and
 // in-group bit.
 func (a *Alloy) setOf(addr mem.Addr) (set int, group uint64, bit uint64) {
-	set, _ = a.tags.Index(addr)
-	group = uint64(set) / 64
-	bit = 1 << (uint64(set) % 64)
+	set, _ = a.tags.index(addr)
+	group, bit = dbcSlot(set)
 	return set, group, bit
 }
+
+// dbcSlot returns the DBC group of a set and the set's bit in it.
+func dbcSlot(set int) (group, bit uint64) { return uint64(set) / 64, 1 << (uint64(set) % 64) }
 
 // tad enqueues a TAD-sized array access through the device's request pool.
 func (a *Alloy) tad(addr mem.Addr, kind mem.Kind, coreID int, done func(mem.Cycle)) {
@@ -356,9 +354,10 @@ func (a *Alloy) tad(addr mem.Addr, kind mem.Kind, coreID int, done func(mem.Cycl
 }
 
 // dbcBitsFromTags rebuilds a DBC entry from the tag array (models a
-// TAD-sourced refill of the dirty-bit cache).
+// TAD-sourced refill of the dirty-bit cache). Word g of the dirty bitmap
+// holds exactly the group's 64 sets.
 func (a *Alloy) dbcBitsFromTags(group uint64) uint64 {
-	return a.tags.DirtySetMask(int(group*64), 64)
+	return a.tags.dirty[group]
 }
 
 // Read implements cpu.Backend.
@@ -382,7 +381,7 @@ func (a *Alloy) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.Cyc
 	if dbcClean && a.part.TakeIFRM(coreID) {
 		a.wc.AMSR++ // the TAD read this access would have demanded
 		a.st.ForcedMisses++
-		if a.tags.Probe(addr).Ok() {
+		if _, hit := a.tags.lookup(addr); hit {
 			a.st.ReadHits++
 		} else {
 			a.st.ReadMisses++
@@ -401,7 +400,7 @@ func (a *Alloy) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.Cyc
 	// skip the TAD probe (clean or absent lines are consistent with main
 	// memory, so the main-memory copy is always safe to use).
 	if a.cfg.BEAR && !predictedHit && dbcClean {
-		hit := a.tags.Probe(addr).Ok()
+		_, hit := a.tags.lookup(addr)
 		a.trainPred(addr, coreID, hit)
 		if hit {
 			a.st.ReadHits++
@@ -439,10 +438,12 @@ func (a *Alloy) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.Cyc
 
 // fill installs a returned line. probed reports whether a TAD read of the
 // victim's location already happened (its data is then in hand; otherwise a
-// dirty victim costs an extra TAD read before the main-memory write).
+// dirty victim costs an extra TAD read before the main-memory write). A
+// dirty fill carries a write miss's data, so neither DAP's fill bypass,
+// which covers read-miss fills only, nor BEAR's may drop it.
 func (a *Alloy) fill(addr mem.Addr, coreID int, dirty, probed bool) {
 	a.wc.AMSW++
-	if a.part.TakeFWB() {
+	if !dirty && a.part.TakeFWB() {
 		a.st.FillBypasses++
 		return
 	}
@@ -452,32 +453,27 @@ func (a *Alloy) fill(addr mem.Addr, coreID int, dirty, probed bool) {
 	}
 	a.st.Fills++
 	_, group, bit := a.setOf(addr)
-	ev := a.tags.Insert(addr, dirty)
-	if nl := a.tags.Probe(addr); nl.Ok() {
-		nl.SetState(0)
-	}
-	if ev.Valid {
+	ev := a.tags.install(addr, dirty)
+	if ev.valid {
 		// train the fill predictor on the victim's observed reuse
 		i := predIdx(addr, coreID)
-		if ev.State&1 != 0 {
+		if ev.reused {
 			if a.fillPred[i] < 3 {
 				a.fillPred[i]++
 			}
 		} else if a.fillPred[i] > 0 {
 			a.fillPred[i]--
 		}
-		if ev.Dirty {
-			si, _ := a.tags.Index(addr)
-			va := a.tags.LineAddr(si, ev.Tag)
+		if ev.dirty {
 			a.st.DirtyWriteouts++
 			a.wc.AMM++
 			if probed {
 				// the probe already moved the victim's TAD
-				a.mm.Access(va, mem.WritebackKind, -1, nil)
+				a.mm.Access(ev.addr, mem.WritebackKind, -1, nil)
 			} else {
 				a.st.VictimReads++
 				a.wc.AMSR++
-				a.tad(va, mem.VictimRdKind, -1, a.fwd.forward(va))
+				a.tad(ev.addr, mem.VictimRdKind, -1, a.fwd.forward(ev.addr))
 			}
 		}
 	}
@@ -514,21 +510,20 @@ func (a *Alloy) Writeback(addr mem.Addr, coreID int) {
 // applyWriteback lands a writeback once presence is established (directly
 // under BEAR; after the TAD fetch otherwise).
 func (a *Alloy) applyWriteback(addr mem.Addr, coreID int, probed bool) {
-	_, group, bit := a.setOf(addr)
-	line := a.tags.Probe(addr)
-	if !line.Ok() {
+	set, hit := a.tags.lookup(addr)
+	if !hit {
 		a.st.WriteMisses++
 		a.fill(addr, coreID, true, probed)
 		return
 	}
+	group, bit := dbcSlot(set)
 	a.st.WriteHits++
 	a.wc.AMSW++
 	// DAP write-through: spend residual main-memory bandwidth keeping
 	// blocks clean so forced misses stay applicable.
 	wt := a.part.TakeWT()
-	line.SetDirty(!wt)
-	line.OrState(1)
-	a.tags.Lookup(addr)
+	a.tags.setDirty(set, !wt)
+	a.tags.markReused(set)
 	a.tad(addr, mem.WritebackKind, coreID, nil)
 	if wt {
 		a.mm.Access(addr, mem.WritebackKind, coreID, nil)
@@ -547,22 +542,23 @@ func (a *Alloy) applyWriteback(addr mem.Addr, coreID int, probed bool) {
 // WarmRead implements cpu.Backend's functional path.
 func (a *Alloy) WarmRead(addr mem.Addr, coreID int) {
 	addr = addr.LineAligned()
-	if l := a.tags.Lookup(addr); l.Ok() {
-		l.OrState(1)
+	if set, hit := a.tags.lookup(addr); hit {
+		a.tags.markReused(set)
 		return
 	}
-	a.tags.Insert(addr, false)
+	a.tags.install(addr, false)
 }
 
 // WarmWriteback implements cpu.Backend's functional path.
 func (a *Alloy) WarmWriteback(addr mem.Addr, coreID int) {
 	addr = addr.LineAligned()
-	_, group, bit := a.setOf(addr)
-	if l := a.tags.Lookup(addr); l.Ok() {
-		l.MarkDirty()
+	set, hit := a.tags.lookup(addr)
+	if hit {
+		a.tags.setDirty(set, true)
 	} else {
-		a.tags.Insert(addr, true)
+		a.tags.install(addr, true)
 	}
+	group, bit := dbcSlot(set)
 	if e := a.dbc.lookup(group); e >= 0 {
 		a.dbc.bits[e] |= bit
 	} else {

@@ -20,6 +20,12 @@ func testAlloy(t *testing.T, bear bool, part core.Partitioner) (*Alloy, *dram.De
 	return a, mm, eng
 }
 
+// alloyLine reports whether addr is cached and, if so, whether it is dirty.
+func alloyLine(a *Alloy, addr mem.Addr) (present, dirty bool) {
+	set, hit := a.tags.lookup(addr)
+	return hit, hit && a.tags.dirty[set/64]&(1<<(set%64)) != 0
+}
+
 func areadLat(a *Alloy, eng *sim.Engine, addr mem.Addr) mem.Cycle {
 	var lat mem.Cycle
 	start := eng.Now()
@@ -64,10 +70,10 @@ func TestAlloyTADBandwidthBloat(t *testing.T) {
 func TestAlloyDirectMappedConflict(t *testing.T) {
 	a, _, eng := testAlloy(t, false, core.Nop{})
 	x := mem.Addr(0)
-	y := x + mem.Addr(a.tags.Sets*mem.LineBytes) // same set
+	y := x + mem.Addr(len(a.tags.tv)*mem.LineBytes) // same set
 	areadLat(a, eng, x)
 	areadLat(a, eng, y)
-	if a.tags.Probe(x).Ok() {
+	if present, _ := alloyLine(a, x); present {
 		t.Fatal("direct-mapped conflict must evict x")
 	}
 	areadLat(a, eng, x)
@@ -86,7 +92,7 @@ func TestAlloyBaselineWritebackFetchesTAD(t *testing.T) {
 	if a.st.MetaReads != metaBefore+1 {
 		t.Fatal("baseline Alloy write must fetch the TAD first")
 	}
-	if l := a.tags.Probe(addr); !l.Ok() || !l.Dirty() {
+	if present, dirty := alloyLine(a, addr); !present || !dirty {
 		t.Fatal("write hit must mark dirty")
 	}
 }
@@ -106,7 +112,7 @@ func TestAlloyBEARWritebackSkipsTADFetch(t *testing.T) {
 func TestAlloyDirtyVictimWrittenToMemory(t *testing.T) {
 	a, mm, eng := testAlloy(t, true, core.Nop{})
 	x := mem.Addr(0x100)
-	y := x + mem.Addr(a.tags.Sets*mem.LineBytes)
+	y := x + mem.Addr(len(a.tags.tv)*mem.LineBytes)
 	a.Writeback(x, 0) // dirty resident line
 	eng.Drain()
 	w := mm.Stats().Writes
@@ -181,7 +187,7 @@ func TestAlloyWriteThroughKeepsClean(t *testing.T) {
 	if mm.Stats().Writes <= w {
 		t.Fatal("write-through must copy the write to main memory")
 	}
-	if l := a.tags.Probe(addr); !l.Ok() || l.Dirty() {
+	if present, dirty := alloyLine(a, addr); !present || dirty {
 		t.Fatal("written-through line must stay clean")
 	}
 	_, group, bit := a.setOf(addr)
@@ -198,7 +204,7 @@ func TestAlloyHitPredictorTrains(t *testing.T) {
 	}
 	// repeated misses to the region train it toward miss
 	for i := 0; i < 8; i++ {
-		x := addr + mem.Addr(i)*mem.Addr(a.tags.Sets)*mem.LineBytes
+		x := addr + mem.Addr(i)*mem.Addr(len(a.tags.tv))*mem.LineBytes
 		areadLat(a, eng, x)
 	}
 	if a.predictHit(addr, 0) {
@@ -243,5 +249,54 @@ func TestDBCReplacement(t *testing.T) {
 	}
 	if found > 8 {
 		t.Fatalf("dbc holds %d groups, capacity is 8", found)
+	}
+}
+
+// TestAlloyFillBypassSparesWriteMisses: DAP's fill bypass covers read-miss
+// fills only. A write miss carries the written data, so even with FWB
+// credits on offer it must install the line dirty and leave the credit.
+func TestAlloyFillBypassSparesWriteMisses(t *testing.T) {
+	stub := &dapStub{fwb: 10}
+	a, _, eng := testAlloy(t, true, stub)
+	addr := mem.Addr(0xa000)
+	a.Writeback(addr, 0)
+	eng.Drain()
+	if present, dirty := alloyLine(a, addr); !present || !dirty {
+		t.Fatalf("write miss with FWB credits: present=%v dirty=%v, want a dirty install", present, dirty)
+	}
+	if a.st.FillBypasses != 0 || stub.fwb != 10 {
+		t.Fatalf("write-miss fill bypassed %d times, credits left %d", a.st.FillBypasses, stub.fwb)
+	}
+	other := addr + 4*mem.LineBytes
+	areadLat(a, eng, other)
+	if present, _ := alloyLine(a, other); present || a.st.FillBypasses != 1 {
+		t.Fatalf("read-miss fill with an FWB credit: present=%v bypasses=%d, want bypassed", present, a.st.FillBypasses)
+	}
+}
+
+// TestAlloyAuditCatchesStaleDBC: the audit passes on consistent metadata,
+// and fails once the DBC calls a dirty set clean (a forced miss would then
+// read a stale copy from main memory) or a dirty bit sits on an empty set.
+func TestAlloyAuditCatchesStaleDBC(t *testing.T) {
+	a, _, eng := testAlloy(t, true, core.Nop{})
+	addr := mem.Addr(0xb000)
+	a.Writeback(addr, 0)
+	areadLat(a, eng, addr+mem.LineBytes)
+	if err := a.AuditInvariants(); err != nil {
+		t.Fatalf("consistent metadata failed the audit: %v", err)
+	}
+	set, group, bit := a.setOf(addr)
+	e := a.dbc.lookup(group)
+	a.dbc.bits[e] &^= bit
+	if err := a.AuditInvariants(); err == nil {
+		t.Fatal("a DBC entry missing a dirty set passed the audit")
+	}
+	a.dbc.bits[e] |= bit
+
+	empty := set + 2
+	a.tags.setDirty(empty, true)
+	a.dbc.bits[e] |= 1 << (empty % 64)
+	if err := a.AuditInvariants(); err == nil {
+		t.Fatal("a dirty bit on an invalid set passed the audit")
 	}
 }

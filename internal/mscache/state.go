@@ -49,7 +49,7 @@ func (s *Sectored) LoadState(d *ckpt.Dec) error {
 
 // SaveState serializes the Alloy cache's warmup-visible state.
 func (a *Alloy) SaveState(e *ckpt.Enc) {
-	a.tags.SaveState(e)
+	a.tags.saveState(e)
 	e.U32(uint32(a.dbc.sets))
 	e.U32(uint32(a.dbc.ways))
 	e.U64(a.dbc.tick)
@@ -62,7 +62,7 @@ func (a *Alloy) SaveState(e *ckpt.Enc) {
 
 // LoadState restores state saved by SaveState.
 func (a *Alloy) LoadState(d *ckpt.Dec) error {
-	if err := a.tags.LoadState(d); err != nil {
+	if err := a.tags.loadState(d); err != nil {
 		return fmt.Errorf("mscache: alloy tags: %w", err)
 	}
 	sets, ways := int(d.U32()), int(d.U32())

@@ -106,6 +106,37 @@ func (e *EDRAM) AuditInvariants() error {
 	return auditSectorMasks(e.tags)
 }
 
+// AuditInvariants checks the Alloy cache's metadata over the groups its
+// dirty-bit cache holds, so a check costs the DBC's size, not the cache's:
+// a valid DBC entry's bits must cover every dirty set of its group, or a
+// forced miss could serve a dirty line's stale copy from main memory; and
+// dirty and reused bits must sit only on valid sets. The DBC may call a
+// clean set dirty (a functional-warmup fill replaces a dirty line without
+// telling it), which only forgoes a forced miss.
+func (a *Alloy) AuditInvariants() error {
+	for e, gv := range a.dbc.gv {
+		if gv&1 == 0 {
+			continue
+		}
+		g := gv >> 1
+		if g >= uint64(len(a.tags.dirty)) {
+			return fmt.Errorf("alloy DBC entry %d holds group %d past the cache's %d groups", e, g, len(a.tags.dirty))
+		}
+		dirty := a.tags.dirty[g]
+		if lost := dirty &^ a.dbc.bits[e]; lost != 0 {
+			return fmt.Errorf("alloy DBC group %d: dirty sets %#x missing from the entry's bits %#x", g, lost, a.dbc.bits[e])
+		}
+		var valid uint64
+		for i, tv := range a.tags.tv[g*64 : min(g*64+64, uint64(len(a.tags.tv)))] {
+			valid |= (tv & 1) << i
+		}
+		if stray := (dirty | a.tags.reused[g]) &^ valid; stray != 0 {
+			return fmt.Errorf("alloy group %d: dirty or reused bits %#x on invalid sets", g, stray)
+		}
+	}
+	return nil
+}
+
 // auditSectorMasks scans a sector tag array for dirty bits set on invalid
 // blocks — the signature of a lost or double-counted writeback.
 func auditSectorMasks(tags *cache.Cache) error {
