@@ -29,7 +29,7 @@ race:
 obs-check:
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/... -run . -count=1
-	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestObsConfig|TestServe' -count=1
+	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestDecisionRecording|TestServe' -count=1
 
 # obs-race drives the service-grade observability surface under the race
 # detector: job-lifecycle tracing + flight recorder + context logging

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -135,11 +136,15 @@ func main() {
 	}
 	cfg.Audit = *audit
 	cfg.WatchdogEvents = *wdog
-	cfg.Trace = *tracePath != ""
-	cfg.TraceSample = *traceSample
-	cfg.MetricsEvery = mem.Cycle(*metricsEvery)
+	if *tracePath != "" {
+		cfg.Observe.TraceEvery = *traceSample
+		if *traceSample == 0 {
+			cfg.Observe.TraceEvery = 1
+		}
+	}
+	cfg.Observe.MetricsEvery = mem.Cycle(*metricsEvery)
+	cfg.Observe.Decisions = *decisionsOut != ""
 	cfg.Sampled = *sampled
-	cfg.Decisions = *decisionsOut != ""
 
 	var ckpts *dap.WarmupCheckpoints
 	if *ckptDir != "" {
@@ -201,7 +206,8 @@ func main() {
 	header := fmt.Sprintf(
 		"dapsim %s: arch=%s policy=%s cores=%d instr=%d warm=%d seed=%d dap-window=%d trace=%v metrics-every=%d sampled=%v decisions=%v",
 		mix.Name, *arch, *policy, *cores, cfg.MeasureInstr, cfg.WarmAccesses,
-		*seed, dap.EffectiveDAPWindow(cfg), cfg.Trace, cfg.MetricsEvery, cfg.Sampled, cfg.Decisions)
+		*seed, dap.EffectiveDAPWindow(cfg), cfg.Observe.TraceEvery > 0, cfg.Observe.MetricsEvery,
+		cfg.Sampled, cfg.Observe.Decisions)
 	if !*asJSON {
 		fmt.Println(header)
 	}
@@ -288,10 +294,8 @@ func exportStamp(cfg dap.Config, mixName string, seed uint64, ckptDir string) st
 // writeArtifacts persists the observability outputs: the Chrome trace JSON
 // (with decision counter tracks merged in when recording was on), the
 // per-window decision records, and the sampled metric series (to a file, or
-// to stdout in text mode when no -metrics-out was given). A `.jsonl`/`.json`
-// suffix selects JSON Lines — with the provenance stamp as a leading
-// {"header": ...} object — over CSV, which carries the stamp as a leading
-// `# ...` comment line.
+// to stdout in text mode when no -metrics-out was given), the last two
+// stamped with their provenance.
 func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, asJSON bool, stamp string) {
 	if tracePath != "" && r.Trace != nil {
 		f, err := os.Create(tracePath)
@@ -304,18 +308,7 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 		}
 	}
 	if decisionsOut != "" && r.Decisions != nil {
-		f, err := os.Create(decisionsOut)
-		fatalIf(err)
-		if strings.HasSuffix(decisionsOut, ".jsonl") || strings.HasSuffix(decisionsOut, ".json") {
-			hdr, err := json.Marshal(stamp)
-			fatalIf(err)
-			fmt.Fprintf(f, "{\"header\":%s}\n", hdr)
-			fatalIf(r.Decisions.WriteJSONL(f))
-		} else {
-			fmt.Fprintf(f, "# %s\n", stamp)
-			fatalIf(r.Decisions.WriteCSV(f))
-		}
-		fatalIf(f.Close())
+		exportFile(decisionsOut, stamp, r.Decisions.WriteJSONL, r.Decisions.WriteCSV)
 		if !asJSON {
 			fmt.Printf("decisions: %d windows, %d policy events -> %s (evicted %d)\n",
 				len(r.Decisions.Records()), len(r.Decisions.Events()), decisionsOut, r.Decisions.Evicted())
@@ -326,18 +319,7 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 	}
 	switch {
 	case metricsOut != "":
-		f, err := os.Create(metricsOut)
-		fatalIf(err)
-		if strings.HasSuffix(metricsOut, ".jsonl") || strings.HasSuffix(metricsOut, ".json") {
-			hdr, err := json.Marshal(stamp)
-			fatalIf(err)
-			fmt.Fprintf(f, "{\"header\":%s}\n", hdr)
-			fatalIf(r.Metrics.WriteJSONL(f))
-		} else {
-			fmt.Fprintf(f, "# %s\n", stamp)
-			fatalIf(r.Metrics.WriteCSV(f))
-		}
-		fatalIf(f.Close())
+		exportFile(metricsOut, stamp, r.Metrics.WriteJSONL, r.Metrics.WriteCSV)
 		if !asJSON {
 			fmt.Printf("metrics: %d windows -> %s (dropped %d)\n",
 				r.Metrics.Samples(), metricsOut, r.Metrics.Dropped())
@@ -347,6 +329,23 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 		fmt.Printf("# %s\n", stamp)
 		fatalIf(r.Metrics.WriteCSV(os.Stdout))
 	}
+}
+
+// exportFile writes one observer export to path, led by the provenance
+// stamp: JSON Lines (jsonl) under a {"header": ...} object for a
+// `.jsonl`/`.json` suffix, CSV (csv) under a `# ...` comment line otherwise.
+func exportFile(path, stamp string, jsonl, csv func(io.Writer) error) {
+	f, err := os.Create(path)
+	fatalIf(err)
+	if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
+		hdr, _ := json.Marshal(stamp) // a string always marshals
+		fmt.Fprintf(f, "{\"header\":%s}\n", hdr)
+		fatalIf(jsonl(f))
+	} else {
+		fmt.Fprintf(f, "# %s\n", stamp)
+		fatalIf(csv(f))
+	}
+	fatalIf(f.Close())
 }
 
 // jsonReport is the machine-readable result schema.

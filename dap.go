@@ -140,13 +140,13 @@ func Workloads(cores int) []Workload { return workload.AllMixes(cores) }
 type Result = harness.Result
 
 // MetricsSampler is the windowed time-series sampler found on
-// Result.Metrics when Config.MetricsEvery is set; export its series with
-// WriteCSV or WriteJSONL.
+// Result.Metrics when Config.Observe.MetricsEvery is set; export its series
+// with WriteCSV or WriteJSONL.
 type MetricsSampler = obs.Sampler
 
 // LifecycleTracer is the request-lifecycle tracer found on Result.Trace
-// when Config.Trace is set; export its spans with WriteChromeTrace (loads
-// in Perfetto / chrome://tracing).
+// when Config.Observe.TraceEvery is set; export its spans with
+// WriteChromeTrace (loads in Perfetto / chrome://tracing).
 type LifecycleTracer = obs.Tracer
 
 // LatencyBreakdown aggregates traced L3-miss phase latencies by serving
@@ -279,9 +279,9 @@ var (
 )
 
 // DecisionRecorder collects the per-window partitioner decision records and
-// baseline policy events found on Result.Decisions when Config.Decisions is
-// set; export with WriteCSV/WriteJSONL or merge its counter tracks into the
-// Chrome trace via Result.WriteTrace.
+// baseline policy events found on Result.Decisions when
+// Config.Observe.Decisions is set; export with WriteCSV/WriteJSONL or merge
+// its counter tracks into the Chrome trace via Result.WriteTrace.
 type DecisionRecorder = core.DecisionRecorder
 
 // DecisionRecord is one window of partitioner introspection: solver inputs

@@ -80,35 +80,30 @@ type PolicyEvent struct {
 	SteeredMM, Promotions, Cleanings uint64
 }
 
-// DecisionRecorder collects per-window DecisionRecords (a bounded ring,
-// oldest evicted) plus baseline PolicyEvents. Like the obs.Tracer it is a
-// strict observer with a nil-safe API: a nil *DecisionRecorder is a valid
-// disabled recorder, every method a no-op, so the DAP and the controllers
-// hook it unconditionally. Recording reads already-computed solver state
-// and never feeds anything back, so a run with recording on yields a
-// bit-identical stats.Run (TestDecisionRecordingIsBitIdentical).
+// DecisionRecorder collects per-window DecisionRecords plus baseline
+// PolicyEvents, each in a bounded obs.Ring that keeps the newest. Like the
+// obs.Tracer it is a strict observer with a nil-safe API: a nil
+// *DecisionRecorder is a valid disabled recorder, every method a no-op, so
+// the DAP and the controllers hook it unconditionally. Recording reads
+// already-computed solver state and never feeds anything back, so a run
+// with recording on yields a bit-identical stats.Run
+// (TestDecisionRecordingIsBitIdentical).
 type DecisionRecorder struct {
-	max  int
-	recs []DecisionRecord
-	head int
-	n    int
+	recs   obs.Ring[DecisionRecord]
+	events obs.Ring[PolicyEvent]
 
-	events        []PolicyEvent
-	eventsMax     int
-	eventsDropped uint64
-
-	evicted  uint64
 	sources  []string
 	onRecord func(DecisionRecord)
 }
 
-// NewDecisionRecorder builds a recorder retaining at most capacity decision
-// records (<= 0 selects 65536) and a bounded tail of policy events.
-func NewDecisionRecorder(capacity int) *DecisionRecorder {
-	if capacity <= 0 {
-		capacity = 1 << 16
+// NewDecisionRecorder builds a recorder retaining the newest 65,536
+// decision records and the newest 4,096 policy events (events are orders
+// of magnitude rarer than windows).
+func NewDecisionRecorder() *DecisionRecorder {
+	return &DecisionRecorder{
+		recs:   obs.NewRing[DecisionRecord](1 << 16),
+		events: obs.NewRing[PolicyEvent](4096),
 	}
-	return &DecisionRecorder{max: capacity, eventsMax: 4096}
 }
 
 // OnRecord installs a callback invoked for every recorded decision (the
@@ -137,36 +132,25 @@ func (r *DecisionRecorder) SourceNames() []string {
 	return r.sources
 }
 
-// Add records one decision (ring semantics: oldest evicted when full).
+// Add records one decision, evicting the oldest when the ring is full.
 func (r *DecisionRecorder) Add(rec DecisionRecord) {
 	if r == nil {
 		return
 	}
-	if len(r.recs) < r.max {
-		r.recs = append(r.recs, rec)
-		r.n++
-	} else {
-		r.recs[r.head] = rec
-		r.head = (r.head + 1) % r.max
-		r.evicted++
-	}
+	r.recs.Push(rec)
 	if r.onRecord != nil {
 		r.onRecord(rec)
 	}
 }
 
-// AddPolicyEvent records one baseline-policy event (append until the cap,
-// then count drops — events are orders of magnitude rarer than windows).
+// AddPolicyEvent records one baseline-policy event, evicting the oldest
+// when the ring is full.
 func (r *DecisionRecorder) AddPolicyEvent(ev PolicyEvent) {
 	if r == nil {
 		return
 	}
-	if len(r.events) >= r.eventsMax {
-		r.eventsDropped++
-		return
-	}
 	ev.Version = DecisionRecordVersion
-	r.events = append(r.events, ev)
+	r.events.Push(ev)
 }
 
 // Records returns the retained decision records, oldest first.
@@ -174,19 +158,15 @@ func (r *DecisionRecorder) Records() []DecisionRecord {
 	if r == nil {
 		return nil
 	}
-	out := make([]DecisionRecord, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.recs[(r.head+i)%r.max])
-	}
-	return out
+	return r.recs.All()
 }
 
-// Last returns the most recent decision record, or nil before the first.
-func (r *DecisionRecorder) Last() *DecisionRecord {
-	if r == nil || r.n == 0 {
-		return nil
+// Last returns the most recent decision record, or false before the first.
+func (r *DecisionRecorder) Last() (DecisionRecord, bool) {
+	if r == nil {
+		return DecisionRecord{}, false
 	}
-	return &r.recs[(r.head+r.n-1)%r.max]
+	return r.recs.Last()
 }
 
 // Events returns the retained policy events in capture order.
@@ -194,24 +174,15 @@ func (r *DecisionRecorder) Events() []PolicyEvent {
 	if r == nil {
 		return nil
 	}
-	return r.events
+	return r.events.All()
 }
 
-// Evicted reports how many decision records the ring evicted; Dropped how
-// many policy events fell past the event cap.
+// Evicted reports how many decision records the ring evicted.
 func (r *DecisionRecorder) Evicted() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.evicted
-}
-
-// Dropped returns the count of policy events discarded at the event cap.
-func (r *DecisionRecorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.eventsDropped
+	return r.recs.Evicted()
 }
 
 // SetRecorder attaches a decision recorder to the partitioner: every window
@@ -325,7 +296,7 @@ func clampF(v, lo, hi float64) float64 {
 // Chrome trace via obs.Tracer.WriteChromeTraceWith, so per-window solver
 // state lines up under the traced misses it caused.
 func (r *DecisionRecorder) CounterTracks() []obs.CounterTrack {
-	if r == nil || r.n == 0 {
+	if r == nil || r.recs.Len() == 0 {
 		return nil
 	}
 	recs := r.Records()

@@ -79,7 +79,7 @@ func (r *DecisionRecorder) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, ev := range r.events {
+	for _, ev := range r.Events() {
 		if err := enc.Encode(jsonPolicyEvent{
 			Type: "policy", Version: ev.Version, Cycle: uint64(ev.Cycle),
 			Policy: ev.Policy, Epoch: ev.Epoch, DisabledSets: ev.DisabledSets,
@@ -133,13 +133,13 @@ func (r *DecisionRecorder) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if len(r.events) == 0 {
+	if r.events.Len() == 0 {
 		return nil
 	}
 	if _, err := io.WriteString(w, "\n# policy events\ncycle,policy,epoch,disabled_sets,dirty_pages,steered_mm,promotions,cleanings\n"); err != nil {
 		return err
 	}
-	for _, ev := range r.events {
+	for _, ev := range r.Events() {
 		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%d,%d,%d,%d\n",
 			uint64(ev.Cycle), ev.Policy, ev.Epoch, ev.DisabledSets,
 			ev.DirtyPages, ev.SteeredMM, ev.Promotions, ev.Cleanings); err != nil {

@@ -85,6 +85,7 @@ func (c *CPU) Start(target uint64) {
 	c.halted = false
 	for _, co := range c.cores {
 		co.target = target
+		co.fetchedPrior += co.fetched
 		co.fetched = 0
 		co.fetchedAt = c.eng.Now()
 		co.pendPos = uint64(co.pend.Gap)
@@ -205,6 +206,11 @@ type core struct {
 	depOut    bool     // a dependent (chase) load is outstanding
 	waitDep   bool     // issue stalled on the outstanding dependent load
 	wakeSet   bool     // a rate-limit wake event is scheduled
+
+	// fetchedPrior sums fetched over earlier timed regions (the intervals
+	// of a sampled run), so the IPC probe reads a counter that never
+	// resets. Observers only.
+	fetchedPrior uint64
 
 	target   uint64
 	finished bool

@@ -58,7 +58,7 @@ func gapSeries(r Result) []float64 {
 func FigGap(o Options) Figure {
 	base := o.base()
 	base.Policy = DAP
-	base.Decisions = true
+	base.Observe.Decisions = true
 
 	mixes := sensitiveMixes(base.CPU.Cores)
 	switch {

@@ -39,7 +39,7 @@ func TestDecisionRecordingIsBitIdentical(t *testing.T) {
 			mix := traceableMix(2)
 			base := decTestConfig(tc.arch)
 			inst := base
-			inst.Decisions = true
+			inst.Observe.Decisions = true
 
 			plain := RunMix(base, mix)
 			rec := RunMix(inst, mix)
@@ -136,7 +136,7 @@ func TestDecisionsSerialParallelIdentical(t *testing.T) {
 	sweep := func(parallel int) []Result {
 		return runner.Map(parallel, len(decArchs), func(i int) Result {
 			cfg := decTestConfig(decArchs[i].arch)
-			cfg.Decisions = true
+			cfg.Observe.Decisions = true
 			return RunMix(cfg, mix)
 		})
 	}
@@ -187,18 +187,5 @@ func TestFigGapReportsAllArchitectures(t *testing.T) {
 		if p50.Values[i] > p90.Values[i] || p90.Values[i] > p99.Values[i] {
 			t.Errorf("%s: quantiles not monotone: %v %v %v", name, p50.Values[i], p90.Values[i], p99.Values[i])
 		}
-	}
-}
-
-// TestDecisionsConfigValidation covers the recorder knob cross-check.
-func TestDecisionsConfigValidation(t *testing.T) {
-	cfg := Quick()
-	cfg.DecisionsCap = 64 // without Decisions
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("expected a validation error")
-	}
-	if !strings.Contains(err.Error(), "DecisionsCap") {
-		t.Errorf("validation error missing DecisionsCap: %v", err)
 	}
 }

@@ -113,4 +113,9 @@ func TestAloneFingerprintSeparates(t *testing.T) {
 	if aloneFingerprint(base) != aloneFingerprint(cores) {
 		t.Fatal("core count is normalized to 1 and must not change the fingerprint")
 	}
+	observed := base
+	observed.Observe = Observe{MetricsEvery: 1000, TraceEvery: 1, Flight: true, Decisions: true}
+	if aloneFingerprint(base) != aloneFingerprint(observed) || Fingerprint(base) != Fingerprint(observed) {
+		t.Fatal("observers change no result and must not change the fingerprint")
+	}
 }

@@ -40,9 +40,9 @@ type Options struct {
 	Sampled bool
 
 	// Decisions switches every driver simulation to partitioner decision
-	// recording (Config.Decisions): each run then carries its per-window
-	// optimality-gap series in Result.Decisions. Read-only, bit-identity
-	// preserving; FigGap forces it on regardless of this flag.
+	// recording (Config.Observe.Decisions): each run then carries its
+	// per-window optimality-gap series in Result.Decisions. Read-only,
+	// bit-identity preserving; FigGap forces it on regardless of this flag.
 	Decisions bool
 
 	// tiny shrinks runs far below Quick so in-package tests can afford to
@@ -74,7 +74,7 @@ func (o Options) base() Config {
 		c = Default()
 	}
 	c.Sampled = o.Sampled
-	c.Decisions = o.Decisions
+	c.Observe.Decisions = o.Decisions
 	return c
 }
 

@@ -25,10 +25,7 @@ func TestObservabilityIsBitIdenticalWithFlight(t *testing.T) {
 	base.CPU.Cores = 4
 
 	inst := base
-	inst.Flight = true
-	inst.FlightEvery = 10_000
-	inst.Trace = true
-	inst.MetricsEvery = 5_000
+	inst.Observe = Observe{Flight: true, TraceEvery: 1, MetricsEvery: 5_000}
 
 	plain := RunMix(base, mix)
 	flown := RunMix(inst, mix)
@@ -59,51 +56,55 @@ func TestObservabilityIsBitIdenticalWithFlight(t *testing.T) {
 // TestFlightRecorderCapturesStall faultinjects a DRAM-drop stall and
 // asserts the flight recorder's dump carries the failure: bounded entries,
 // the watchdog reason, the engine snapshot, and periodic samples showing
-// the frozen system.
+// the frozen system. Full and sampled runs must both keep the recording.
 func TestFlightRecorderCapturesStall(t *testing.T) {
-	cfg := hardenConfig()
-	cfg.Policy = DAP
-	cfg.WatchdogEvents = 10_000
-	cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
-	cfg.Flight = true
-	cfg.FlightEvery = 2_000
-	cfg.FlightCap = 32
+	for _, sampled := range []bool{false, true} {
+		t.Run(map[bool]string{false: "full", true: "sampled"}[sampled], func(t *testing.T) {
+			cfg := hardenConfig()
+			cfg.Policy = DAP
+			cfg.WatchdogEvents = 10_000
+			cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
+			cfg.Observe.Flight = true
+			cfg.Sampled = sampled
 
-	r, err := RunMixE(cfg, quickMix())
-	if err == nil {
-		t.Fatal("run with every read response dropped completed normally")
-	}
-	if r.Flight == nil {
-		t.Fatal("aborted run has no flight recording")
-	}
-	if n := r.Flight.Len(); n == 0 || n > 32 {
-		t.Fatalf("flight ring has %d entries, want 1..32", n)
-	}
-	entries := r.Flight.Entries()
-	if last := entries[len(entries)-1].Note; !strings.HasPrefix(last, "run-aborted") {
-		t.Errorf("last entry is %q, want run-aborted", last)
-	}
-	var periodic bool
-	for _, e := range entries {
-		if strings.HasPrefix(e.Note, "pending=") {
-			periodic = true
-			break
-		}
-	}
-	if !periodic {
-		t.Error("no periodic samples in the flight ring")
-	}
+			r, err := RunMixE(cfg, quickMix())
+			if err == nil {
+				t.Fatal("run with every read response dropped completed normally")
+			}
+			if r.Flight == nil {
+				t.Fatal("aborted run has no flight recording")
+			}
+			if n := r.Flight.Len(); n == 0 || n > 256 {
+				t.Fatalf("flight ring has %d entries, want 1..256", n)
+			}
+			entries := r.Flight.Entries()
+			if last := entries[len(entries)-1].Note; !strings.HasPrefix(last, "run-aborted") {
+				t.Errorf("last entry is %q, want run-aborted", last)
+			}
+			var periodic int
+			for _, e := range entries {
+				if strings.HasPrefix(e.Note, "pending=") {
+					periodic++
+				}
+			}
+			// The stride is a 64th of the watchdog deadline, so the stall
+			// alone leaves dozens of samples.
+			if periodic < 32 {
+				t.Errorf("%d periodic samples in the flight ring, want at least 32", periodic)
+			}
 
-	reason, snap := classifyAbort(err)
-	if reason != "watchdog-stall" {
-		t.Fatalf("classifyAbort reason = %q, want watchdog-stall", reason)
-	}
-	dump := r.Flight.Dump(reason, snap)
-	if dump.Snapshot == "" || !strings.Contains(dump.Snapshot, "queued") {
-		t.Errorf("dump snapshot missing engine state: %q", dump.Snapshot)
-	}
-	if _, err := json.Marshal(dump); err != nil {
-		t.Fatalf("dump not serializable: %v", err)
+			reason, snap := classifyAbort(err)
+			if reason != "watchdog-stall" {
+				t.Fatalf("classifyAbort reason = %q, want watchdog-stall", reason)
+			}
+			dump := r.Flight.Dump(reason, snap)
+			if dump.Snapshot == "" || !strings.Contains(dump.Snapshot, "queued") {
+				t.Errorf("dump snapshot missing engine state: %q", dump.Snapshot)
+			}
+			if _, err := json.Marshal(dump); err != nil {
+				t.Fatalf("dump not serializable: %v", err)
+			}
+		})
 	}
 }
 
@@ -122,7 +123,7 @@ func TestSweepExecutorWrapsFlightError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Flight {
+	if !cfg.Observe.Flight {
 		t.Fatal("sweepConfig did not enable the flight recorder")
 	}
 	cfg.WatchdogEvents = 10_000

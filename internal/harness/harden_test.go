@@ -184,16 +184,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Arch = AlloyCache                             // SBD needs the sectored cache
 	cfg.Policy = SBD                                  //
 	cfg.Faults = &faultinject.Plan{DelayMetaEvery: 3} // half-configured fault
+	cfg.Observe.TraceEvery = -1                       // negative tracing stride
 
 	err := cfg.Validate()
 	var es check.Errors
 	if !errors.As(err, &es) {
 		t.Fatalf("expected check.Errors, got %T: %v", err, err)
 	}
-	if len(es) < 5 {
-		t.Fatalf("expected at least 5 diagnostics, got %d:\n%v", len(es), err)
+	if len(es) < 6 {
+		t.Fatalf("expected at least 6 diagnostics, got %d:\n%v", len(es), err)
 	}
-	wantFields := []string{"CPU.Cores", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults"}
+	wantFields := []string{"CPU.Cores", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery"}
 	for _, f := range wantFields {
 		found := false
 		for _, e := range es {

@@ -1,24 +1,105 @@
 package harness
 
 import (
+	"dap/internal/core"
+	"dap/internal/mem"
 	"dap/internal/obs"
 	"dap/internal/stats"
+	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
+
+// startObservers begins a timed region's observation: it registers the run
+// with the process-wide telemetry layer, subscribes the sampler and the
+// decision recorder to it, starts the sampler and arms the flight recorder.
+// Full and sampled runs both call it once, after the first CPU.Start, and
+// end with finishObservers. Registration, publication and Finish are strict
+// observers: they copy already-computed values behind lock-free handles, so
+// a scraped run stays bit-identical to an unobserved one
+// (TestObservabilityIsBitIdenticalWithServe).
+func (s *System) startObservers(start, limit mem.Cycle) *telemetry.Run {
+	cfg := s.Cfg
+	run := telemetry.Runs.Start(telemetry.RunInfo{
+		Mix:         s.mixName,
+		Arch:        cfg.Arch.String(),
+		Policy:      cfg.Policy.String(),
+		Fingerprint: Fingerprint(cfg),
+		Seed:        s.seed,
+		Horizon:     uint64(limit),
+	})
+	if s.decRec != nil {
+		run.SetDecisionSources(s.decRec.SourceNames())
+		// Replay the warmup-phase backlog before subscribing so the served
+		// series covers the same windows the recorder holds.
+		for _, rec := range s.decRec.Records() {
+			run.PublishDecision(telemetryDecision(rec))
+		}
+		s.decRec.OnRecord(func(rec core.DecisionRecord) {
+			run.PublishDecision(telemetryDecision(rec))
+		})
+	}
+	if s.metrics != nil {
+		run.SetColumns(s.metrics.Names())
+		s.metrics.OnWindow(func(w obs.Window) {
+			run.Progress(uint64(w.Cycle - start))
+			run.Publish(uint64(w.Cycle), w.Values)
+		})
+		s.metrics.Start()
+	}
+	if s.flight != nil {
+		// 64 samples per watchdog deadline keep a stall's run-up dense in
+		// the ring.
+		every := 1 << 16
+		if wd := cfg.watchdogEvents(); wd > 0 {
+			every = max(wd/64, 1)
+		}
+		s.Eng.SetFlightSampler(every, s.flightSample)
+		s.flight.Addf(s.Eng.Now(), "measure-start mix=%s arch=%s policy=%s horizon=%d events",
+			s.mixName, cfg.Arch, cfg.Policy, limit)
+	}
+	return run
+}
+
+// finishObservers ends a timed region's observation once r holds its
+// statistics and abort: it stops the sampler, closes the flight recording,
+// hands every observer to r and finishes the telemetry run.
+func (s *System) finishObservers(run *telemetry.Run, r *Result) {
+	if s.metrics != nil {
+		s.metrics.Stop()
+	}
+	if s.flight != nil {
+		if r.Abort != nil {
+			s.flight.Addf(s.Eng.Now(), "run-aborted pending=%d", s.Eng.Pending())
+		} else {
+			s.flight.Add(s.Eng.Now(), "run-complete")
+		}
+	}
+	r.Metrics, r.Trace, r.Flight, r.Decisions = s.metrics, s.trace, s.flight, s.decRec
+	r.Breakdown = s.trace.Breakdown()
+
+	run.Progress(uint64(r.Cycles))
+	var aggIPC float64
+	for i := range r.Cores {
+		aggIPC += r.Cores[i].IPC()
+	}
+	run.Finish(r.Abort, map[string]float64{
+		"ipc":            aggIPC,
+		"cycles":         float64(r.Cycles),
+		"delivered_gbps": r.DeliveredGBps,
+	})
+}
 
 // registerMetrics wires every observable subsystem into the sampler. All
 // probes are read-only; registration order fixes the CSV column order.
 func (s *System) registerMetrics() {
-	m := s.Metrics
+	m := s.metrics
 	if s.dap != nil {
 		s.dap.RegisterMetrics(m)
 	}
 	if rec := s.decRec; rec != nil && s.dap != nil {
 		m.Gauge("dap.gap", func() float64 {
-			if last := rec.Last(); last != nil {
-				return last.Gap
-			}
-			return 0
+			last, _ := rec.Last()
+			return last.Gap
 		})
 	}
 	s.MM.RegisterMetrics(m, "mm")
@@ -50,7 +131,7 @@ func (s *System) registerMetrics() {
 func FigBreakdown(o Options) Figure {
 	cfg := o.base()
 	cfg.Policy = DAP
-	cfg.Trace = true
+	cfg.Observe.TraceEvery = 1
 
 	mixes := sensitiveMixes(cfg.CPU.Cores)
 	if o.Quick && len(mixes) > 4 {

@@ -157,33 +157,11 @@ func (s *System) runSampled(ck *Checkpoints) Result {
 func (s *System) sampleIntervals() (Result, bool) {
 	cfg := s.Cfg
 	interval, ff, minN, maxN, target := sampleParams(cfg)
-	s.Ctrl.ResetStats()
-	s.MM.ResetStats()
-	if s.sectored != nil {
-		s.sectored.StartBATMAN()
-	}
-
-	start := s.Eng.Now()
-	limit := cfg.MaxCycles
-	if limit == 0 {
-		limit = mem.Cycle(400 * cfg.MeasureInstr)
-	}
-	if wd := cfg.WatchdogEvents; wd >= 0 {
-		if wd == 0 {
-			wd = DefaultWatchdogEvents
-		}
-		s.Eng.SetWatchdog(wd, s.CPU.ProgressFingerprint, s.snapshot)
-	}
-	run := telemetry.Runs.Start(telemetry.RunInfo{
-		Mix:         s.mixName,
-		Arch:        cfg.Arch.String(),
-		Policy:      cfg.Policy.String(),
-		Fingerprint: Fingerprint(cfg),
-		Seed:        s.seed,
-		Horizon:     uint64(limit),
-	})
+	start, limit := s.startTimed()
+	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
 
 	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: ff}
+	var run *telemetry.Run
 	var ipcs, bws, hrs []float64
 	var coreAgg []stats.CoreStats
 	var totalCycles mem.Cycle
@@ -197,6 +175,9 @@ func (s *System) sampleIntervals() (Result, bool) {
 		}
 		c0 := s.Eng.Now()
 		s.CPU.Start(interval)
+		if run == nil {
+			run = s.startObservers(start, limit)
+		}
 		s.Eng.RunWhile(func() bool {
 			return !s.CPU.Done() && s.Eng.Now()-start < limit
 		})
@@ -279,28 +260,10 @@ func (s *System) sampleIntervals() (Result, bool) {
 	rep.HitRatio = metricCI(hrs)
 
 	var r Result
-	r.Config = cfg
 	r.Sampling = rep
 	r.Abort = abort
-	r.Cycles = totalCycles
-	r.Cores = coreAgg
-	r.MemSide = *s.Ctrl.MSStats()
-	r.DAP = s.Part.Decisions()
-	r.MSCacheCAS = s.Ctrl.CacheCAS()
-	r.MainMemCAS = s.MM.Stats().CAS()
-	if totalCycles > 0 {
-		r.DeliveredGBps = mem.GBPerSec((r.MSCacheCAS+r.MainMemCAS)*mem.LineBytes, totalCycles)
-	}
-
-	var aggIPC float64
-	for i := range r.Cores {
-		aggIPC += r.Cores[i].IPC()
-	}
-	run.Finish(abort, map[string]float64{
-		"ipc":            aggIPC,
-		"cycles":         float64(r.Cycles),
-		"delivered_gbps": r.DeliveredGBps,
-	})
+	s.collect(&r, totalCycles, coreAgg)
+	s.finishObservers(run, &r)
 	return r, abort != nil || rep.Converged
 }
 

@@ -27,7 +27,7 @@ func TestObservabilityIsBitIdenticalWithServe(t *testing.T) {
 	base.CPU.Cores = 4
 
 	inst := base
-	inst.MetricsEvery = 5_000
+	inst.Observe.MetricsEvery = 5_000
 
 	plain := RunMix(base, mix)
 
@@ -101,7 +101,7 @@ func TestObservabilityIsBitIdenticalWithServe(t *testing.T) {
 func TestServeSSEStreamDeliversWindows(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.CPU.Cores = 2
-	cfg.MetricsEvery = 5_000
+	cfg.Observe.MetricsEvery = 5_000
 	mix := traceableMix(2)
 
 	// Stream the run live: subscribe concurrently with the simulation so
@@ -173,7 +173,7 @@ func TestServeSSEStreamDeliversWindows(t *testing.T) {
 func TestServeDecisionsEndpoint(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.CPU.Cores = 2
-	cfg.Decisions = true
+	cfg.Observe.Decisions = true
 	mix := traceableMix(2)
 
 	srv := httptest.NewServer(telemetry.NewServer(telemetry.Default, telemetry.Runs).Handler())

@@ -70,10 +70,9 @@ func sweepConfig(spec sweep.JobSpec) (Config, workload.Mix, error) {
 		return Config{}, workload.Mix{}, err
 	}
 	cfg.Sampled = spec.Sampled
-	// The service always flies the black box: Flight is part of the resolved
-	// configuration (rather than toggled after the fact) so SweepKey's
-	// fingerprint and the fingerprint embedded in the stored result agree.
-	cfg.Flight = true
+	// The service always flies the black box, so a failed job's stored
+	// outcome carries its flight recording.
+	cfg.Observe.Flight = true
 	return cfg, mix, nil
 }
 

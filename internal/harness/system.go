@@ -23,7 +23,6 @@ import (
 	"dap/internal/runner"
 	"dap/internal/sim"
 	"dap/internal/stats"
-	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
 
@@ -126,50 +125,9 @@ type Config struct {
 	// credits) — the adversarial half of the hardening layer's test story.
 	Faults *faultinject.Plan
 
-	// MetricsEvery enables the windowed metrics sampler: every MetricsEvery
-	// cycles the run samples DAP credits, technique activations, per-channel
-	// bandwidth and queue depth, MS$ hit and tag-cache miss ratios, and
-	// per-core IPC into Result.Metrics. 0 disables sampling. Like the
-	// auditor, the sampler is read-only and leaves stats.Run bit-identical.
-	MetricsEvery mem.Cycle
-	// MetricsCap bounds the sampler's ring buffer in rows (0 = 4096; old
-	// windows are evicted first).
-	MetricsCap int
-	// Trace enables the request-lifecycle tracer: sampled L3 misses are
-	// stamped through queue → tag/metadata probe → DAP decision → service →
-	// response and collected in Result.Trace (Chrome trace JSON export)
-	// and Result.Breakdown (phase-latency histograms).
-	Trace bool
-	// TraceSample traces every N-th L3 read miss (≤ 1 traces all).
-	TraceSample int
-	// TraceCap bounds the span buffer (0 = 65536; later spans are dropped).
-	TraceCap int
-
-	// Flight enables the stall flight recorder: a bounded ring of recent
-	// engine-state summaries sampled every FlightEvery executed events,
-	// frozen into Result.Flight. When the run aborts (watchdog stall,
-	// deadlock, audit violation, injected fault) the recording turns the
-	// failure into a postmortem artifact; on a clean run it is simply
-	// discarded. Like every observer it is strictly read-only: runs with
-	// the recorder on yield a bit-identical stats.Run.
-	Flight bool
-	// FlightEvery is the sampling stride in executed events (0 = 65536).
-	FlightEvery int
-	// FlightCap bounds the ring in entries (0 = 192; oldest evicted first).
-	FlightCap int
-
-	// Decisions enables the partitioner decision recorder: every DAP window
-	// rollover captures a versioned record of the solver's inputs (window
-	// counts, K), outputs (credit refills), the implied per-source access
-	// fractions, and a counterfactual optimality-gap audit against the
-	// Equation 3 bound; baseline policies (SBD, BATMAN) log their own
-	// adjustment events into the same stream. Collected in
-	// Result.Decisions. Strictly read-only: recording leaves stats.Run
-	// bit-identical (TestDecisionRecordingIsBitIdentical).
-	Decisions bool
-	// DecisionsCap bounds the decision ring in records (0 = 65536; oldest
-	// evicted first).
-	DecisionsCap int
+	// Observe selects the run's observers. None of them changes a result,
+	// so they stay out of every configuration key (see cfgKey).
+	Observe Observe
 
 	// Sampled enables SMARTS-style interval sampling: instead of one long
 	// timed region, the run alternates functional fast-forward with short
@@ -190,6 +148,41 @@ type Config struct {
 	// SampleCI is the convergence target: the 95% confidence half-width of
 	// aggregate IPC as a fraction of its mean (0 = 0.05).
 	SampleCI float64
+}
+
+// Observe selects the observers of a run. Every observer is strictly
+// read-only: a run with any of them on yields a bit-identical stats.Run
+// (the TestObservabilityIsBitIdentical* and
+// TestDecisionRecordingIsBitIdentical proofs). Full and sampled runs keep
+// them alike, and every buffer they fill has a fixed size.
+type Observe struct {
+	// MetricsEvery enables the windowed metrics sampler: every MetricsEvery
+	// cycles the run samples DAP credits, technique activations,
+	// per-channel bandwidth and queue depth, MS$ hit and tag-cache miss
+	// ratios, and per-core IPC into Result.Metrics, which keeps the newest
+	// 4,096 windows. 0 disables sampling.
+	MetricsEvery mem.Cycle
+	// TraceEvery enables the request-lifecycle tracer on every
+	// TraceEvery-th L3 read miss (1 traces all, 0 disables it). Traced
+	// misses are stamped through queue → tag/metadata probe → DAP decision
+	// → service → response; the first 65,536 are kept in Result.Trace
+	// (Chrome trace JSON export) and every one feeds Result.Breakdown
+	// (phase-latency histograms).
+	TraceEvery int
+	// Flight enables the stall flight recorder: the newest 256 engine-state
+	// summaries, sampled every watchdog deadline/64 executed events (65,536
+	// with the watchdog off), frozen into Result.Flight. When the run aborts
+	// (watchdog stall, deadlock, audit violation, injected fault) the
+	// recording turns the failure into a postmortem artifact.
+	Flight bool
+	// Decisions enables the partitioner decision recorder: every DAP window
+	// rollover captures a versioned record of the solver's inputs (window
+	// counts, K), outputs (credit refills), the implied per-source access
+	// fractions, and a counterfactual optimality-gap audit against the
+	// Equation 3 bound; baseline policies (SBD, BATMAN) log their own
+	// adjustment events into the same stream. Result.Decisions keeps the
+	// newest 65,536 records and 4,096 policy events.
+	Decisions bool
 }
 
 // DefaultWatchdogEvents is the watchdog deadline when Config.WatchdogEvents
@@ -238,23 +231,24 @@ type Result struct {
 	// would be fiction, so drivers must check it (RunMixE does).
 	Abort error
 
-	// Metrics holds the windowed time series (nil unless Config.MetricsEvery
-	// > 0). Export with WriteCSV/WriteJSONL.
+	// Metrics holds the windowed time series (nil unless
+	// Config.Observe.MetricsEvery > 0). Export with WriteCSV/WriteJSONL.
 	Metrics *obs.Sampler
 	// Trace holds the sampled request-lifecycle spans (nil unless
-	// Config.Trace). Export with WriteChromeTrace.
+	// Config.Observe.TraceEvery > 0). Export with WriteChromeTrace.
 	Trace *obs.Tracer
 	// Breakdown aggregates traced L3-miss phase latencies by serving source
-	// and DAP technique (nil unless Config.Trace). It lives here rather
-	// than inside stats.Run so instrumented runs keep a bit-identical Run.
+	// and DAP technique (nil unless tracing). It lives here rather than
+	// inside stats.Run so instrumented runs keep a bit-identical Run.
 	Breakdown *stats.LatencyBreakdown
-	// Flight holds the stall flight recording (nil unless Config.Flight).
-	// On an aborted run, freeze it with Flight.Dump for the postmortem.
+	// Flight holds the stall flight recording (nil unless
+	// Config.Observe.Flight). On an aborted run, freeze it with Flight.Dump
+	// for the postmortem.
 	Flight *obs.FlightRecorder
 	// Decisions holds the per-window partitioner decision records and
-	// baseline policy events (nil unless Config.Decisions). Export with
-	// Decisions.WriteCSV/WriteJSONL, or WriteTrace to merge its counter
-	// tracks into the Chrome trace.
+	// baseline policy events (nil unless Config.Observe.Decisions). Export
+	// with Decisions.WriteCSV/WriteJSONL, or WriteTrace to merge its
+	// counter tracks into the Chrome trace.
 	Decisions *core.DecisionRecorder
 	// Sampling reports the interval-sampling estimator when the run executed
 	// in Sampled mode: interval count, convergence, and 95% confidence
@@ -313,11 +307,11 @@ type System struct {
 	CPU  *cpu.CPU
 	Part core.Partitioner
 
-	// Metrics, Trace and Flight are the observability instruments (nil when
-	// the corresponding Config knob is off); Run hands them to the Result.
-	Metrics *obs.Sampler
-	Trace   *obs.Tracer
-	Flight  *obs.FlightRecorder
+	// The observers selected by Cfg.Observe (nil when off);
+	// finishObservers hands them to the Result.
+	metrics *obs.Sampler
+	trace   *obs.Tracer
+	flight  *obs.FlightRecorder
 	decRec  *core.DecisionRecorder
 
 	dap      *core.DAP
@@ -419,14 +413,14 @@ func Build(cfg Config, mix workload.Mix) *System {
 	s.CPU = cpu.New(cfg.CPU, s.Eng, backend)
 	s.CPU.SetStreams(mix.Streams())
 
-	if cfg.Trace {
-		s.Trace = obs.NewTracer(s.Eng.Clock(), cfg.TraceSample, cfg.TraceCap)
-		s.setTracer(s.Trace)
+	if o := cfg.Observe; o.TraceEvery > 0 {
+		s.trace = obs.NewTracer(s.Eng.Clock(), o.TraceEvery, 0)
+		s.setTracer(s.trace)
 	}
-	if cfg.Decisions {
+	if cfg.Observe.Decisions {
 		// Wired before the sampler so registerMetrics can export the live
 		// optimality gap as a dap.gap probe.
-		s.decRec = core.NewDecisionRecorder(cfg.DecisionsCap)
+		s.decRec = core.NewDecisionRecorder()
 		if s.dap != nil {
 			s.dap.SetRecorder(s.decRec)
 		}
@@ -434,13 +428,12 @@ func Build(cfg Config, mix workload.Mix) *System {
 			s.sectored.SetDecisionRecorder(s.decRec)
 		}
 	}
-	if cfg.MetricsEvery > 0 {
-		s.Metrics = obs.NewSampler(s.Eng.Clock(), s.Eng.After, s.Eng.Pending,
-			cfg.MetricsEvery, cfg.MetricsCap)
+	if every := cfg.Observe.MetricsEvery; every > 0 {
+		s.metrics = obs.NewSampler(s.Eng.Clock(), s.Eng.After, s.Eng.Pending, every, 0)
 		s.registerMetrics()
 	}
-	if cfg.Flight {
-		s.Flight = obs.NewFlightRecorder(cfg.FlightCap)
+	if cfg.Observe.Flight {
+		s.flight = obs.NewFlightRecorder(0)
 	}
 	return s
 }
@@ -524,71 +517,12 @@ func (s *System) Warmup() {
 // Warmup for a LoadCheckpoint.
 func (s *System) Measure() Result {
 	cfg := s.Cfg
-	s.Ctrl.ResetStats()
-	s.MM.ResetStats()
-	if s.sectored != nil {
-		s.sectored.StartBATMAN()
-	}
-
-	start := s.Eng.Now()
-	limit := cfg.MaxCycles
-	if limit == 0 {
-		limit = mem.Cycle(400 * cfg.MeasureInstr) // far beyond any plausible CPI
-	}
-
-	// Register the run with the process-wide telemetry layer. Registration,
-	// per-window publication and the final Finish are all strict observers:
-	// they copy already-computed values behind lock-free handles, so a
-	// scraped run stays bit-identical to an unobserved one (the telemetry
-	// variant of TestObservabilityIsBitIdentical enforces this).
-	run := telemetry.Runs.Start(telemetry.RunInfo{
-		Mix:         s.mixName,
-		Arch:        cfg.Arch.String(),
-		Policy:      cfg.Policy.String(),
-		Fingerprint: Fingerprint(cfg),
-		Seed:        s.seed,
-		Horizon:     uint64(limit),
-	})
-	if s.Metrics != nil {
-		run.SetColumns(s.Metrics.Names())
-		s.Metrics.OnWindow(func(w obs.Window) {
-			run.Progress(uint64(w.Cycle - start))
-			run.Publish(uint64(w.Cycle), w.Values)
-		})
-	}
-	if s.decRec != nil {
-		run.SetDecisionSources(s.decRec.SourceNames())
-		// Replay the warmup-phase backlog before subscribing so the served
-		// series covers the same windows the recorder holds.
-		for _, rec := range s.decRec.Records() {
-			run.PublishDecision(telemetryDecision(rec))
-		}
-		s.decRec.OnRecord(func(rec core.DecisionRecord) {
-			run.PublishDecision(telemetryDecision(rec))
-		})
-	}
-
+	start, limit := s.startTimed()
 	s.CPU.Start(cfg.MeasureInstr)
-	if s.Metrics != nil {
-		s.Metrics.Start()
-	}
-	if wd := cfg.WatchdogEvents; wd >= 0 {
-		if wd == 0 {
-			wd = DefaultWatchdogEvents
-		}
-		s.Eng.SetWatchdog(wd, s.CPU.ProgressFingerprint, s.snapshot)
-	}
+	run := s.startObservers(start, limit)
+	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
 	if cfg.Audit {
 		s.startAudit()
-	}
-	if s.Flight != nil {
-		every := cfg.FlightEvery
-		if every == 0 {
-			every = 65536
-		}
-		s.Eng.SetFlightSampler(every, s.flightSample)
-		s.Flight.Addf(s.Eng.Now(), "measure-start mix=%s arch=%s policy=%s horizon=%d events",
-			s.mixName, cfg.Arch, cfg.Policy, limit)
 	}
 	if s.inj != nil && s.dap != nil {
 		s.inj.ArmCreditFault(s.Eng.After, s.dap)
@@ -599,15 +533,8 @@ func (s *System) Measure() Result {
 	if s.dap != nil {
 		s.dap.Stop()
 	}
-	if s.Metrics != nil {
-		s.Metrics.Stop()
-	}
 
 	var r Result
-	r.Config = cfg
-	r.Metrics = s.Metrics
-	r.Trace = s.Trace
-	r.Breakdown = s.Trace.Breakdown()
 	r.Abort = s.Eng.Err()
 	if r.Abort == nil && !s.CPU.Done() && s.Eng.Pending() == 0 {
 		// The event queue drained with instructions still unretired: a true
@@ -616,35 +543,49 @@ func (s *System) Measure() Result {
 		// directly.
 		r.Abort = &sim.StallError{Cycle: s.Eng.Now(), Pending: 0, Snapshot: s.snapshot()}
 	}
-	if s.Flight != nil {
-		if r.Abort != nil {
-			s.Flight.Addf(s.Eng.Now(), "run-aborted pending=%d", s.Eng.Pending())
-		} else {
-			s.Flight.Add(s.Eng.Now(), "run-complete")
-		}
-		r.Flight = s.Flight
+	s.collect(&r, s.Eng.Now()-start, s.CPU.CoreStats())
+	s.finishObservers(run, &r)
+	return r
+}
+
+// startTimed resets the measured statistics and resolves the timed
+// region's start cycle and cycle budget. Full and sampled runs begin here.
+func (s *System) startTimed() (start, limit mem.Cycle) {
+	s.Ctrl.ResetStats()
+	s.MM.ResetStats()
+	if s.sectored != nil {
+		s.sectored.StartBATMAN()
 	}
-	r.Decisions = s.decRec
-	r.Cycles = s.Eng.Now() - start
-	r.Cores = s.CPU.CoreStats()
+	limit = s.Cfg.MaxCycles
+	if limit == 0 {
+		limit = mem.Cycle(400 * s.Cfg.MeasureInstr) // far beyond any plausible CPI
+	}
+	return s.Eng.Now(), limit
+}
+
+// collect fills r with the configuration and the statistics of a timed
+// region of the given length.
+func (s *System) collect(r *Result, cycles mem.Cycle, cores []stats.CoreStats) {
+	r.Config = s.Cfg
+	r.Cycles = cycles
+	r.Cores = cores
 	r.MemSide = *s.Ctrl.MSStats()
 	r.DAP = s.Part.Decisions()
 	r.MSCacheCAS = s.Ctrl.CacheCAS()
-	mmStats := s.MM.Stats()
-	r.MainMemCAS = mmStats.CAS()
-	r.DeliveredGBps = mem.GBPerSec((r.MSCacheCAS+r.MainMemCAS)*mem.LineBytes, r.Cycles)
+	r.MainMemCAS = s.MM.Stats().CAS()
+	r.DeliveredGBps = mem.GBPerSec((r.MSCacheCAS+r.MainMemCAS)*mem.LineBytes, cycles)
+}
 
-	run.Progress(uint64(r.Cycles))
-	var aggIPC float64
-	for i := range r.Cores {
-		aggIPC += r.Cores[i].IPC()
+// watchdogEvents resolves WatchdogEvents to the armed deadline in events,
+// or 0 when the watchdog is off.
+func (c *Config) watchdogEvents() int {
+	switch {
+	case c.WatchdogEvents < 0:
+		return 0
+	case c.WatchdogEvents == 0:
+		return DefaultWatchdogEvents
 	}
-	run.Finish(r.Abort, map[string]float64{
-		"ipc":            aggIPC,
-		"cycles":         float64(r.Cycles),
-		"delivered_gbps": r.DeliveredGBps,
-	})
-	return r
+	return c.WatchdogEvents
 }
 
 // flightSample is the engine's periodic flight-recorder feed: one compact
@@ -661,7 +602,7 @@ func (s *System) flightSample(c mem.Cycle) {
 		fwb, wb, ifrm, sfrm, wt := s.dap.Credits()
 		fmt.Fprintf(&b, " credits=fwb:%d,wb:%d,ifrm:%d,sfrm:%d,wt:%d", fwb, wb, ifrm, sfrm, wt)
 	}
-	s.Flight.Add(c, b.String())
+	s.flight.Add(c, b.String())
 }
 
 // snapshot captures the simulation state for a stall or audit diagnostic:
@@ -795,8 +736,10 @@ func aloneFingerprint(cfg Config) string {
 // cfgKey renders every behavior-affecting configuration field into one
 // textual key, dereferencing the pointer fields (with the DAPOverride's
 // per-system Backlog hook excluded) so equal configurations format to
-// equal keys.
+// equal keys. The Observe block is left out: observers change no result,
+// so turning one on must not split a memo, store or fingerprint key.
 func cfgKey(cfg Config) string {
+	cfg.Observe = Observe{}
 	var dapOv, faults string
 	if cfg.DAPOverride != nil {
 		d := *cfg.DAPOverride
@@ -816,7 +759,7 @@ func cfgKey(cfg Config) string {
 // display. Telemetry stamps it on every registered run and every metrics
 // export so an artifact can be traced back to the exact configuration
 // that produced it: two files carry the same fingerprint if and only if
-// their configurations were identical.
+// their configurations were identical, observers aside.
 func Fingerprint(cfg Config) string {
 	h := fnv.New64a()
 	io.WriteString(h, cfgKey(cfg))

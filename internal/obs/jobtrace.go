@@ -16,17 +16,15 @@ import (
 // Unlike the simulation Tracer (single-threaded, simulated cycles), the
 // JobTracer is shared by every service goroutine: workers and HTTP
 // handlers record concurrently, so it is mutex-protected and wall-clock
-// based. The buffer is bounded; events past the cap are counted
-// in Dropped rather than retained. A nil *JobTracer is a valid disabled
-// tracer — every method is a nil-safe no-op.
+// based. The events sit in a bounded Ring: a long-lived service keeps its
+// newest events, and the evicted ones are counted in Dropped. A nil
+// *JobTracer is a valid disabled tracer — every method is a nil-safe no-op.
 type JobTracer struct {
-	mu      sync.Mutex
-	t0      time.Time
-	max     int
-	events  []jobEvent
-	tracks  map[uint64]string
-	order   []uint64
-	dropped uint64
+	mu     sync.Mutex
+	t0     time.Time
+	events Ring[jobEvent]
+	tracks map[uint64]string
+	order  []uint64
 }
 
 type jobEvent struct {
@@ -38,13 +36,13 @@ type jobEvent struct {
 	args  []string      // alternating key, value
 }
 
-// NewJobTracer builds a tracer retaining at most capacity events (≤ 0
+// NewJobTracer builds a tracer retaining the newest capacity events (≤ 0
 // selects 1<<16). The trace clock starts at the first recorded event.
 func NewJobTracer(capacity int) *JobTracer {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &JobTracer{max: capacity, tracks: make(map[uint64]string)}
+	return &JobTracer{events: NewRing[jobEvent](capacity), tracks: make(map[uint64]string)}
 }
 
 // Track names job tid's track in the rendered trace (typically the
@@ -87,15 +85,8 @@ func (jt *JobTracer) record(ev jobEvent, at time.Time) {
 	if jt.t0.IsZero() {
 		jt.t0 = at
 	}
-	if len(jt.events) >= jt.max {
-		jt.dropped++
-		return
-	}
-	ev.ts = at.Sub(jt.t0)
-	if ev.ts < 0 {
-		ev.ts = 0
-	}
-	jt.events = append(jt.events, ev)
+	ev.ts = max(at.Sub(jt.t0), 0)
+	jt.events.Push(ev)
 }
 
 // Len returns the number of retained events.
@@ -105,18 +96,17 @@ func (jt *JobTracer) Len() int {
 	}
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	return len(jt.events)
+	return jt.events.Len()
 }
 
-// Dropped returns how many events were discarded because the buffer was
-// full.
+// Dropped returns how many old events the ring evicted.
 func (jt *JobTracer) Dropped() uint64 {
 	if jt == nil {
 		return 0
 	}
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	return jt.dropped
+	return jt.events.Evicted()
 }
 
 // HasInstant reports whether an instant event with the given name was
@@ -127,8 +117,8 @@ func (jt *JobTracer) HasInstant(name string) bool {
 	}
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
-	for i := range jt.events {
-		if jt.events[i].phase == 'i' && jt.events[i].name == name {
+	for i := 0; i < jt.events.Len(); i++ {
+		if ev := jt.events.At(i); ev.phase == 'i' && ev.name == name {
 			return true
 		}
 	}
@@ -165,8 +155,8 @@ func (jt *JobTracer) WriteChromeTrace(w io.Writer) error {
 			cw.Emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"%s"}}`,
 				tid, jsonEscape(jt.tracks[tid]))
 		}
-		for i := range jt.events {
-			ev := &jt.events[i]
+		for i := 0; i < jt.events.Len(); i++ {
+			ev := jt.events.At(i)
 			var sb strings.Builder
 			renderArgs(&sb, ev.args)
 			switch ev.phase {

@@ -78,6 +78,23 @@ func TestJobTracerBoundedAndConcurrent(t *testing.T) {
 	}
 }
 
+// TestJobTracerKeepsNewest checks the tracer is a ring: after an overflow
+// the newest event is retained and the oldest evicted, so a long-lived
+// service keeps showing its latest jobs.
+func TestJobTracerKeepsNewest(t *testing.T) {
+	jt := NewJobTracer(2)
+	for _, name := range []string{"first", "second", "newest"} {
+		jt.Instant(1, name)
+	}
+	if !jt.HasInstant("newest") || jt.HasInstant("first") {
+		t.Fatalf("newest retained %v, first retained %v; want true, false",
+			jt.HasInstant("newest"), jt.HasInstant("first"))
+	}
+	if jt.Len() != 2 || jt.Dropped() != 1 {
+		t.Fatalf("Len %d Dropped %d, want 2 and 1", jt.Len(), jt.Dropped())
+	}
+}
+
 func TestFlightRecorderRing(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 1; i <= 6; i++ {

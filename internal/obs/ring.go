@@ -1,0 +1,75 @@
+package obs
+
+// Ring keeps the newest values pushed into it, up to a fixed bound, and
+// counts the older ones it evicted. It is the one bounded buffer under
+// every observer: the sampler's rows, the flight recorder, the decision
+// recorder, the job tracer and the telemetry run history. Storage grows on
+// demand up to the bound, so a large bound costs nothing until it is used.
+//
+// A Ring is built with NewRing and is not safe for concurrent use; owners
+// that share one across goroutines guard it with their own mutex.
+type Ring[T any] struct {
+	buf     []T
+	max     int
+	head    int // index of the oldest value once the ring is full
+	evicted uint64
+}
+
+// NewRing builds a ring retaining the newest capacity values (capacity must
+// be positive).
+func NewRing[T any](capacity int) Ring[T] {
+	if capacity < 1 {
+		panic("obs: ring capacity must be positive")
+	}
+	return Ring[T]{max: capacity}
+}
+
+// Push appends v, evicting the oldest value when the ring is full. It
+// returns the evicted value and true, or the zero value and false while the
+// ring still has room.
+func (r *Ring[T]) Push(v T) (old T, evicted bool) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, v)
+		return old, false
+	}
+	old, r.buf[r.head] = r.buf[r.head], v
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.evicted++
+	return old, true
+}
+
+// Len returns the number of retained values.
+func (r *Ring[T]) Len() int { return len(r.buf) }
+
+// Evicted returns how many values Push has evicted.
+func (r *Ring[T]) Evicted() uint64 { return r.evicted }
+
+// At returns the i-th retained value, oldest first (0 ≤ i < Len).
+func (r *Ring[T]) At(i int) T {
+	if i < 0 || i >= len(r.buf) {
+		panic("obs: ring index out of range")
+	}
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
+}
+
+// Last returns the newest value, or false when the ring is empty.
+func (r *Ring[T]) Last() (T, bool) {
+	if len(r.buf) == 0 {
+		var zero T
+		return zero, false
+	}
+	return r.At(len(r.buf) - 1), true
+}
+
+// All returns a copy of the retained values, oldest first (empty, not nil,
+// when nothing is retained).
+func (r *Ring[T]) All() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}

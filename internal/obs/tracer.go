@@ -27,9 +27,12 @@ type SpanRecord struct {
 }
 
 // Tracer samples request lifecycles into a bounded span buffer and feeds
-// the per-source/per-technique latency-breakdown histograms. A nil *Tracer
-// is a valid disabled tracer: Read returns a nil *Span, and every *Span
-// method is a nil-safe no-op, so controllers can hook unconditionally.
+// the per-source/per-technique latency-breakdown histograms. The buffer
+// keeps the run's first spans (so the exported trace shows its start);
+// sampled misses past the cap are counted in Dropped but still feed the
+// breakdown. A nil *Tracer is a valid disabled tracer: Read returns a nil
+// *Span, and every *Span method is a nil-safe no-op, so controllers can hook
+// unconditionally.
 type Tracer struct {
 	now   func() mem.Cycle
 	every uint64
@@ -70,8 +73,8 @@ func (t *Tracer) Spans() []SpanRecord {
 	return t.spans
 }
 
-// Dropped returns how many sampled spans were discarded because the buffer
-// was full.
+// Dropped returns how many sampled spans were not retained because the
+// buffer was full (they still count in the breakdown).
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -80,8 +83,10 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // Read opens a span for an L3 miss entering the memory-side controller.
-// Returns nil (a valid no-op span) when tracing is disabled, the read falls
-// outside the sampling stride, or the buffer is full.
+// Returns nil (a valid no-op span) when tracing is disabled or the read
+// falls outside the sampling stride. Whether the span is retained is
+// decided here: once the buffer is full, the span is counted in Dropped and
+// only feeds the breakdown when it finishes.
 func (t *Tracer) Read(core int, addr mem.Addr, kind mem.Kind) *Span {
 	if t == nil {
 		return nil
@@ -91,12 +96,12 @@ func (t *Tracer) Read(core int, addr mem.Addr, kind mem.Kind) *Span {
 	if n%t.every != 0 {
 		return nil
 	}
-	if len(t.spans) >= t.max {
+	keep := len(t.spans) < t.max
+	if !keep {
 		t.dropped++
-		return nil
 	}
 	now := t.now()
-	return &Span{t: t, rec: SpanRecord{
+	return &Span{t: t, keep: keep, rec: SpanRecord{
 		Core: core, Addr: addr, Kind: kind,
 		// Phase marks default to the start time so unexercised phases
 		// collapse to zero duration instead of underflowing.
@@ -110,6 +115,7 @@ func (t *Tracer) Read(core int, addr mem.Addr, kind mem.Kind) *Span {
 type Span struct {
 	t    *Tracer
 	rec  SpanRecord
+	keep bool // retained in the span buffer (decided at Read)
 	done bool
 }
 
@@ -161,16 +167,18 @@ func OnIssue(sp *Span) func(mem.Cycle) {
 	return sp.QueueWait
 }
 
-// Finish closes the span at completion time t, stores the record, and adds
-// its phase durations to the latency breakdown. Second and later calls are
-// ignored.
+// Finish closes the span at completion time t, stores the record if it is
+// retained, and adds its phase durations to the latency breakdown. Second
+// and later calls are ignored.
 func (sp *Span) Finish(t mem.Cycle) {
 	if sp == nil || sp.done {
 		return
 	}
 	sp.done = true
 	sp.rec.End = t
-	sp.t.spans = append(sp.t.spans, sp.rec)
+	if sp.keep {
+		sp.t.spans = append(sp.t.spans, sp.rec)
+	}
 
 	r := &sp.rec
 	meta := r.Decide - r.Meta

@@ -118,15 +118,22 @@ func TestTracerSamplingStride(t *testing.T) {
 	}
 }
 
+// TestTracerCapacityDrops checks a sampled read past the span cap: it is
+// not retained and is counted in Dropped, but the breakdown still counts
+// it, so the latency table covers the whole run.
 func TestTracerCapacityDrops(t *testing.T) {
 	var clock mem.Cycle
 	tr := NewTracer(func() mem.Cycle { return clock }, 1, 1)
 	tr.Read(0, 0x40, mem.ReadKind).Finish(10)
-	if sp := tr.Read(0, 0x80, mem.ReadKind); sp != nil {
-		t.Error("read beyond capacity returned a live span")
+	tr.Read(0, 0x80, mem.ReadKind).Finish(20)
+	if n := len(tr.Spans()); n != 1 || tr.Spans()[0].Addr != 0x40 {
+		t.Errorf("retained %d spans (%+v), want only the first", n, tr.Spans())
 	}
 	if tr.Dropped() != 1 {
 		t.Errorf("Dropped() = %d, want 1", tr.Dropped())
+	}
+	if n := tr.Breakdown().Spans(); n != 2 {
+		t.Errorf("breakdown counted %d spans, want 2", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dap/internal/obs"
 )
 
 // RunState is a run's lifecycle state.
@@ -70,7 +72,7 @@ type RunInfo struct {
 // Run tracks one live or recently finished simulation. The publishing side
 // (the simulation thread) uses Progress and Publish; Progress and the
 // /metrics scrape path are lock-free (atomic store / atomic pointer load),
-// while Publish takes the run's mutex only to append to the bounded window
+// while Publish takes the run's mutex only to push into the bounded window
 // ring and hand copies to SSE subscribers — it never blocks on them
 // (slow subscribers drop windows) and never reads simulated state.
 type Run struct {
@@ -82,14 +84,11 @@ type Run struct {
 	progress atomic.Uint64
 	state    atomic.Int32
 	latest   atomic.Pointer[Window]
-	nwin     atomic.Uint64
 
 	reg *RunRegistry
 
 	mu       sync.Mutex
-	ring     []Window
-	head     int
-	n        int
+	windows  obs.Ring[Window]
 	subs     map[chan Window]struct{}
 	dropped  uint64
 	finished time.Time
@@ -97,14 +96,11 @@ type Run struct {
 	summary  map[string]float64
 
 	decSources []string
-	decRing    []Decision
-	decHead    int
-	decN       int
-	decTotal   uint64
+	decisions  obs.Ring[Decision]
 }
 
-// ringCap bounds each run's retained window history (the SSE catch-up
-// replay and the /runs/{id} JSON series).
+// ringCap bounds each run's retained window and decision history (the SSE
+// catch-up replay and the /runs/{id} JSON series).
 const ringCap = 512
 
 // SetColumns records the sampler's column names. It must be called before
@@ -145,15 +141,8 @@ func (r *Run) Publish(cycle uint64, vals []float64) {
 	}
 	w := Window{Cycle: cycle, Values: append([]float64(nil), vals...)}
 	r.latest.Store(&w)
-	r.nwin.Add(1)
 	r.mu.Lock()
-	if len(r.ring) < ringCap {
-		r.ring = append(r.ring, w)
-		r.n++
-	} else {
-		r.ring[r.head] = w
-		r.head = (r.head + 1) % ringCap
-	}
+	r.windows.Push(w)
 	for ch := range r.subs {
 		select {
 		case ch <- w:
@@ -183,14 +172,7 @@ func (r *Run) PublishDecision(d Decision) {
 		return
 	}
 	r.mu.Lock()
-	if len(r.decRing) < ringCap {
-		r.decRing = append(r.decRing, d)
-		r.decN++
-	} else {
-		r.decRing[r.decHead] = d
-		r.decHead = (r.decHead + 1) % ringCap
-	}
-	r.decTotal++
+	r.decisions.Push(d)
 	r.mu.Unlock()
 }
 
@@ -210,12 +192,11 @@ func (r *Run) Decisions() DecisionsSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := DecisionsSnapshot{ID: r.ID, Sources: r.decSources, Total: r.decTotal}
-	s.Series = make([]Decision, 0, r.decN)
-	for i := 0; i < r.decN; i++ {
-		s.Series = append(s.Series, r.decRing[(r.decHead+i)%ringCap])
+	return DecisionsSnapshot{
+		ID: r.ID, Sources: r.decSources,
+		Total:  uint64(r.decisions.Len()) + r.decisions.Evicted(),
+		Series: r.decisions.All(),
 	}
-	return s
 }
 
 // Latest returns the most recent published window (nil before the first).
@@ -263,10 +244,7 @@ func (r *Run) Finish(abort error, summary map[string]float64) {
 func (r *Run) Subscribe() (history []Window, live <-chan Window, cancel func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	history = make([]Window, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		history = append(history, r.ring[(r.head+i)%ringCap])
-	}
+	history = r.windows.All()
 	ch := make(chan Window, 256)
 	if r.State() != RunActive {
 		close(ch)
@@ -311,9 +289,9 @@ func (r *Run) snapshot(detail bool) RunSnapshot {
 		State:    r.State().String(),
 		Started:  r.Started.Format(time.RFC3339Nano),
 		Progress: r.progress.Load(),
-		Windows:  r.nwin.Load(),
 	}
 	r.mu.Lock()
+	s.Windows = uint64(r.windows.Len()) + r.windows.Evicted()
 	if !r.finished.IsZero() {
 		s.Finished = r.finished.Format(time.RFC3339Nano)
 	}
@@ -340,7 +318,7 @@ type RunRegistry struct {
 	mu     sync.Mutex
 	nextID int64
 	active map[int64]*Run
-	recent []*Run // most recent finished runs, newest last
+	recent obs.Ring[*Run] // most recent finished runs, newest last
 
 	started, finished, aborted *Series
 }
@@ -356,7 +334,7 @@ const metricsRuns = 16
 // NewRunRegistry returns a run registry publishing lifecycle counters and
 // the per-run collector into reg.
 func NewRunRegistry(reg *Registry) *RunRegistry {
-	rr := &RunRegistry{active: make(map[int64]*Run)}
+	rr := &RunRegistry{active: make(map[int64]*Run), recent: obs.NewRing[*Run](recentCap)}
 	rr.started = reg.Counter("sim_runs_started_total", "Simulation runs registered since process start.")
 	rr.finished = reg.Counter("sim_runs_finished_total", "Simulation runs that completed normally.")
 	rr.aborted = reg.Counter("sim_runs_aborted_total", "Simulation runs that ended with a watchdog, deadlock or audit abort.")
@@ -372,7 +350,8 @@ var Runs = NewRunRegistry(Default)
 func (rr *RunRegistry) Start(info RunInfo) *Run {
 	rr.mu.Lock()
 	rr.nextID++
-	r := &Run{ID: rr.nextID, Info: info, Started: time.Now(), reg: rr}
+	r := &Run{ID: rr.nextID, Info: info, Started: time.Now(), reg: rr,
+		windows: obs.NewRing[Window](ringCap), decisions: obs.NewRing[Decision](ringCap)}
 	rr.active[r.ID] = r
 	rr.mu.Unlock()
 	rr.started.Inc()
@@ -382,10 +361,7 @@ func (rr *RunRegistry) Start(info RunInfo) *Run {
 func (rr *RunRegistry) finish(r *Run, st RunState) {
 	rr.mu.Lock()
 	delete(rr.active, r.ID)
-	rr.recent = append(rr.recent, r)
-	if len(rr.recent) > recentCap {
-		rr.recent = rr.recent[len(rr.recent)-recentCap:]
-	}
+	rr.recent.Push(r)
 	rr.mu.Unlock()
 	if st == RunAborted {
 		rr.aborted.Inc()
@@ -401,9 +377,9 @@ func (rr *RunRegistry) Get(id int64) *Run {
 	if r := rr.active[id]; r != nil {
 		return r
 	}
-	for i := len(rr.recent) - 1; i >= 0; i-- {
-		if rr.recent[i].ID == id {
-			return rr.recent[i]
+	for i := rr.recent.Len() - 1; i >= 0; i-- {
+		if r := rr.recent.At(i); r.ID == id {
+			return r
 		}
 	}
 	return nil
@@ -414,13 +390,11 @@ func (rr *RunRegistry) Get(id int64) *Run {
 func (rr *RunRegistry) tracked() []*Run {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	out := make([]*Run, 0, len(rr.active)+len(rr.recent))
+	out := make([]*Run, 0, len(rr.active)+rr.recent.Len())
 	for _, r := range rr.active {
 		out = append(out, r)
 	}
-	for i := len(rr.recent) - 1; i >= 0; i-- {
-		out = append(out, rr.recent[i])
-	}
+	out = append(out, rr.recent.All()...)
 	// active runs first, then newest-first by ID within each group
 	sortRuns(out)
 	return out
