@@ -4,9 +4,9 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-gate bench-cmp bench-figures runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies profile-diff profile-base fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies fuzz-smoke
 
-check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke profile-diff bench-gate bench-smoke
+check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke bench-smoke
 
 # fmt fails when any Go file is not gofmt-formatted, and lists the files.
 fmt:
@@ -103,50 +103,14 @@ pool-debug:
 	$(GO) test -tags dappooldebug ./internal/mem/
 	$(GO) test -tags dappooldebug -run 'TestPoolingUnderParallelRuns' ./internal/harness/
 
-# bench runs the substrate microbenchmarks plus the end-to-end quick run and
-# writes the machine-readable report consumed by DESIGN.md's performance
-# section. The long end-to-end benchmarks run in a second invocation with a
-# fixed iteration count: under the default 1s benchtime they get only 1-2
-# iterations, and a single noisy run then dominates the recorded ns/op.
-# bench-figures is the full figure-regeneration benchmark suite.
-bench:
-	{ $(GO) test -bench='EngineEvent|CacheLookup|DRAMStream|WorkloadGen' \
-		-benchmem -run=^$$ . && \
-	  $(GO) test -bench='EndToEndQuickRun|EndToEndCheckpointResume|Replicate6' \
-		-benchtime=5x -benchmem -run=^$$ . ; } \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json \
-		-note "cache-conscious data layout: packed SoA tag stores, DAP per-access fast path, streaming checkpoints"
-
-# bench-gate enforces that the data-layout pass keeps its wins: the
-# recorded BENCH_PR10.json must not regress against the PR9 baseline by
-# more than benchcmp's 10% tolerance in ns/op, bytes/op or allocs/op.
-# Matching EndToEnd pulls the checkpoint-resume benchmark into the gate, so
-# the streaming encoder's bytes/op reduction is locked in alongside the
-# quick-run time. The sub-microsecond substrate benches were recorded in a
-# different session and track machine state (frequency scaling, co-tenant
-# load) more than code, so cross-session comparison of them gates on
-# noise. Re-record the HEAD report with `make bench` after intentional
-# changes.
-bench-gate:
-	$(GO) run ./cmd/benchcmp -match 'EndToEnd|Replicate' \
-		BENCH_PR9.json BENCH_PR10.json
-
-bench-figures:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-smoke runs the end-to-end benchmark's own tests (bench/ is a module
-# of its own, so the root `go test ./...` skips it): every workload,
-# untraced and traced, at a tiny scale with all of its correctness checks,
-# including the resumed Alloy run's digest against a cold run.
+# bench-smoke vets the end-to-end benchmark and runs its own tests (bench/
+# is a module of its own, so the root `go vet ./...` and `go test ./...`
+# skip it): every workload, untraced and traced, at a tiny scale with all of
+# its correctness checks, including the resumed Alloy run's digest against a
+# cold run. Timing is judged parent against change on one host with
+# `sh bench/run.sh compare`, not against a committed baseline.
 bench-smoke:
-	cd bench && $(GO) test -count=1 ./...
-
-# bench-cmp gates a bench report against a baseline: prints the per-benchmark
-# delta table and exits non-zero when any shared benchmark regressed by more
-# than 10% in ns/op, bytes/op or allocs/op.
-#   make bench-cmp BASE=BENCH_PR3.json HEAD=BENCH_HEAD.json
-bench-cmp:
-	$(GO) run ./cmd/benchcmp $(BASE) $(HEAD)
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # fuzz-smoke runs the checkpoint-envelope fuzzer for 10 seconds: corrupt,
 # truncated and bit-flipped envelopes must always be rejected with an
@@ -155,46 +119,26 @@ bench-cmp:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecEnvelope -fuzztime 10s ./internal/ckpt/
 
-# profile captures CPU and allocation profiles of the end-to-end quick run
-# and prints the top-10 allocation sites — the view that drove (and guards)
-# the allocation-free hot path work.
+# profile captures CPU and allocation profiles of one quick DAP run of
+# rate-8 libquantum (dapsim -cpuprofile/-memprofile) and prints the top-10
+# allocation sites — the view that drove (and guards) the allocation-free
+# hot path work.
 profile:
 	mkdir -p out
-	$(GO) test -bench=EndToEndQuickRun -benchmem -run=^$$ \
-		-cpuprofile out/cpu.prof -memprofile out/mem.prof .
+	$(GO) run ./cmd/dapsim -quick -workload libquantum -policy dap \
+		-cpuprofile out/cpu.prof -memprofile out/mem.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects out/mem.prof
 	@echo "profiles in out/cpu.prof, out/mem.prof (go tool pprof -http=: out/cpu.prof)"
 
-# profile-policies CPU-profiles one pass of the Fig. 11 related-proposals
-# sweep and prints the top 15 nodes. The quick run that profile covers uses
-# DAP only, so SBD, SBD-WT and BATMAN (and the deep DRAM queues they build)
-# are seen only here.
+# profile-policies CPU-profiles one quick run of the heterogeneous mix
+# hetero-sim-01 under SBD and one under BATMAN and prints the top 15 nodes
+# of the two profiles merged. The run that profile covers uses DAP only, so
+# SBD and BATMAN (and the deep DRAM queues they build) are seen only here.
 profile-policies:
 	mkdir -p out
-	$(GO) test -bench=Fig11RelatedProposals -benchtime=1x -run=^$$ \
-		-cpuprofile out/cpu_policies.prof .
-	$(GO) tool pprof -top -nodecount=15 out/cpu_policies.prof
-
-# profile-diff re-profiles the end-to-end quick run and diffs its allocation
-# sites against the committed baseline (profiles/mem_base.prof, recorded by
-# profile-base at the data-layout pass): a hot path that starts allocating
-# again shows up as a positive flat delta at the guilty function instead of
-# a silent allocs/op creep. Refresh the baseline with `make profile-base`
-# after intentional allocation-behavior changes.
-profile-diff:
-	mkdir -p out
-	$(GO) test -bench=EndToEndQuickRun -benchmem -run=^$$ \
-		-memprofile out/mem.prof .
-	$(GO) tool pprof -top -nodecount=12 -sample_index=alloc_objects \
-		-diff_base=profiles/mem_base.prof out/mem.prof
-
-# profile-base records the allocation-profile baseline that profile-diff
-# compares against. Run it (and commit profiles/mem_base.prof) only when an
-# allocation-behavior change is intentional.
-profile-base:
-	mkdir -p profiles
-	$(GO) test -bench=EndToEndQuickRun -benchmem -run=^$$ \
-		-memprofile profiles/mem_base.prof .
+	$(GO) run ./cmd/dapsim -quick -mix hetero-sim-01 -policy sbd -cpuprofile out/cpu_sbd.prof
+	$(GO) run ./cmd/dapsim -quick -mix hetero-sim-01 -policy batman -cpuprofile out/cpu_batman.prof
+	$(GO) tool pprof -top -nodecount=15 out/cpu_sbd.prof out/cpu_batman.prof
 
 # trace-demo produces a small end-to-end observability artifact set: a
 # Perfetto-loadable Chrome trace of L3-miss lifecycles and a per-window

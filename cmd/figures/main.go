@@ -1,10 +1,11 @@
 // Command figures regenerates every table and figure of the paper's
-// evaluation section and prints them as text tables (the source of
-// EXPERIMENTS.md). Select a subset by ID, or run everything.
+// evaluation section, the DAP ablations and the observability and
+// calibration tables, and prints them as text tables (the source of
+// EXPERIMENTS.md). Select a subset by key, or run everything.
 //
-//	figures                # every experiment, full length
+//	figures                # every key, full length
 //	figures -quick         # shortened runs
-//	figures -only fig6,tab1,fig11
+//	figures -only fig6,tab1,abl-techniques
 //	figures -j 8           # fan simulations across 8 workers (output is
 //	                       # bit-identical at any -j; 0 = GOMAXPROCS)
 package main
@@ -22,33 +23,46 @@ import (
 	"dap"
 )
 
-type experiment struct {
-	key string
-	run func(dap.Options) dap.Figure
-}
-
-var experiments = []experiment{
-	{"fig1", dap.Fig01},
-	{"fig2", dap.Fig02},
-	{"fig4", dap.Fig04},
-	{"fig5", dap.Fig05},
-	{"fig6", dap.Fig06},
-	{"fig7", dap.Fig07},
-	{"fig8", dap.Fig08},
-	{"tab1", dap.Tab01},
-	{"fig9", dap.Fig09},
-	{"fig10", dap.Fig10},
-	{"fig11", dap.Fig11},
-	{"fig12", dap.Fig12},
-	{"fig13", dap.Fig13},
-	{"fig14", dap.Fig14},
-	{"fig15", dap.Fig15},
-	{"figgap", dap.FigGap},
+// selectDrivers returns the drivers a comma-separated -only list names, in
+// table order; an empty list selects every driver. An unknown key is an
+// error that names it and lists the valid keys.
+func selectDrivers(only string) ([]dap.Driver, error) {
+	want := map[string]bool{}
+	var order []string
+	for _, k := range strings.Split(only, ",") {
+		if k = strings.TrimSpace(strings.ToLower(k)); k != "" && !want[k] {
+			want[k] = true
+			order = append(order, k)
+		}
+	}
+	if len(order) == 0 {
+		return dap.Drivers, nil
+	}
+	var sel []dap.Driver
+	var keys []string
+	for _, d := range dap.Drivers {
+		keys = append(keys, d.Key)
+		if want[d.Key] {
+			sel = append(sel, d)
+			delete(want, d.Key)
+		}
+	}
+	var unknown []string
+	for _, k := range order {
+		if want[k] {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown -only key(s) %s; keys are %s",
+			strings.Join(unknown, ", "), strings.Join(keys, ","))
+	}
+	return sel, nil
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "shortened runs")
-	only := flag.String("only", "", "comma-separated experiment keys (fig1..fig15, tab1, figgap)")
+	only := flag.String("only", "", "comma-separated experiment keys (default: every key; an unknown key lists them)")
 	chart := flag.Bool("chart", false, "also render each figure's first series as an ASCII bar chart")
 	jobs := flag.Int("j", 0, "max concurrent simulations per experiment (0 = GOMAXPROCS, 1 = serial)")
 	useCkpt := flag.Bool("ckpt", false, "share warmup checkpoints across each figure's variants (bit-identical output, warmup runs once per mix)")
@@ -57,6 +71,11 @@ func main() {
 	decisions := flag.Bool("decisions", false, "record per-window DAP decisions (optimality gap, fractions) on every driver run; the series are served at /runs/{id}/decisions while -serve is up")
 	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /runs, dashboard) on this address while the sweep runs; keeps serving after it until interrupted")
 	flag.Parse()
+	drivers, err := selectDrivers(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
+	}
 
 	if *serveAddr != "" {
 		srv, bound, err := dap.Serve(*serveAddr)
@@ -76,12 +95,6 @@ func main() {
 		}()
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(k))] = true
-		}
-	}
 	opts := dap.Options{Quick: *quick, Parallel: *jobs, Sampled: *sampled, Decisions: *decisions}
 	if *ckptDir != "" {
 		ck, err := dap.NewWarmupCheckpoints(*ckptDir)
@@ -93,23 +106,14 @@ func main() {
 	} else if *useCkpt {
 		opts.Ckpt = dap.InMemoryWarmupCheckpoints()
 	}
-	ran := 0
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.key] {
-			continue
-		}
+	for _, d := range drivers {
 		start := time.Now()
-		fig := e.run(opts)
+		fig := d.Run(opts)
 		fmt.Println(fig.String())
 		if *chart {
 			fmt.Println(fig.Chart(0))
 		}
-		fmt.Printf("(%s in %.0fs)\n\n", e.key, time.Since(start).Seconds())
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "figures: nothing matched -only; keys are fig1,fig2,fig4..fig15,tab1,figgap")
-		os.Exit(1)
+		fmt.Printf("(%s in %.0fs)\n\n", d.Key, time.Since(start).Seconds())
 	}
 	if opts.Ckpt != nil {
 		st := opts.Ckpt.Stats()

@@ -8,7 +8,7 @@
 //
 // The package exposes a small facade over the internal packages: build a
 // Config, pick a Workload, and Run it. The experiment drivers that
-// regenerate every table and figure of the paper live behind RunFigure; the
+// regenerate every table and figure of the paper are listed in Drivers; the
 // analytical bandwidth model of Section III is exposed directly.
 //
 // Quick start:
@@ -251,32 +251,14 @@ type Figure = harness.Figure
 // runs by roughly an order of magnitude.
 type Options = harness.Options
 
-// The experiment drivers, one per table/figure of the paper.
-var (
-	Fig01 = harness.Fig01 // delivered bandwidth vs hit rate
-	Fig02 = harness.Fig02 // eDRAM capacity doubling
-	Fig04 = harness.Fig04 // bandwidth sensitivity + MPKI
-	Fig05 = harness.Fig05 // tag cache benefit + miss ratio
-	Fig06 = harness.Fig06 // DAP on the sectored DRAM cache
-	Fig07 = harness.Fig07 // DAP decision mix
-	Fig08 = harness.Fig08 // CAS fractions + hit ratios
-	Tab01 = harness.Tab01 // window/efficiency sensitivity
-	Fig09 = harness.Fig09 // main-memory technology sensitivity
-	Fig10 = harness.Fig10 // cache capacity/bandwidth sensitivity
-	Fig11 = harness.Fig11 // SBD / SBD-WT / BATMAN / DAP
-	Fig12 = harness.Fig12 // the full 44-workload suite
-	Fig13 = harness.Fig13 // 16-core scaling
-	Fig14 = harness.Fig14 // Alloy cache: BEAR vs DAP
-	Fig15 = harness.Fig15 // eDRAM cache: DAP at two capacities
+// Driver is one keyed experiment: Run regenerates a table or figure of the
+// paper, a DAP ablation, or an observability or calibration table, and Key
+// is its `figures -only` key.
+type Driver = harness.Driver
 
-	// FigBreakdown is an observability-layer driver (not a paper figure):
-	// traced L3-miss phase latencies by serving source.
-	FigBreakdown = harness.FigBreakdown
-	// FigGap is the decision-introspection driver (not a paper figure):
-	// per-window optimality-gap statistics (mean and CDF quantiles) of DAP
-	// decisions on one bandwidth-sensitive mix per architecture.
-	FigGap = harness.FigGap
-)
+// Drivers lists every experiment driver once, in the order `figures` runs
+// them; DESIGN.md's experiment index says what each key reproduces.
+var Drivers = harness.Drivers
 
 // DecisionRecorder collects the per-window partitioner decision records and
 // baseline policy events found on Result.Decisions when

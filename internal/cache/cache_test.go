@@ -209,3 +209,15 @@ func TestInsertThenProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCacheLookup measures set-associative lookup cost.
+func BenchmarkCacheLookup(b *testing.B) {
+	c := NewBytes(8*mem.MiB, 16, LRU)
+	for i := 0; i < 1<<16; i++ {
+		c.Insert(mem.Addr(i)<<mem.LineShift, false)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Lookup(mem.Addr(i%(1<<16)) << mem.LineShift)
+	}
+}

@@ -106,7 +106,7 @@ type Config struct {
 	SFRMReserve float64
 
 	// Disable selectively turns techniques off (Figure 8 evaluates a
-	// FWB+WB-only configuration; the ablation benches use the rest).
+	// FWB+WB-only configuration; the abl-techniques table uses the rest).
 	Disable struct{ FWB, WB, IFRM, SFRM bool }
 
 	// Backlog, when non-nil, reports the requests still queued at the

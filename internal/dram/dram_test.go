@@ -261,3 +261,17 @@ func TestChannelInterleaving(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDRAMStream measures the DRAM channel model's throughput in
+// simulated accesses per wall-clock second.
+func BenchmarkDRAMStream(b *testing.B) {
+	eng := sim.New()
+	dev := NewDevice(HBM102(), eng)
+	for i := 0; i < b.N; i++ {
+		dev.Access(mem.Addr(i)<<mem.LineShift, mem.ReadKind, 0, nil)
+		if dev.QueueLen() > 512 {
+			eng.Drain()
+		}
+	}
+	eng.Drain()
+}

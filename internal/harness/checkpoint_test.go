@@ -31,19 +31,26 @@ func tinyCkptCfg(arch Arch, pol Policy) Config {
 // TestCheckpointResumeBitIdentical is the tentpole correctness claim: for
 // each architecture, a run resumed from a warmup checkpoint is byte-identical
 // to the same run warmed directly. DAP is enabled so the dap section (and on
-// sectored the tag cache + footprint state) is exercised too.
+// sectored the tag cache + footprint state) is exercised too; the sectored
+// cache also runs without its footprint prefetcher (the abl-footprint
+// variant), which checkpoints an empty history table.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	mix := quickMix()
 	for _, tc := range []struct {
-		name string
-		arch Arch
+		name        string
+		arch        Arch
+		noFootprint bool
 	}{
-		{"sectored", SectoredDRAM},
-		{"alloy", AlloyCache},
-		{"edram", SectoredEDRAM},
+		{"sectored", SectoredDRAM, false},
+		{"sectored-no-footprint", SectoredDRAM, true},
+		{"alloy", AlloyCache, false},
+		{"edram", SectoredEDRAM, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyCkptCfg(tc.arch, DAP)
+			if tc.noFootprint {
+				cfg.Sectored.Footprint = false
+			}
 			straight := RunSeeded(cfg, mix, 7)
 			ck := MemCheckpoints()
 			resumed := RunSeededCkpt(cfg, mix, 7, ck)

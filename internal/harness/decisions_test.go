@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dap/internal/runner"
+	"dap/internal/workload"
 )
 
 // decTestConfig is the shortened DAP run the decision-introspection tests
@@ -186,6 +187,36 @@ func TestFigGapReportsAllArchitectures(t *testing.T) {
 		}
 		if p50.Values[i] > p90.Values[i] || p90.Values[i] > p99.Values[i] {
 			t.Errorf("%s: quantiles not monotone: %v %v %v", name, p50.Values[i], p90.Values[i], p99.Values[i])
+		}
+	}
+}
+
+// TestCalibrationProfilesEveryWorkload smoke-checks the calib driver: one
+// row per workload, every ratio inside [0,1], and on every DAP run the
+// decision records it reads (windows and per-window demand) are present.
+func TestCalibrationProfilesEveryWorkload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	fig := Calibration(Options{Quick: true, tiny: true})
+	col := map[string]Series{}
+	for _, s := range fig.Series {
+		col[s.Label] = s
+	}
+	if len(col) != 16 || len(col["MPKI"].Values) != len(workload.All()) {
+		t.Fatalf("want 16 columns over %d workloads, got %d columns, %d rows",
+			len(workload.All()), len(col), len(col["MPKI"].Values))
+	}
+	for i, name := range col["MPKI"].Names {
+		for _, l := range []string{"hit-base", "hit-dap", "tagmiss", "CAS-base", "CAS-dap", "part-frac"} {
+			if v := col[l].Values[i]; v < 0 || v > 1 {
+				t.Errorf("%s: %s = %v outside [0,1]", name, l, v)
+			}
+		}
+		for _, l := range []string{"MPKI", "IPC-base", "IPC-dap", "windows", "A_MS"} {
+			if v := col[l].Values[i]; v <= 0 {
+				t.Errorf("%s: %s = %v, want > 0", name, l, v)
+			}
 		}
 	}
 }

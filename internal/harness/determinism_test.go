@@ -6,30 +6,14 @@ import (
 	"testing"
 )
 
-// allDrivers names every experiment driver in the package.
-var allDrivers = []struct {
-	name string
-	run  func(Options) Figure
-}{
-	{"Fig01", Fig01}, {"Fig02", Fig02}, {"Fig04", Fig04}, {"Fig05", Fig05},
-	{"Fig06", Fig06}, {"Fig07", Fig07}, {"Fig08", Fig08}, {"Tab01", Tab01},
-	{"Fig09", Fig09}, {"Fig10", Fig10}, {"Fig11", Fig11}, {"Fig12", Fig12},
-	{"Fig13", Fig13}, {"Fig14", Fig14}, {"Fig15", Fig15},
-	{"AblCreditWidth", AblationCreditWidth}, {"AblKApprox", AblationKApprox},
-	{"AblSFRMReserve", AblationSFRMReserve}, {"AblTechniques", AblationTechniques},
-	{"AblLearning", AblationLearning}, {"AblThreadAware", AblationThreadAware},
-	{"AblReplacement", AblationReplacement}, {"AblFootprint", AblationFootprint},
-	{"FigBreakdown", FigBreakdown}, {"FigGap", FigGap},
-}
-
-// determinismSubset is the representative slice of allDrivers the default
-// test sweeps: the kernel path (Fig01), runMixes + nws over two architectures
-// (Fig02, Fig06), a DAP-decision driver (Fig07), an ablation with a
-// DAPOverride (AblTechniques) and the traced observability driver
-// (FigBreakdown). Set DAP_DETERMINISM_ALL=1 to sweep every driver instead.
+// determinismSubset is the representative slice of Drivers the default
+// test sweeps: the kernel path (fig1), runMixes + nws over two architectures
+// (fig2, fig6), a DAP-decision driver (fig7), an ablation with a
+// DAPOverride (abl-techniques) and the traced observability driver
+// (breakdown). Set DAP_DETERMINISM_ALL=1 to sweep every driver instead.
 var determinismSubset = map[string]bool{
-	"Fig01": true, "Fig02": true, "Fig06": true, "Fig07": true,
-	"AblTechniques": true, "FigBreakdown": true,
+	"fig1": true, "fig2": true, "fig6": true, "fig7": true,
+	"abl-techniques": true, "breakdown": true,
 }
 
 // TestParallelFiguresBitIdentical asserts the tentpole guarantee: a figure
@@ -45,23 +29,32 @@ func TestParallelFiguresBitIdentical(t *testing.T) {
 	// Under the race detector simulations run ~10x slower; keep the two
 	// cheapest drivers (which still fan out through the pool and the memo)
 	// so `go test -race` gets real concurrency coverage at bounded cost.
-	raceSubset := map[string]bool{"Fig01": true, "FigBreakdown": true}
-	for _, d := range allDrivers {
-		if !all && !determinismSubset[d.name] {
+	raceSubset := map[string]bool{"fig1": true, "breakdown": true}
+	want := len(determinismSubset)
+	if raceEnabled {
+		want = len(raceSubset)
+	}
+	ran := 0
+	for _, d := range Drivers {
+		if !all && !determinismSubset[d.Key] {
 			continue
 		}
-		if raceEnabled && !raceSubset[d.name] {
+		if raceEnabled && !raceSubset[d.Key] {
 			continue
 		}
+		ran++
 		d := d
-		t.Run(d.name, func(t *testing.T) {
-			par := d.run(Options{Quick: true, Parallel: 8, tiny: true})
-			ser := d.run(Options{Quick: true, Parallel: 1, tiny: true})
+		t.Run(d.Key, func(t *testing.T) {
+			par := d.Run(Options{Quick: true, Parallel: 8, tiny: true})
+			ser := d.Run(Options{Quick: true, Parallel: 1, tiny: true})
 			if !reflect.DeepEqual(par, ser) {
 				t.Fatalf("parallel figure differs from serial:\n--- parallel ---\n%s\n--- serial ---\n%s",
 					par.String(), ser.String())
 			}
 		})
+	}
+	if !all && ran != want {
+		t.Fatalf("swept %d drivers, want %d: a subset key is not in Drivers", ran, want)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"dap/internal/workload"
 )
 
-// Options scale the experiments: Quick shortens runs for tests and benches;
-// the cmd/figures binary uses full-length runs.
+// Options scale the experiments: Quick shortens runs for tests and
+// `figures -quick`; without it the drivers run full length.
 type Options struct {
 	Quick bool
 	// Parallel caps the number of simulations a driver runs concurrently
@@ -174,7 +174,7 @@ func Fig01(o Options) Figure {
 }
 
 // Fig02 reproduces Figure 2: doubling the eDRAM cache from 256 MB to 512 MB
-// (scaled 4 MB -> 8 MB): weighted speedup and drop in miss rate.
+// (scaled 32 MiB -> 64 MiB): weighted speedup and drop in miss rate.
 func Fig02(o Options) Figure {
 	small := o.base()
 	small.Arch = SectoredEDRAM
@@ -538,7 +538,8 @@ func Fig14(o Options) Figure {
 }
 
 // Fig15 reproduces Figure 15: DAP on 256 MB and 512 MB eDRAM caches
-// (scaled 4/8 MB), normalized to the 256 MB baseline, plus hit-rate deltas.
+// (scaled 32/64 MiB), normalized to the 256 MB baseline, plus hit-rate
+// deltas.
 func Fig15(o Options) Figure {
 	base := o.base()
 	base.Arch = SectoredEDRAM
@@ -579,14 +580,14 @@ func Fig15(o Options) Figure {
 
 // AblationCreditWidth sweeps the credit-counter saturation value.
 func AblationCreditWidth(o Options) Figure {
-	return ablateDAP(o, "credit cap", []int64{15, 63, 255, 4095}, func(dc *core.Config, v int64) {
+	return ablateDAP(o, "credit cap", "cap", []int64{15, 63, 255, 4095}, func(dc *core.Config, v int64) {
 		dc.CreditCap = v
 	})
 }
 
 // AblationKApprox sweeps the precision of the hardware K approximation.
 func AblationKApprox(o Options) Figure {
-	return ablateDAP(o, "K denominator", []int64{1, 2, 4, 64}, func(dc *core.Config, v int64) {
+	return ablateDAP(o, "K denominator", "Kden", []int64{1, 2, 4, 64}, func(dc *core.Config, v int64) {
 		dc.MaxKDen = v
 	})
 }
@@ -594,7 +595,7 @@ func AblationKApprox(o Options) Figure {
 // AblationSFRMReserve sweeps the SFRM bandwidth reserve.
 func AblationSFRMReserve(o Options) Figure {
 	vals := []int64{40, 60, 80, 100}
-	return ablateDAP(o, "SFRM reserve %", vals, func(dc *core.Config, v int64) {
+	return ablateDAP(o, "SFRM reserve %", "SFRM%", vals, func(dc *core.Config, v int64) {
 		dc.SFRMReserve = float64(v) / 100
 	})
 }
@@ -703,7 +704,7 @@ func AblationFootprint(o Options) Figure {
 }
 
 // ablationMixes trims the workload list at quick scale so the ablation
-// benches stay fast; full-length runs use all twelve sensitive mixes.
+// tables stay fast; full-length runs use all twelve sensitive mixes.
 func ablationMixes(o Options, base Config) []workload.Mix {
 	mixes := sensitiveMixes(base.CPU.Cores)
 	if o.Quick {
@@ -712,7 +713,9 @@ func ablationMixes(o Options, base Config) []workload.Mix {
 	return mixes
 }
 
-func ablateDAP(o Options, what string, vals []int64, apply func(*core.Config, int64)) Figure {
+// ablateDAP sweeps one DAP parameter over vals; what names it in the title
+// and short, which fits a table column, labels each series.
+func ablateDAP(o Options, what, short string, vals []int64, apply func(*core.Config, int64)) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
 	var alts []labeled
@@ -722,11 +725,79 @@ func ablateDAP(o Options, what string, vals []int64, apply func(*core.Config, in
 		dc := dapConfigFor(&cfg)
 		apply(&dc, v)
 		cfg.DAPOverride = &dc
-		alts = append(alts, labeled{fmt.Sprintf("%s=%d", what, v), cfg})
+		alts = append(alts, labeled{fmt.Sprintf("%s=%d", short, v), cfg})
 	}
 	return Figure{
 		ID:     "Abl",
 		Title:  "DAP sensitivity: " + what,
 		Series: nws(o, mixes, base, alts, base),
+	}
+}
+
+// Calibration profiles every rate-n workload on the sectored cache under
+// the baseline and DAP: the numbers the synthetic specs are tuned against.
+// Per workload it reports the mean per-core L3 MPKI, the memory-side hit
+// ratio (baseline and DAP) and the baseline tag-cache miss ratio, aggregate
+// IPC, both main-memory CAS fractions and DAP's technique shares; from the
+// DAP run's decision records, as FigGap reads them, the recorded windows,
+// the fraction that partitioned and the mean per-window demand A_MS$ and
+// A_MM the solver saw (backlog included).
+func Calibration(o Options) Figure {
+	base := o.base()
+	dapCfg := base
+	dapCfg.Policy = DAP
+	dapCfg.Observe.Decisions = true
+
+	var mixes []workload.Mix
+	for _, s := range workload.All() {
+		mixes = append(mixes, workload.RateMix(s, base.CPU.Cores))
+	}
+	var series []Series
+	for _, l := range []string{"MPKI", "hit-base", "hit-dap", "tagmiss", "IPC-base", "IPC-dap",
+		"CAS-base", "CAS-dap", "FWB", "WB", "IFRM", "SFRM", "windows", "part-frac", "A_MS", "A_MM"} {
+		series = append(series, Series{Label: l, Names: mixNames(mixes), SummaryKind: "MEAN"})
+	}
+	ipc := func(r Result) float64 {
+		sum := 0.0
+		for i := range r.Cores {
+			sum += r.Cores[i].IPC()
+		}
+		return sum
+	}
+	rbs := runMixes(o, base, mixes)
+	rds := runMixes(o, dapCfg, mixes)
+	for i := range mixes {
+		rb, rd := rbs[i], rds[i]
+		mpki := 0.0
+		for c := range rb.Cores {
+			mpki += rb.Cores[c].MPKI() / float64(len(rb.Cores))
+		}
+		fwb, wb, ifrm, sfrm := rd.DAP.Fractions()
+		recs := rd.Decisions.Records()
+		var part, ams, amm float64
+		for _, rec := range recs {
+			if rec.Partitioned {
+				part++
+			}
+			ams += float64(rec.Counts.AMS())
+			amm += float64(rec.Counts.AMM)
+		}
+		if n := float64(len(recs)); n > 0 {
+			part, ams, amm = part/n, ams/n, amm/n
+		}
+		for j, v := range []float64{mpki, rb.MemSide.HitRatio(), rd.MemSide.HitRatio(),
+			rb.MemSide.TagCacheMissRatio(), ipc(rb), ipc(rd), rb.MainMemCASFraction(),
+			rd.MainMemCASFraction(), fwb, wb, ifrm, sfrm, float64(len(recs)), part, ams, amm} {
+			series[j].Values = append(series[j].Values, v)
+		}
+	}
+	for i := range series {
+		series[i].Summary = stats.Mean(series[i].Values)
+	}
+	return Figure{
+		ID:     "Calib.",
+		Title:  "Per-workload profile on the sectored cache, baseline vs DAP",
+		Notes:  "IPC sums the cores; FWB..SFRM are DAP's technique shares; windows..A_MM come from the DAP run's decision records (A_MS = A_MS$, backlog included)",
+		Series: series,
 	}
 }

@@ -9,15 +9,17 @@ import (
 	"dap/internal/workload"
 )
 
-// startObservers begins a timed region's observation: it registers the run
-// with the process-wide telemetry layer, subscribes the sampler and the
-// decision recorder to it, starts the sampler and arms the flight recorder.
-// Full and sampled runs both call it once, after the first CPU.Start, and
-// end with finishObservers. Registration, publication and Finish are strict
-// observers: they copy already-computed values behind lock-free handles, so
-// a scraped run stays bit-identical to an unobserved one
-// (TestObservabilityIsBitIdenticalWithServe).
-func (s *System) startObservers(start, limit mem.Cycle) *telemetry.Run {
+// arm begins a timed region's observation and guards, right after its
+// first CPU.Start: it registers the run with the process-wide telemetry
+// layer, subscribes the sampler and the decision recorder to it, starts the
+// sampler and the flight recorder, then arms the watchdog, the auditor
+// (Config.Audit) and any planned credit corruption, in that order, so the
+// events they schedule keep one sequence. Full and sampled runs both call
+// it once and end with finishObservers. Registration, publication and
+// Finish are strict observers: they copy already-computed values behind
+// lock-free handles, so a scraped run stays bit-identical to an unobserved
+// one (TestObservabilityIsBitIdenticalWithServe).
+func (s *System) arm(start, limit mem.Cycle) *telemetry.Run {
 	cfg := s.Cfg
 	run := telemetry.Runs.Start(telemetry.RunInfo{
 		Mix:         s.mixName,
@@ -56,6 +58,13 @@ func (s *System) startObservers(start, limit mem.Cycle) *telemetry.Run {
 		s.Eng.SetFlightSampler(every, s.flightSample)
 		s.flight.Addf(s.Eng.Now(), "measure-start mix=%s arch=%s policy=%s horizon=%d events",
 			s.mixName, cfg.Arch, cfg.Policy, limit)
+	}
+	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
+	if cfg.Audit {
+		s.startAudit()
+	}
+	if s.inj != nil && s.dap != nil {
+		s.inj.ArmCreditFault(s.Eng.After, s.dap)
 	}
 	return run
 }

@@ -158,7 +158,6 @@ func (s *System) sampleIntervals() (Result, bool) {
 	cfg := s.Cfg
 	interval, ff, minN, maxN, target := sampleParams(cfg)
 	start, limit := s.startTimed()
-	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
 
 	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: ff}
 	var run *telemetry.Run
@@ -176,7 +175,7 @@ func (s *System) sampleIntervals() (Result, bool) {
 		c0 := s.Eng.Now()
 		s.CPU.Start(interval)
 		if run == nil {
-			run = s.startObservers(start, limit)
+			run = s.arm(start, limit)
 		}
 		s.Eng.RunWhile(func() bool {
 			return !s.CPU.Done() && s.Eng.Now()-start < limit

@@ -211,7 +211,7 @@ func Default() Config {
 	return c
 }
 
-// Quick returns a shortened configuration for unit tests and -short benches.
+// Quick returns a shortened configuration for unit tests and quick figures.
 // Warmup still covers the largest workload footprints at least once.
 func Quick() Config {
 	c := Default()
@@ -519,14 +519,7 @@ func (s *System) Measure() Result {
 	cfg := s.Cfg
 	start, limit := s.startTimed()
 	s.CPU.Start(cfg.MeasureInstr)
-	run := s.startObservers(start, limit)
-	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
-	if cfg.Audit {
-		s.startAudit()
-	}
-	if s.inj != nil && s.dap != nil {
-		s.inj.ArmCreditFault(s.Eng.After, s.dap)
-	}
+	run := s.arm(start, limit)
 	s.Eng.RunWhile(func() bool {
 		return !s.CPU.Done() && s.Eng.Now()-start < limit
 	})

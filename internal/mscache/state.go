@@ -103,8 +103,13 @@ func (e *EDRAM) LoadState(d *ckpt.Dec) error {
 }
 
 // saveFootprint serializes the footprint history table sorted by sector so
-// the byte stream is deterministic despite map iteration order.
+// the byte stream is deterministic despite map iteration order. A cache
+// built without the prefetcher (nil table) saves an empty table.
 func saveFootprint(e *ckpt.Enc, f *footprintTable) {
+	if f == nil {
+		e.U32(0)
+		return
+	}
 	idx := make([]int, 0, f.n)
 	for i, k := range f.keys {
 		if k != 0 {
@@ -123,6 +128,12 @@ func loadFootprint(d *ckpt.Dec, f *footprintTable) error {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return err
+	}
+	if f == nil {
+		if n != 0 {
+			return fmt.Errorf("mscache: checkpoint footprint table has %d entries, prefetcher disabled", n)
+		}
+		return nil
 	}
 	if n > f.cap {
 		return fmt.Errorf("mscache: checkpoint footprint table has %d entries, cap %d", n, f.cap)

@@ -114,3 +114,23 @@ func TestManyEventsStaySorted(t *testing.T) {
 		t.Fatalf("last = %d, want 1000", last)
 	}
 }
+
+// BenchmarkEngineEvent measures event scheduling/dispatch cost. The
+// callback is hoisted out of the loop — exactly how the simulator's hot
+// paths schedule (prebound handlers, AtArg) — so the benchmark reports the
+// engine's own cost: with the timing wheel it must be allocation-free.
+func BenchmarkEngineEvent(b *testing.B) {
+	eng := New()
+	n := 0
+	fn := func() { n++ }
+	for i := 0; i < b.N; i++ {
+		eng.After(mem.Cycle(i%64), fn)
+		if eng.Pending() > 1024 {
+			eng.Drain()
+		}
+	}
+	eng.Drain()
+	if n != b.N {
+		b.Fatal("event loss")
+	}
+}

@@ -225,3 +225,12 @@ func TestStreamInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkWorkloadGen measures access-stream generation cost.
+func BenchmarkWorkloadGen(b *testing.B) {
+	spec, _ := ByName("mcf")
+	s := NewStream(spec, CoreSpacing, 1)
+	for i := 0; i < b.N; i++ {
+		s.Next()
+	}
+}
