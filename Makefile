@@ -62,12 +62,13 @@ queue-race:
 # ckpt-race drives the warmup-checkpoint cache under the race detector:
 # eight concurrent policy/DRAM variants of one figure point restore from a
 # single-flight snapshot (asserting it was built exactly once and every
-# variant stays bit-identical), the nws figure driver does the same through
-# its worker pool, and the store-backed path recovers from flipped-byte and
-# torn-tail corruption.
+# variant stays bit-identical), a figure grid does the same through its
+# worker pool, the store-backed path recovers from flipped-byte and
+# torn-tail corruption, a restore that fails after its cpu section warms a
+# fresh system, and a footprint table past its budget round-trips.
 ckpt-race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/harness/ \
-		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointStoreReuseAndCorruption'
+		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointStoreReuseAndCorruption|TestCheckpointFailedRestoreWarmsFresh|TestCheckpointFootprintOverBudget'
 
 # serve-smoke boots `dapsim -serve` on a random port (race detector on),
 # curls /healthz and /metrics, asserts the DAP credit and runner pool

@@ -174,13 +174,7 @@ func main() {
 	if *replic > 0 {
 		// Replicated mode: N runs over seeds 0..N-1, fanned across -j
 		// workers. Per-seed values are seed-ordered and identical at any -j.
-		aggIPC := func(r dap.Result) float64 {
-			s := 0.0
-			for i := range r.Cores {
-				s += r.Cores[i].IPC()
-			}
-			return s
-		}
+		aggIPC := func(r dap.Result) float64 { return r.AggregateIPC() }
 		vals, mean, std := dap.Replicate(*jobs, cfg, mix, *replic, aggIPC)
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
@@ -407,13 +401,11 @@ func report(r dap.Result) {
 		}
 	}
 	fmt.Printf("cycles: %d\n", r.Cycles)
-	sum := 0.0
 	for i, c := range r.Cores {
 		fmt.Printf("  core %2d: IPC %.3f  L3 MPKI %6.2f  avg L3 read-miss latency %6.0f cycles\n",
 			i, c.IPC(), c.MPKI(), c.AvgL3ReadMissLatency())
-		sum += c.IPC()
 	}
-	fmt.Printf("aggregate IPC: %.3f\n", sum)
+	fmt.Printf("aggregate IPC: %.3f\n", r.AggregateIPC())
 	var lat stats.Histogram
 	for i := range r.Cores {
 		lat.Merge(&r.Cores[i].L3MissLat)

@@ -68,7 +68,6 @@ func main() {
 	useCkpt := flag.Bool("ckpt", false, "share warmup checkpoints across each figure's variants (bit-identical output, warmup runs once per mix)")
 	ckptDir := flag.String("ckpt-dir", "", "persist warmup checkpoints under this directory so reruns skip warmup entirely (implies -ckpt)")
 	sampled := flag.Bool("sampled", false, "SMARTS interval sampling: estimate each figure point from measured intervals with 95% CIs instead of the full timed region (fast, approximate)")
-	decisions := flag.Bool("decisions", false, "record per-window DAP decisions (optimality gap, fractions) on every driver run; the series are served at /runs/{id}/decisions while -serve is up")
 	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /runs, dashboard) on this address while the sweep runs; keeps serving after it until interrupted")
 	flag.Parse()
 	drivers, err := selectDrivers(*only)
@@ -95,7 +94,7 @@ func main() {
 		}()
 	}
 
-	opts := dap.Options{Quick: *quick, Parallel: *jobs, Sampled: *sampled, Decisions: *decisions}
+	opts := dap.Options{Quick: *quick, Parallel: *jobs, Sampled: *sampled}
 	if *ckptDir != "" {
 		ck, err := dap.NewWarmupCheckpoints(*ckptDir)
 		if err != nil {

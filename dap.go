@@ -16,7 +16,7 @@
 //	cfg := dap.DefaultConfig()
 //	cfg.Policy = dap.PolicyDAP
 //	res := dap.Run(cfg, dap.RateWorkload("mcf", 8))
-//	fmt.Println(res.IPC(), res.MainMemCASFraction())
+//	fmt.Println(res.AggregateIPC(), res.MainMemCASFraction())
 package dap
 
 import (
@@ -179,12 +179,6 @@ func Run(cfg Config, w Workload) Result {
 	return r
 }
 
-// RunSeededE is RunE with a run-level workload stream seed (0 behaves like
-// RunE) — replicated measurements under different address streams.
-func RunSeededE(cfg Config, w Workload, seed uint64) (Result, error) {
-	return harness.RunSeededE(cfg, w, seed)
-}
-
 // WarmupCheckpoints is the shared warmup-checkpoint cache behind `dapsim
 // -ckpt-dir` and Options.Ckpt: the full post-warmup simulator state is
 // snapshotted once per (workload, architecture, warmup length, seed) prefix
@@ -202,8 +196,10 @@ func NewWarmupCheckpoints(dir string) (*WarmupCheckpoints, error) {
 // InMemoryWarmupCheckpoints returns a process-local checkpoint cache.
 func InMemoryWarmupCheckpoints() *WarmupCheckpoints { return harness.MemCheckpoints() }
 
-// RunCheckpointedE is RunSeededE resuming from the shared warmup-checkpoint
-// cache (ck == nil behaves exactly like RunSeededE).
+// RunCheckpointedE is RunE with a run-level workload stream seed (0 behaves
+// like RunE), resuming from the shared warmup-checkpoint cache (ck == nil
+// warms directly) — replicated measurements under different address
+// streams, with their warmups shared.
 func RunCheckpointedE(cfg Config, w Workload, seed uint64, ck *WarmupCheckpoints) (Result, error) {
 	return harness.RunSeededCkptE(cfg, w, seed, ck)
 }

@@ -34,14 +34,6 @@ func main() {
 		{"eDRAM$", dap.SectoredEDRAM},
 	}
 
-	ipc := func(r dap.Result) float64 {
-		s := 0.0
-		for _, c := range r.Cores {
-			s += c.IPC()
-		}
-		return s
-	}
-
 	fmt.Printf("workload %q on %d cores\n\n", kv.Name, 8)
 	fmt.Printf("%-16s %10s %10s %8s %10s %10s\n",
 		"architecture", "base IPC", "DAP IPC", "gain", "hit(base)", "CAS(dap)")
@@ -53,7 +45,7 @@ func main() {
 		cfg.Policy = dap.PolicyDAP
 		d := dap.Run(cfg, mix)
 		fmt.Printf("%-16s %10.3f %10.3f %7.1f%% %10.3f %10.3f\n",
-			ar.name, ipc(base), ipc(d), (ipc(d)/ipc(base)-1)*100,
+			ar.name, base.AggregateIPC(), d.AggregateIPC(), (d.AggregateIPC()/base.AggregateIPC()-1)*100,
 			base.MemSide.HitRatio(), d.MainMemCASFraction())
 	}
 

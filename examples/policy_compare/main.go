@@ -37,21 +37,13 @@ func main() {
 		{"DAP", dap.PolicyDAP},
 	}
 
-	ipc := func(r dap.Result) float64 {
-		s := 0.0
-		for _, c := range r.Cores {
-			s += c.IPC()
-		}
-		return s
-	}
-
 	var baseIPC float64
 	fmt.Printf("%-10s %10s %10s %10s %10s\n", "policy", "IPC", "vs base", "MS$ hit", "MM CAS")
 	for _, pc := range policies {
 		c := cfg
 		c.Policy = pc.p
 		r := dap.Run(c, mix)
-		v := ipc(r)
+		v := r.AggregateIPC()
 		if pc.p == dap.PolicyBaseline {
 			baseIPC = v
 		}

@@ -21,23 +21,15 @@ func main() {
 	cfg.Policy = dap.PolicyDAP
 	withDAP := dap.Run(cfg, mix)
 
-	ipc := func(r dap.Result) float64 {
-		s := 0.0
-		for _, c := range r.Cores {
-			s += c.IPC()
-		}
-		return s
-	}
-
 	optimal := dap.OptimalFractions([]float64{102.4, 38.4})[1]
 	fmt.Printf("workload: %s (rate-%d)\n\n", name, cfg.CPU.Cores)
 	fmt.Printf("%-28s %10s %10s\n", "", "baseline", "DAP")
-	fmt.Printf("%-28s %10.3f %10.3f\n", "aggregate IPC", ipc(base), ipc(withDAP))
+	fmt.Printf("%-28s %10.3f %10.3f\n", "aggregate IPC", base.AggregateIPC(), withDAP.AggregateIPC())
 	fmt.Printf("%-28s %10.3f %10.3f\n", "MS$ hit ratio", base.MemSide.HitRatio(), withDAP.MemSide.HitRatio())
 	fmt.Printf("%-28s %10.3f %10.3f   (optimal %.3f)\n", "main-memory CAS fraction",
 		base.MainMemCASFraction(), withDAP.MainMemCASFraction(), optimal)
 	fmt.Printf("%-28s %10.1f %10.1f\n", "delivered GB/s", base.DeliveredGBps, withDAP.DeliveredGBps)
-	fmt.Printf("\nspeedup: %.1f%%\n", (ipc(withDAP)/ipc(base)-1)*100)
+	fmt.Printf("\nspeedup: %.1f%%\n", (withDAP.AggregateIPC()/base.AggregateIPC()-1)*100)
 
 	f, w, i, s := withDAP.DAP.Fractions()
 	fmt.Printf("DAP decisions: %d (FWB %.0f%% | WB %.0f%% | IFRM %.0f%% | SFRM %.0f%%)\n",

@@ -42,10 +42,12 @@ import (
 // Version history: 1 = per-field AoS cache lines; 2 = packed SoA tag arrays
 // with lazily-present side payloads and bulk little-endian word arrays;
 // 3 = no caller-state side array in cache sections, and the Alloy section
-// holds its direct-mapped tag words plus dirty and reused bitmaps.
+// holds its direct-mapped tag words plus dirty and reused bitmaps; 4 = the
+// sectored footprint table is saved slot for slot (presence flag, key and
+// mask arrays) instead of as sorted (sector, mask) pairs.
 const (
 	Magic   = "DAPCKPT1"
-	Version = 3
+	Version = 4
 )
 
 // ErrCorrupt is returned (wrapped) for any structural damage: bad magic,

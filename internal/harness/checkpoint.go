@@ -217,8 +217,8 @@ func (s *System) LoadCheckpoint(blob []byte) error {
 // damaged store file is quarantined by the store layer and counted as a
 // miss, a stored blob whose checkpoint envelope does not verify (another
 // format version) is rebuilt and overwritten, and a blob that fails
-// semantic restore is dropped and rebuilt — in every case the affected run
-// falls back to the plain warmup.
+// semantic restore is dropped and rebuilt. In the last case the affected
+// run discards the half-restored system and warms a fresh one.
 type Checkpoints struct {
 	st *store.Store // nil = in-memory only
 
@@ -303,8 +303,7 @@ func (c *Checkpoints) get(key string, cfg Config, mix workload.Mix, seed uint64)
 				}
 			}
 		}
-		sys := Build(cfg, mix)
-		sys.reseed(mix, seed)
+		sys := newSystem(cfg, mix, seed)
 		sys.Warmup()
 		blob, err := sys.SaveCheckpoint()
 		if err != nil {
@@ -328,62 +327,42 @@ func (c *Checkpoints) drop(key string) {
 	c.mu.Unlock()
 }
 
-// restoreOrWarm brings a freshly built, reseeded system to the post-warmup
-// state: restored from the shared checkpoint when possible, by running the
-// warmup otherwise. Both paths leave bit-identical state, so the choice is
-// purely a wall-clock optimization.
-func (c *Checkpoints) restoreOrWarm(s *System, cfg Config, mix workload.Mix, seed uint64) {
-	key := WarmKey(cfg, mix, seed)
-	blob, err := c.get(key, cfg, mix, seed)
+// restoreOrWarm brings a freshly built, reseeded system to its post-warmup
+// state and returns the system to measure: s restored from the shared
+// checkpoint when that works, else a fresh system warmed directly. Both
+// paths leave bit-identical state, so the choice is purely a wall-clock
+// optimization. A nil cache warms s.
+func (c *Checkpoints) restoreOrWarm(s *System) *System {
+	if c == nil {
+		s.Warmup()
+		return s
+	}
+	key := WarmKey(s.Cfg, s.mix, s.seed)
+	blob, err := c.get(key, s.Cfg, s.mix, s.seed)
 	if err == nil {
 		if err = s.LoadCheckpoint(blob); err == nil {
-			return
+			return s
 		}
 	}
 	// Version skew or semantic damage behind a valid store envelope: drop
-	// the blob so the next run rebuilds it, and warm this system directly.
+	// the blob so the next run rebuilds it. LoadCheckpoint may have applied
+	// the sections before the one that failed, so warm a fresh system
+	// rather than s.
 	c.loadFails.Add(1)
 	c.drop(key)
+	s = newSystem(s.Cfg, s.mix, s.seed)
 	s.Warmup()
+	return s
 }
 
-// RunMixCkpt is RunMix resuming from a shared warmup checkpoint.
-func RunMixCkpt(cfg Config, mix workload.Mix, ck *Checkpoints) Result {
-	return RunSeededCkpt(cfg, mix, 0, ck)
-}
-
-// RunSeededCkpt is RunSeeded resuming from a shared warmup checkpoint
-// (ck == nil degrades to RunSeeded).
-func RunSeededCkpt(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) Result {
-	if ck == nil {
-		return RunSeeded(cfg, mix, seed)
-	}
-	s := Build(cfg, mix)
-	s.reseed(mix, seed)
-	ck.restoreOrWarm(s, cfg, mix, seed)
-	if cfg.Sampled {
-		return s.runSampled(ck)
-	}
-	return s.Measure()
-}
-
-// RunSeededCkptE is RunSeededCkpt with configuration validation and
-// abnormal-end reporting (the checkpoint counterpart of RunSeededE).
+// RunSeededCkptE runs the mix with a run-level stream seed, resuming from
+// the shared warmup checkpoint (ck == nil warms directly). It validates the
+// configuration first and surfaces an abnormal end of run as an error
+// alongside the partial result.
 func RunSeededCkptE(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) (Result, error) {
-	if ck == nil {
-		return RunSeededE(cfg, mix, seed)
-	}
-	s, err := BuildE(cfg, mix)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	s.reseed(mix, seed)
-	ck.restoreOrWarm(s, cfg, mix, seed)
-	var r Result
-	if cfg.Sampled {
-		r = s.runSampled(ck)
-	} else {
-		r = s.Measure()
-	}
+	r := simulate(cfg, mix, seed, ck)
 	return r, r.Abort
 }

@@ -12,6 +12,7 @@ import (
 	"dap/internal/ckpt"
 	"dap/internal/dram"
 	"dap/internal/faultinject"
+	"dap/internal/mem"
 	"dap/internal/store"
 	"dap/internal/workload"
 )
@@ -53,7 +54,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			straight := RunSeeded(cfg, mix, 7)
 			ck := MemCheckpoints()
-			resumed := RunSeededCkpt(cfg, mix, 7, ck)
+			resumed := simulate(cfg, mix, 7, ck)
 			if !reflect.DeepEqual(straight.Run, resumed.Run) {
 				t.Fatalf("resumed run diverged from straight run:\nstraight %+v\nresumed  %+v",
 					straight.Run, resumed.Run)
@@ -118,7 +119,7 @@ func TestCheckpointSharedParallelVariants(t *testing.T) {
 		wg.Add(1)
 		go func(i int, v Config) {
 			defer wg.Done()
-			resumed[i] = RunMixCkpt(v, mix, ck)
+			resumed[i] = simulate(v, mix, 0, ck)
 		}(i, v)
 	}
 	wg.Wait()
@@ -134,29 +135,32 @@ func TestCheckpointSharedParallelVariants(t *testing.T) {
 	}
 }
 
-// TestCheckpointFigureDriverSingleFlight runs a multi-variant figure driver
-// (the nws normalized-weighted-speedup helper every speedup figure uses) with
-// and without the checkpoint cache: the series must be bit-identical, and the
-// cache must have built exactly one checkpoint per mix.
+// TestCheckpointFigureDriverSingleFlight runs a multi-variant figure grid
+// (the grid and speedup series every speedup figure uses) with and without
+// the checkpoint cache: the series must be bit-identical, and the cache
+// must have built exactly one checkpoint per mix.
 func TestCheckpointFigureDriverSingleFlight(t *testing.T) {
 	mixes := []workload.Mix{quickMix()}
 	if s, ok := workload.ByName("lbm"); ok {
 		mixes = append(mixes, workload.RateMix(s, 8))
 	}
-	base := tinyCkptCfg(SectoredDRAM, Baseline)
-	alts := []labeled{
-		{"DAP", tinyCkptCfg(SectoredDRAM, DAP)},
-		{"SBD", tinyCkptCfg(SectoredDRAM, SBD)},
+	cfgs := []Config{
+		tinyCkptCfg(SectoredDRAM, Baseline),
+		tinyCkptCfg(SectoredDRAM, DAP),
+		tinyCkptCfg(SectoredDRAM, SBD),
 	}
-	plain := nws(Options{Parallel: 1}, mixes, base, alts, base)
+	series := func(o Options) []Series {
+		return speedups(o, []string{"DAP", "SBD"}, mixes, grid(o, cfgs, mixes))
+	}
+	plain := series(Options{Parallel: 1})
 	ck := MemCheckpoints()
-	ckpt := nws(Options{Parallel: 4, Ckpt: ck}, mixes, base, alts, base)
+	ckpt := series(Options{Parallel: 4, Ckpt: ck})
 	if !reflect.DeepEqual(plain, ckpt) {
 		t.Fatalf("figure series diverged:\nplain %+v\nckpt  %+v", plain, ckpt)
 	}
 	if got, want := ck.Builds(), uint64(len(mixes)); got != want {
 		t.Fatalf("builds = %d, want %d (one per mix across %d variants)",
-			got, want, (1+len(alts))*len(mixes))
+			got, want, len(cfgs)*len(mixes))
 	}
 }
 
@@ -173,7 +177,7 @@ func TestCheckpointStoreReuseAndCorruption(t *testing.T) {
 
 	check := func(stage string, ck *Checkpoints, wantBuilds, wantHits uint64) {
 		t.Helper()
-		r := RunMixCkpt(cfg, mix, ck)
+		r := simulate(cfg, mix, 0, ck)
 		if !reflect.DeepEqual(straight.Run, r.Run) {
 			t.Fatalf("%s: run diverged from straight run", stage)
 		}
@@ -243,8 +247,7 @@ func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 
 	// Plant a real checkpoint relabelled as the previous version, its
 	// checksum repaired so that only the version is wrong.
-	s := Build(cfg, mix)
-	s.reseed(mix, 0)
+	s := newSystem(cfg, mix, 0)
 	s.Warmup()
 	blob, err := s.SaveCheckpoint()
 	if err != nil {
@@ -268,7 +271,7 @@ func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		for run := 0; run < 3; run++ {
-			if r := RunMixCkpt(cfg, mix, ck); !reflect.DeepEqual(straight.Run, r.Run) {
+			if r := simulate(cfg, mix, 0, ck); !reflect.DeepEqual(straight.Run, r.Run) {
 				t.Fatalf("process %d run %d diverged from the straight run", i, run)
 			}
 		}
@@ -276,6 +279,83 @@ func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 			t.Fatalf("process %d: builds=%d hits=%d load failures=%d, want builds=%d hits=%d and no load failure",
 				i, got.Builds, got.StoreHits, got.LoadFailures, want.Builds, want.StoreHits)
 		}
+	}
+}
+
+// TestCheckpointFailedRestoreWarmsFresh: a store entry whose envelope
+// verifies but whose controller section fails to load counts one load
+// failure, and the run still measures exactly the straight run. The cpu
+// section loads before the controller section fails, so warming the
+// half-restored system would run the warmup twice over its streams; the
+// run must warm a freshly built system instead.
+func TestCheckpointFailedRestoreWarmsFresh(t *testing.T) {
+	cfg := tinyCkptCfg(SectoredDRAM, DAP)
+	mix := quickMix()
+	straight := RunMix(cfg, mix)
+
+	s := newSystem(cfg, mix, 0)
+	s.Warmup()
+	w := ckpt.NewWriter()
+	if err := s.CPU.SaveState(w.Section("cpu")); err != nil {
+		t.Fatal(err)
+	}
+	w.Section("ctrl.sectored").U32(1) // far too short for the sector tags
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(WarmKey(cfg, mix, 0), w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := NewCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunSeededCkptE(cfg, mix, 0, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ck.Stats(); got.StoreHits != 1 || got.LoadFailures != 1 {
+		t.Fatalf("store hits=%d load failures=%d, want the damaged entry served once and failed once",
+			got.StoreHits, got.LoadFailures)
+	}
+	if !reflect.DeepEqual(straight.Run, r.Run) {
+		t.Fatalf("run after a failed restore diverged from the straight run:\nstraight %+v\ngot      %+v",
+			straight.Run, r.Run)
+	}
+}
+
+// TestCheckpointFootprintOverBudget: a sectored cache whose footprint
+// history table has passed its entry budget (shrunk here, with a small
+// cache so a tiny warmup evicts enough sectors) saves, restores into a
+// fresh system and measures the same stats.Run as the original. The table
+// must round-trip slot for slot: once it is at its budget, each new sector
+// evicts whatever holds its home slot.
+func TestCheckpointFootprintOverBudget(t *testing.T) {
+	cfg := tinyCkptCfg(SectoredDRAM, DAP)
+	cfg.Sectored.CapacityBytes = 4 * mem.MiB
+	cfg.Sectored.FootprintEntries = 64
+	mix := quickMix()
+
+	orig := newSystem(cfg, mix, 0)
+	orig.Warmup()
+	blob, err := orig.SaveCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSystem(cfg, mix, 0)
+	if err := fresh.LoadCheckpoint(blob); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	want, got := orig.Measure(), fresh.Measure()
+	if want.MemSide.SectorEvicts <= uint64(cfg.Sectored.FootprintEntries) {
+		t.Fatalf("%d sector evictions in the timed region: too few to keep the table past its budget of %d",
+			want.MemSide.SectorEvicts, cfg.Sectored.FootprintEntries)
+	}
+	if !reflect.DeepEqual(want.Run, got.Run) {
+		t.Fatalf("restored run diverged:\noriginal %+v\nrestored %+v", want.Run, got.Run)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"dap/internal/core"
-	"dap/internal/runner"
 	"dap/internal/stats"
 	"dap/internal/telemetry"
 )
@@ -47,6 +46,22 @@ func gapSeries(r Result) []float64 {
 	return out
 }
 
+// partitionedFrac is the fraction of a run's recorded DAP windows that
+// granted any credit (0 without records).
+func partitionedFrac(r Result) float64 {
+	recs := r.Decisions.Records()
+	var part float64
+	for _, rec := range recs {
+		if rec.Partitioned {
+			part++
+		}
+	}
+	if len(recs) > 0 {
+		part /= float64(len(recs))
+	}
+	return part
+}
+
 // FigGap is the decision-introspection driver (not a paper figure): it runs
 // DAP with decision recording on one bandwidth-sensitive mix per
 // architecture and tabulates the per-window optimality-gap series — how far
@@ -56,8 +71,7 @@ func gapSeries(r Result) []float64 {
 // demand rarely saturated the cache; high partitioned fractions with small
 // gaps are the paper's near-optimality claim made visible per window.
 func FigGap(o Options) Figure {
-	base := o.base()
-	base.Policy = DAP
+	base := withPolicy(o.base(), DAP)
 	base.Observe.Decisions = true
 
 	mixes := sensitiveMixes(base.CPU.Cores)
@@ -67,61 +81,36 @@ func FigGap(o Options) Figure {
 	case o.Quick && len(mixes) > 2:
 		mixes = mixes[:2]
 	}
-	archs := []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM}
-
-	type point struct {
-		name string
-		cfg  Config
-	}
-	var pts []point
-	for _, a := range archs {
+	var cfgs []Config
+	var names []string
+	for _, a := range []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM} {
 		cfg := base
 		cfg.Arch = a
+		cfgs = append(cfgs, cfg)
 		for _, m := range mixes {
-			pts = append(pts, point{name: a.String() + "/" + m.Name, cfg: cfg})
+			names = append(names, a.String()+"/"+m.Name)
 		}
 	}
-
-	mk := func(label string) Series {
-		names := make([]string, len(pts))
-		for i, p := range pts {
-			names[i] = p.name
-		}
-		return Series{Label: label, Names: names, SummaryKind: "MEAN"}
+	rs := grid(o, cfgs, mixes)
+	// point i is architecture i/len(mixes) on mix i%len(mixes)
+	pt := func(i int) Result { return rs[i/len(mixes)][i%len(mixes)] }
+	gap := func(label string, f func([]float64) float64) Series {
+		return meanSeries(label, names, func(i int) float64 { return f(gapSeries(pt(i))) })
 	}
-	series := []Series{
-		mk("windows"), mk("part-frac"),
-		mk("gap-mean"), mk("gap-p50"), mk("gap-p90"), mk("gap-p99"),
-	}
-
-	results := runner.Map(o.Parallel, len(pts), func(i int) Result {
-		return o.run(pts[i].cfg, mixes[i%len(mixes)])
-	})
-	for _, r := range results {
-		gaps := gapSeries(r)
-		var part float64
-		for _, rec := range r.Decisions.Records() {
-			if rec.Partitioned {
-				part++
-			}
-		}
-		if len(gaps) > 0 {
-			part /= float64(len(gaps))
-		}
-		series[0].Values = append(series[0].Values, float64(len(gaps)))
-		series[1].Values = append(series[1].Values, part)
-		series[2].Values = append(series[2].Values, stats.Mean(gaps))
-		series[3].Values = append(series[3].Values, stats.Quantile(gaps, 0.50))
-		series[4].Values = append(series[4].Values, stats.Quantile(gaps, 0.90))
-		series[5].Values = append(series[5].Values, stats.Quantile(gaps, 0.99))
-	}
-	for i := range series {
-		series[i].Summary = stats.Mean(series[i].Values)
+	quantile := func(q float64) func([]float64) float64 {
+		return func(g []float64) float64 { return stats.Quantile(g, q) }
 	}
 	return Figure{
-		ID:     "Obs. 2",
-		Title:  "DAP per-window optimality gap vs the Equation 3 bound",
-		Notes:  "gap = 1 - Delivered(chosen fractions)/(sum of source bandwidths); part-frac = fraction of windows granting any credit",
-		Series: series,
+		ID:    "Obs. 2",
+		Title: "DAP per-window optimality gap vs the Equation 3 bound",
+		Notes: "gap = 1 - Delivered(chosen fractions)/(sum of source bandwidths); part-frac = fraction of windows granting any credit",
+		Series: []Series{
+			gap("windows", func(g []float64) float64 { return float64(len(g)) }),
+			meanSeries("part-frac", names, func(i int) float64 { return partitionedFrac(pt(i)) }),
+			gap("gap-mean", stats.Mean),
+			gap("gap-p50", quantile(0.50)),
+			gap("gap-p90", quantile(0.90)),
+			gap("gap-p99", quantile(0.99)),
+		},
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // determinismSubset is the representative slice of Drivers the default
-// test sweeps: the kernel path (fig1), runMixes + nws over two architectures
-// (fig2, fig6), a DAP-decision driver (fig7), an ablation with a
+// test sweeps: the kernel path (fig1), the grid and its speedup and mean
+// series over two architectures (fig2, fig6), a DAP-decision driver (fig7), an ablation with a
 // DAPOverride (abl-techniques) and the traced observability driver
 // (breakdown). Set DAP_DETERMINISM_ALL=1 to sweep every driver instead.
 var determinismSubset = map[string]bool{

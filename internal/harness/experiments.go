@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dap/internal/cache"
-
 	"dap/internal/core"
 	"dap/internal/dram"
 	"dap/internal/mem"
@@ -39,26 +38,11 @@ type Options struct {
 	// figure must be bit-exact.
 	Sampled bool
 
-	// Decisions switches every driver simulation to partitioner decision
-	// recording (Config.Observe.Decisions): each run then carries its
-	// per-window optimality-gap series in Result.Decisions. Read-only,
-	// bit-identity preserving; FigGap forces it on regardless of this flag.
-	Decisions bool
-
 	// tiny shrinks runs far below Quick so in-package tests can afford to
 	// execute whole drivers repeatedly (e.g. the parallel-vs-serial
 	// determinism sweep). Deliberately unexported: figures produced at this
 	// scale are statistically meaningless.
 	tiny bool
-}
-
-// run executes one driver simulation, through the warmup-checkpoint cache
-// when the options carry one.
-func (o Options) run(cfg Config, mix workload.Mix) Result {
-	if o.Ckpt != nil {
-		return RunMixCkpt(cfg, mix, o.Ckpt)
-	}
-	return RunMix(cfg, mix)
 }
 
 func (o Options) base() Config {
@@ -74,14 +58,120 @@ func (o Options) base() Config {
 		c = Default()
 	}
 	c.Sampled = o.Sampled
-	c.Observe.Decisions = o.Decisions
 	return c
 }
 
-// labeled pairs a configuration with its series label.
-type labeled struct {
-	label string
-	cfg   Config
+// grid simulates every configuration on every mix and returns rs, where
+// rs[c][m] is the result of cfgs[c] on mixes[m]. Configurations that are
+// one simulation — equal cfgKey and equal Observe — run once per mix and
+// share one row, so a driver lists each configuration where its series need
+// it and pays for it once. The distinct points fan out across o.Parallel
+// workers and resume from o.Ckpt when it is set.
+func grid(o Options, cfgs []Config, mixes []workload.Mix) [][]Result {
+	type key struct {
+		cfg string
+		obs Observe
+	}
+	row := make([]int, len(cfgs)) // cfgs[c] reads distinct row row[c]
+	var distinct []Config
+	seen := map[key]int{}
+	for c, cfg := range cfgs {
+		k := key{cfgKey(cfg), cfg.Observe}
+		r, ok := seen[k]
+		if !ok {
+			r = len(distinct)
+			seen[k] = r
+			distinct = append(distinct, cfg)
+		}
+		row[c] = r
+	}
+	n := len(mixes)
+	flat := runner.Map(o.Parallel, len(distinct)*n, func(j int) Result {
+		return simulate(distinct[j/n], mixes[j%n], 0, o.Ckpt)
+	})
+	rs := make([][]Result, len(cfgs))
+	for c, r := range row {
+		rs[c] = flat[r*n : (r+1)*n : (r+1)*n] // capped: an append cannot spill into the next row
+	}
+	return rs
+}
+
+// speedup is the GMEAN series of normalized weighted speedup over the
+// mixes: WS(alt)/WS(base) per mix, both weighted by alone IPCs measured on
+// the base run's configuration. The alone IPCs come from the process-wide
+// memo; they are looked up across o.Parallel workers, so the ones a cold
+// memo lacks are simulated in parallel too.
+func speedup(o Options, label string, mixes []workload.Mix, base, alt []Result) Series {
+	n := len(mixes)
+	ws := runner.Map(o.Parallel, 2*n, func(j int) float64 {
+		m, row := j%n, base
+		if j >= n {
+			row = alt
+		}
+		return alone.weightedSpeedup(row[m], base[m].Config, mixes[m])
+	})
+	s := Series{Label: label, Names: mixNames(mixes), SummaryKind: "GMEAN"}
+	for m := range mixes {
+		v := 0.0
+		if ws[m] > 0 {
+			v = ws[n+m] / ws[m]
+		}
+		s.Values = append(s.Values, v)
+	}
+	s.Summary = stats.GeoMean(s.Values)
+	return s
+}
+
+// speedups is one speedup series per grid row after the first, each over
+// rs[0] and labeled by labels in row order.
+func speedups(o Options, labels []string, mixes []workload.Mix, rs [][]Result) []Series {
+	out := make([]Series, len(labels))
+	for i, l := range labels {
+		out[i] = speedup(o, l, mixes, rs[0], rs[i+1])
+	}
+	return out
+}
+
+// meanSeries is the MEAN series of f(i) over the x-axis names.
+func meanSeries(label string, names []string, f func(i int) float64) Series {
+	s := Series{Label: label, Names: names, SummaryKind: "MEAN"}
+	for i := range names {
+		s.Values = append(s.Values, f(i))
+	}
+	s.Summary = stats.Mean(s.Values)
+	return s
+}
+
+// withPolicy returns cfg under policy p.
+func withPolicy(cfg Config, p Policy) Config {
+	cfg.Policy = p
+	return cfg
+}
+
+// withDAP returns cfg under DAP with its architecture's DAP parameters
+// edited by f (Table I and the ablations).
+func withDAP(cfg Config, f func(*core.Config)) Config {
+	cfg.Policy = DAP
+	dc := dapConfigFor(&cfg)
+	f(&dc)
+	cfg.DAPOverride = &dc
+	return cfg
+}
+
+// dapSpeedups runs every base configuration beside its DAP twin and returns
+// one series per base: DAP's speedup over the baseline with the same
+// system, labeled by labels.
+func dapSpeedups(o Options, labels []string, bases []Config, mixes []workload.Mix) []Series {
+	var cfgs []Config
+	for _, b := range bases {
+		cfgs = append(cfgs, b, withPolicy(b, DAP))
+	}
+	rs := grid(o, cfgs, mixes)
+	out := make([]Series, len(bases))
+	for i, l := range labels {
+		out[i] = speedup(o, l, mixes, rs[2*i], rs[2*i+1])
+	}
+	return out
 }
 
 // mixNames extracts the x-axis labels.
@@ -101,47 +191,30 @@ func sensitiveMixes(cores int) []workload.Mix {
 	return out
 }
 
-// runMixes fans RunMix out across the worker pool, one simulation per mix,
-// and returns the results in mix order.
-func runMixes(o Options, cfg Config, mixes []workload.Mix) []Result {
-	return runner.Map(o.Parallel, len(mixes), func(i int) Result {
-		return o.run(cfg, mixes[i])
-	})
-}
-
-// nws runs every (config, mix) pair and returns normalized weighted speedup
-// series: WS(config)/WS(base) per mix, weighted by alone IPCs measured on
-// weightCfg. All (1+len(alts))*len(mixes) simulations fan out across one
-// worker pool; the alone-IPC denominators come from the process-wide
-// single-flight memo, so they are simulated at most once per process.
-func nws(o Options, mixes []workload.Mix, base Config, alts []labeled, weightCfg Config) []Series {
-	cfgs := make([]Config, 0, 1+len(alts))
-	cfgs = append(cfgs, base)
-	for _, alt := range alts {
-		cfgs = append(cfgs, alt.cfg)
-	}
-	// ws[ci*len(mixes)+mi] is the weighted speedup of cfgs[ci] on mixes[mi]
-	ws := runner.Map(o.Parallel, len(cfgs)*len(mixes), func(j int) float64 {
-		ci, mi := j/len(mixes), j%len(mixes)
-		r := o.run(cfgs[ci], mixes[mi])
-		return alone.weightedSpeedup(r, weightCfg, mixes[mi])
-	})
-	baseWS := ws[:len(mixes)]
-	var out []Series
-	for ai, alt := range alts {
-		s := Series{Label: alt.label, Names: mixNames(mixes), SummaryKind: "GMEAN"}
-		altWS := ws[(ai+1)*len(mixes):]
-		for i := range mixes {
-			v := 0.0
-			if baseWS[i] > 0 {
-				v = altWS[i] / baseWS[i]
-			}
-			s.Values = append(s.Values, v)
-		}
-		s.Summary = stats.GeoMean(s.Values)
-		out = append(out, s)
+// rateMixes is the rate-n mix of every snippet, sensitive ones first.
+func rateMixes(cores int) []workload.Mix {
+	var out []workload.Mix
+	for _, s := range workload.All() {
+		out = append(out, workload.RateMix(s, cores))
 	}
 	return out
+}
+
+// techShare is the share of a run's DAP decisions taken by technique k
+// (0 FWB, 1 WB, 2 IFRM, 3 SFRM).
+func techShare(r Result, k int) float64 {
+	var f [4]float64
+	f[0], f[1], f[2], f[3] = r.DAP.Fractions()
+	return f[k]
+}
+
+// meanMPKI is a run's mean per-core L3 MPKI.
+func meanMPKI(r Result) float64 {
+	sum := 0.0
+	for i := range r.Cores {
+		sum += r.Cores[i].MPKI()
+	}
+	return sum / float64(len(r.Cores))
 }
 
 // Fig01 reproduces Figure 1: delivered bandwidth against target hit rate for
@@ -179,23 +252,19 @@ func Fig02(o Options) Figure {
 	small := o.base()
 	small.Arch = SectoredEDRAM
 	big := small
-	big.EDRAM.CapacityBytes = small.EDRAM.CapacityBytes * 2
+	big.EDRAM.CapacityBytes *= 2
 
 	mixes := sensitiveMixes(small.CPU.Cores)
-	speed := nws(o, mixes, small, []labeled{{"512MB/256MB", big}}, small)[0]
-	speed.Label = "speedup"
-
-	rss := runMixes(o, small, mixes)
-	rbs := runMixes(o, big, mixes)
-	drop := Series{Label: "missdrop%", Names: mixNames(mixes), SummaryKind: "MEAN"}
-	for i := range mixes {
-		drop.Values = append(drop.Values, 100*(rbs[i].MemSide.HitRatio()-rss[i].MemSide.HitRatio()))
-	}
-	drop.Summary = stats.Mean(drop.Values)
+	rs := grid(o, []Config{small, big}, mixes)
 	return Figure{
-		ID:     "Fig. 2",
-		Title:  "512 MB vs 256 MB eDRAM cache: weighted speedup and miss-rate drop (pp)",
-		Series: []Series{speed, drop},
+		ID:    "Fig. 2",
+		Title: "512 MB vs 256 MB eDRAM cache: weighted speedup and miss-rate drop (pp)",
+		Series: []Series{
+			speedup(o, "speedup", mixes, rs[0], rs[1]),
+			meanSeries("missdrop%", mixNames(mixes), func(m int) float64 {
+				return 100 * (rs[1][m].MemSide.HitRatio() - rs[0][m].MemSide.HitRatio())
+			}),
+		},
 	}
 }
 
@@ -206,26 +275,15 @@ func Fig04(o Options) Figure {
 	double := base
 	double.Sectored.Array = dram.HBM204()
 
-	var mixes []workload.Mix
-	for _, s := range workload.All() {
-		mixes = append(mixes, workload.RateMix(s, base.CPU.Cores))
-	}
-	speed := nws(o, mixes, base, []labeled{{"2x-BW", double}}, base)[0]
-
-	rs := runMixes(o, base, mixes)
-	mpki := Series{Label: "L3-MPKI", Names: mixNames(mixes), SummaryKind: "MEAN"}
-	for _, r := range rs {
-		sum := 0.0
-		for i := range r.Cores {
-			sum += r.Cores[i].MPKI()
-		}
-		mpki.Values = append(mpki.Values, sum/float64(len(r.Cores)))
-	}
-	mpki.Summary = stats.Mean(mpki.Values)
+	mixes := rateMixes(base.CPU.Cores)
+	rs := grid(o, []Config{base, double}, mixes)
 	return Figure{
-		ID:     "Fig. 4",
-		Title:  "Speedup from doubling DRAM cache bandwidth; baseline L3 MPKI",
-		Series: []Series{speed, mpki},
+		ID:    "Fig. 4",
+		Title: "Speedup from doubling DRAM cache bandwidth; baseline L3 MPKI",
+		Series: []Series{
+			speedup(o, "2x-BW", mixes, rs[0], rs[1]),
+			meanSeries("L3-MPKI", mixNames(mixes), func(m int) float64 { return meanMPKI(rs[0][m]) }),
+		},
 	}
 }
 
@@ -237,19 +295,15 @@ func Fig05(o Options) Figure {
 	without.Sectored.TagCacheEntries = 0
 
 	mixes := sensitiveMixes(with.CPU.Cores)
-	speed := nws(o, mixes, without, []labeled{{"tagcache", with}}, without)[0]
-
-	rs := runMixes(o, with, mixes)
-	miss := Series{Label: "tagmiss", Names: mixNames(mixes), SummaryKind: "MEAN"}
-	for _, r := range rs {
-		miss.Values = append(miss.Values, r.MemSide.TagCacheMissRatio())
-	}
-	miss.Summary = stats.Mean(miss.Values)
+	rs := grid(o, []Config{without, with}, mixes)
 	return Figure{
 		ID:           "Fig. 5",
 		Title:        "Weighted speedup with a tag cache; tag cache miss ratio",
 		PaperSummary: 1.16,
-		Series:       []Series{speed, miss},
+		Series: []Series{
+			speedup(o, "tagcache", mixes, rs[0], rs[1]),
+			meanSeries("tagmiss", mixNames(mixes), func(m int) float64 { return rs[1][m].MemSide.TagCacheMissRatio() }),
+		},
 	}
 }
 
@@ -257,60 +311,41 @@ func Fig05(o Options) Figure {
 // cache and the normalized L3 read-miss latency.
 func Fig06(o Options) Figure {
 	base := o.base()
-	dapCfg := base
-	dapCfg.Policy = DAP
-
 	mixes := sensitiveMixes(base.CPU.Cores)
-	speed := nws(o, mixes, base, []labeled{{"DAP", dapCfg}}, base)[0]
-
-	rbs := runMixes(o, base, mixes)
-	rds := runMixes(o, dapCfg, mixes)
-	lat := Series{Label: "norm-lat", Names: mixNames(mixes), SummaryKind: "MEAN"}
-	for i := range mixes {
-		v := 0.0
-		if l := rbs[i].AvgL3ReadMissLatency(); l > 0 {
-			v = rds[i].AvgL3ReadMissLatency() / l
-		}
-		lat.Values = append(lat.Values, v)
-	}
-	lat.Summary = stats.Mean(lat.Values)
+	rs := grid(o, []Config{base, withPolicy(base, DAP)}, mixes)
 	return Figure{
 		ID:           "Fig. 6",
 		Title:        "DAP on the sectored DRAM cache: speedup and normalized L3 read-miss latency",
 		PaperSummary: 1.152,
-		Series:       []Series{speed, lat},
+		Series: []Series{
+			speedup(o, "DAP", mixes, rs[0], rs[1]),
+			meanSeries("norm-lat", mixNames(mixes), func(m int) float64 {
+				if l := rs[0][m].AvgL3ReadMissLatency(); l > 0 {
+					return rs[1][m].AvgL3ReadMissLatency() / l
+				}
+				return 0
+			}),
+		},
 	}
 }
 
 // Fig07 reproduces Figure 7: the mix of DAP technique applications.
 func Fig07(o Options) Figure {
-	dapCfg := o.base()
-	dapCfg.Policy = DAP
+	dapCfg := withPolicy(o.base(), DAP)
 	mixes := sensitiveMixes(dapCfg.CPU.Cores)
+	rs := grid(o, []Config{dapCfg}, mixes)[0]
 	names := mixNames(mixes)
-	fwb := Series{Label: "FWB", Names: names, SummaryKind: "MEAN"}
-	wb := Series{Label: "WB", Names: names}
-	ifrm := Series{Label: "IFRM", Names: names}
-	sfrm := Series{Label: "SFRM", Names: names}
-	waste := Series{Label: "SFRM-waste", Names: names}
-	for _, r := range runMixes(o, dapCfg, mixes) {
-		f, w, i, s := r.DAP.Fractions()
-		fwb.Values = append(fwb.Values, f)
-		wb.Values = append(wb.Values, w)
-		ifrm.Values = append(ifrm.Values, i)
-		sfrm.Values = append(sfrm.Values, s)
-		waste.Values = append(waste.Values, r.MemSide.SpecWastedRatio())
+	share := func(label string, k int) Series {
+		return meanSeries(label, names, func(m int) float64 { return techShare(rs[m], k) })
 	}
-	fwb.Summary = stats.Mean(fwb.Values)
-	wb.Summary, wb.SummaryKind = stats.Mean(wb.Values), "MEAN"
-	ifrm.Summary, ifrm.SummaryKind = stats.Mean(ifrm.Values), "MEAN"
-	sfrm.Summary, sfrm.SummaryKind = stats.Mean(sfrm.Values), "MEAN"
-	waste.Summary, waste.SummaryKind = stats.Mean(waste.Values), "MEAN"
 	return Figure{
-		ID:     "Fig. 7",
-		Title:  "Share of DAP decisions by technique",
-		Notes:  "paper means: FWB 23%, WB 40%, IFRM 12%, SFRM 25%; SFRM-waste is the dirty-hit fraction of speculative reads",
-		Series: []Series{fwb, wb, ifrm, sfrm, waste},
+		ID:    "Fig. 7",
+		Title: "Share of DAP decisions by technique",
+		Notes: "paper means: FWB 23%, WB 40%, IFRM 12%, SFRM 25%; SFRM-waste is the dirty-hit fraction of speculative reads",
+		Series: []Series{
+			share("FWB", 0), share("WB", 1), share("IFRM", 2), share("SFRM", 3),
+			meanSeries("SFRM-waste", names, func(m int) float64 { return rs[m].MemSide.SpecWastedRatio() }),
+		},
 	}
 }
 
@@ -318,36 +353,20 @@ func Fig07(o Options) Figure {
 // the memory-side cache hit ratio (baseline, FWB+WB, full DAP).
 func Fig08(o Options) Figure {
 	base := o.base()
-	fw := base
-	fw.Policy = DAPFWBWB
-	dapCfg := base
-	dapCfg.Policy = DAP
-
 	mixes := sensitiveMixes(base.CPU.Cores)
+	rs := grid(o, []Config{base, withPolicy(base, DAPFWBWB), withPolicy(base, DAP)}, mixes)
 	names := mixNames(mixes)
-	casB := Series{Label: "CAS-base", Names: names, SummaryKind: "MEAN"}
-	casD := Series{Label: "CAS-dap", Names: names, SummaryKind: "MEAN"}
-	hitB := Series{Label: "hit-base", Names: names, SummaryKind: "MEAN"}
-	hitF := Series{Label: "hit-fwbwb", Names: names, SummaryKind: "MEAN"}
-	hitD := Series{Label: "hit-dap", Names: names, SummaryKind: "MEAN"}
-	rbs := runMixes(o, base, mixes)
-	rfs := runMixes(o, fw, mixes)
-	rds := runMixes(o, dapCfg, mixes)
-	for i := range mixes {
-		casB.Values = append(casB.Values, rbs[i].MainMemCASFraction())
-		casD.Values = append(casD.Values, rds[i].MainMemCASFraction())
-		hitB.Values = append(hitB.Values, rbs[i].MemSide.HitRatio())
-		hitF.Values = append(hitF.Values, rfs[i].MemSide.HitRatio())
-		hitD.Values = append(hitD.Values, rds[i].MemSide.HitRatio())
+	cas := func(label string, c int) Series {
+		return meanSeries(label, names, func(m int) float64 { return rs[c][m].MainMemCASFraction() })
 	}
-	for _, s := range []*Series{&casB, &casD, &hitB, &hitF, &hitD} {
-		s.Summary = stats.Mean(s.Values)
+	hit := func(label string, c int) Series {
+		return meanSeries(label, names, func(m int) float64 { return rs[c][m].MemSide.HitRatio() })
 	}
 	return Figure{
 		ID:     "Fig. 8",
 		Title:  "Main-memory CAS fraction and memory-side cache hit ratio",
 		Notes:  "optimal CAS fraction is B_MM/(B_MM+B_MS$) = 0.27; paper means: CAS 9%->25%, hit 89%->80% (FWB+WB) ->73% (DAP)",
-		Series: []Series{casB, casD, hitB, hitF, hitD},
+		Series: []Series{cas("CAS-base", 0), cas("CAS-dap", 2), hit("hit-base", 0), hit("hit-fwbwb", 1), hit("hit-dap", 2)},
 	}
 }
 
@@ -357,29 +376,21 @@ func Tab01(o Options) Figure {
 	base := o.base()
 	mixes := sensitiveMixes(base.CPU.Cores)
 
-	var alts []labeled
+	cfgs := []Config{base}
+	var labels []string
 	for _, w := range []mem.Cycle{32, 64, 128} {
-		cfg := base
-		cfg.Policy = DAP
-		dc := dapConfigFor(&cfg)
-		dc.Window = w
-		cfg.DAPOverride = &dc
-		alts = append(alts, labeled{fmt.Sprintf("W=%d", w), cfg})
+		cfgs = append(cfgs, withDAP(base, func(dc *core.Config) { dc.Window = w }))
+		labels = append(labels, fmt.Sprintf("W=%d", w))
 	}
 	for _, e := range []float64{0.50, 0.75, 1.00} {
-		cfg := base
-		cfg.Policy = DAP
-		dc := dapConfigFor(&cfg)
-		dc.Efficiency = e
-		cfg.DAPOverride = &dc
-		alts = append(alts, labeled{fmt.Sprintf("E=%.2f", e), cfg})
+		cfgs = append(cfgs, withDAP(base, func(dc *core.Config) { dc.Efficiency = e }))
+		labels = append(labels, fmt.Sprintf("E=%.2f", e))
 	}
-	series := nws(o, mixes, base, alts, base)
 	return Figure{
 		ID:     "Table I",
 		Title:  "DAP speedup vs window size W (E=0.75) and efficiency E (W=64)",
 		Notes:  "paper: W 32/64/128 -> 1.13/1.15/1.14; E 0.50/0.75/1.00 -> 1.14/1.15/1.12",
-		Series: series,
+		Series: speedups(o, labels, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -387,30 +398,18 @@ func Tab01(o Options) Figure {
 // bandwidth. Each series is DAP normalized to the baseline with the same
 // main memory.
 func Fig09(o Options) Figure {
-	mems := []struct {
-		label string
-		cfg   dram.Config
-	}{
-		{"DDR4-2400", dram.DDR4_2400()},
-		{"no-I/O", dram.DDR4_2400NoIO()},
-		{"LPDDR4", dram.LPDDR4_2400()},
-		{"DDR4-3200", dram.DDR4_3200()},
-	}
-	var series []Series
-	for _, mm := range mems {
+	labels := []string{"DDR4-2400", "no-I/O", "LPDDR4", "DDR4-3200"}
+	var bases []Config
+	for _, mm := range []dram.Config{dram.DDR4_2400(), dram.DDR4_2400NoIO(), dram.LPDDR4_2400(), dram.DDR4_3200()} {
 		base := o.base()
-		base.MainMemory = mm.cfg
-		dapCfg := base
-		dapCfg.Policy = DAP
-		mixes := sensitiveMixes(base.CPU.Cores)
-		s := nws(o, mixes, base, []labeled{{mm.label, dapCfg}}, base)[0]
-		series = append(series, s)
+		base.MainMemory = mm
+		bases = append(bases, base)
 	}
 	return Figure{
 		ID:     "Fig. 9",
 		Title:  "DAP speedup under different main-memory technologies",
 		Notes:  "paper means: default 1.152, no-I/O 1.16, LPDDR4 1.08, DDR4-3200 higher than default",
-		Series: series,
+		Series: dapSpeedups(o, labels, bases, sensitiveMixes(bases[0].CPU.Cores)),
 	}
 }
 
@@ -418,49 +417,39 @@ func Fig09(o Options) Figure {
 // bandwidth (bottom). Each series normalizes DAP to the baseline with the
 // same cache.
 func Fig10(o Options) Figure {
-	var series []Series
+	var labels []string
+	var bases []Config
 	for _, cap := range []int{32 * mem.MiB, 64 * mem.MiB, 128 * mem.MiB} {
 		base := o.base()
 		base.Sectored.CapacityBytes = cap
-		dapCfg := base
-		dapCfg.Policy = DAP
-		mixes := sensitiveMixes(base.CPU.Cores)
-		s := nws(o, mixes, base, []labeled{{fmt.Sprintf("%dMB", cap/mem.MiB), dapCfg}}, base)[0]
-		series = append(series, s)
+		labels, bases = append(labels, fmt.Sprintf("%dMB", cap/mem.MiB)), append(bases, base)
 	}
 	for _, arr := range []dram.Config{dram.HBM102(), dram.HBM128(), dram.HBM204()} {
 		base := o.base()
 		base.Sectored.Array = arr
-		dapCfg := base
-		dapCfg.Policy = DAP
-		mixes := sensitiveMixes(base.CPU.Cores)
-		s := nws(o, mixes, base, []labeled{{arr.Name, dapCfg}}, base)[0]
-		series = append(series, s)
+		labels, bases = append(labels, arr.Name), append(bases, base)
 	}
 	return Figure{
 		ID:     "Fig. 10",
 		Title:  "DAP speedup vs cache capacity (2/4/8 GB scaled) and bandwidth",
 		Notes:  "paper: speedup grows with capacity; shrinks with cache bandwidth (15.2% at 102.4 -> 7% at 204.8)",
-		Series: series,
+		Series: dapSpeedups(o, labels, bases, sensitiveMixes(bases[0].CPU.Cores)),
 	}
 }
 
 // Fig11 reproduces Figure 11: comparison with SBD, SBD-WT and BATMAN.
 func Fig11(o Options) Figure {
 	base := o.base()
-	mk := func(p Policy) Config { c := base; c.Policy = p; return c }
 	mixes := sensitiveMixes(base.CPU.Cores)
-	series := nws(o, mixes, base, []labeled{
-		{"SBD", mk(SBD)},
-		{"SBD-WT", mk(SBDWT)},
-		{"BATMAN", mk(BATMAN)},
-		{"DAP", mk(DAP)},
-	}, base)
+	cfgs := []Config{base}
+	for _, p := range []Policy{SBD, SBDWT, BATMAN, DAP} {
+		cfgs = append(cfgs, withPolicy(base, p))
+	}
 	return Figure{
 		ID:     "Fig. 11",
 		Title:  "Related proposals vs DAP (normalized weighted speedup)",
 		Notes:  "paper means: SBD 0.84, SBD-WT 1.055, BATMAN ~1.0, DAP 1.152",
-		Series: series,
+		Series: speedups(o, []string{"SBD", "SBD-WT", "BATMAN", "DAP"}, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -468,15 +457,11 @@ func Fig11(o Options) Figure {
 // category and sorted by speedup within each.
 func Fig12(o Options) Figure {
 	base := o.base()
-	dapCfg := base
-	dapCfg.Policy = DAP
-	mixes := workload.AllMixes(base.CPU.Cores)
-	s := nws(o, mixes, base, []labeled{{"DAP", dapCfg}}, base)[0]
 	return Figure{
 		ID:           "Fig. 12",
 		Title:        "DAP across all 44 workloads (12 sensitive, 5 insensitive, 27 heterogeneous)",
 		PaperSummary: 1.13,
-		Series:       []Series{s},
+		Series:       dapSpeedups(o, []string{"DAP"}, []Config{base}, workload.AllMixes(base.CPU.Cores)),
 	}
 }
 
@@ -489,15 +474,11 @@ func Fig13(o Options) Figure {
 	base.MainMemory = dram.DDR4_3200()
 	base.Sectored.CapacityBytes = 128 * mem.MiB
 	base.Sectored.Array = dram.HBM204()
-	dapCfg := base
-	dapCfg.Policy = DAP
-	mixes := sensitiveMixes(base.CPU.Cores)
-	s := nws(o, mixes, base, []labeled{{"DAP-16c", dapCfg}}, base)[0]
 	return Figure{
 		ID:           "Fig. 13",
 		Title:        "DAP on a 16-core system",
 		PaperSummary: 1.146,
-		Series:       []Series{s},
+		Series:       dapSpeedups(o, []string{"DAP-16c"}, []Config{base}, sensitiveMixes(base.CPU.Cores)),
 	}
 }
 
@@ -508,26 +489,14 @@ func Fig14(o Options) Figure {
 	base.Arch = AlloyCache
 	bear := base
 	bear.Alloy.BEAR = true
-	dapCfg := base
-	dapCfg.Policy = DAP
 
 	mixes := sensitiveMixes(base.CPU.Cores)
-	series := nws(o, mixes, base, []labeled{
-		{"Alloy+BEAR", bear},
-		{"Alloy+DAP", dapCfg},
-	}, base)
-
-	names := mixNames(mixes)
-	for _, v := range []struct {
-		label string
-		cfg   Config
-	}{{"CAS-base", base}, {"CAS-bear", bear}, {"CAS-dap", dapCfg}} {
-		s := Series{Label: v.label, Names: names, SummaryKind: "MEAN"}
-		for _, r := range runMixes(o, v.cfg, mixes) {
-			s.Values = append(s.Values, r.MainMemCASFraction())
-		}
-		s.Summary = stats.Mean(s.Values)
-		series = append(series, s)
+	rs := grid(o, []Config{base, bear, withPolicy(base, DAP)}, mixes)
+	series := speedups(o, []string{"Alloy+BEAR", "Alloy+DAP"}, mixes, rs)
+	for c, label := range []string{"CAS-base", "CAS-bear", "CAS-dap"} {
+		series = append(series, meanSeries(label, mixNames(mixes), func(m int) float64 {
+			return rs[c][m].MainMemCASFraction()
+		}))
 	}
 	return Figure{
 		ID:     "Fig. 14",
@@ -543,32 +512,16 @@ func Fig14(o Options) Figure {
 func Fig15(o Options) Figure {
 	base := o.base()
 	base.Arch = SectoredEDRAM
-	dap256 := base
-	dap256.Policy = DAP
 	base512 := base
 	base512.EDRAM.CapacityBytes *= 2
-	dap512 := base512
-	dap512.Policy = DAP
 
 	mixes := sensitiveMixes(base.CPU.Cores)
-	series := nws(o, mixes, base, []labeled{
-		{"256MB+DAP", dap256},
-		{"512MB", base512},
-		{"512MB+DAP", dap512},
-	}, base)
-
-	names := mixNames(mixes)
-	rbs := runMixes(o, base, mixes)
-	for _, v := range []struct {
-		label string
-		cfg   Config
-	}{{"dHit-256dap", dap256}, {"dHit-512", base512}, {"dHit-512dap", dap512}} {
-		s := Series{Label: v.label, Names: names, SummaryKind: "MEAN"}
-		for i, r := range runMixes(o, v.cfg, mixes) {
-			s.Values = append(s.Values, r.MemSide.HitRatio()-rbs[i].MemSide.HitRatio())
-		}
-		s.Summary = stats.Mean(s.Values)
-		series = append(series, s)
+	rs := grid(o, []Config{base, withPolicy(base, DAP), base512, withPolicy(base512, DAP)}, mixes)
+	series := speedups(o, []string{"256MB+DAP", "512MB", "512MB+DAP"}, mixes, rs)
+	for i, label := range []string{"dHit-256dap", "dHit-512", "dHit-512dap"} {
+		series = append(series, meanSeries(label, mixNames(mixes), func(m int) float64 {
+			return rs[i+1][m].MemSide.HitRatio() - rs[0][m].MemSide.HitRatio()
+		}))
 	}
 	return Figure{
 		ID:     "Fig. 15",
@@ -604,25 +557,18 @@ func AblationSFRMReserve(o Options) Figure {
 func AblationTechniques(o Options) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
-	mk := func(label string, f func(*core.Config)) labeled {
-		cfg := base
-		cfg.Policy = DAP
-		dc := dapConfigFor(&cfg)
-		f(&dc)
-		cfg.DAPOverride = &dc
-		return labeled{label, cfg}
+	cfgs := []Config{
+		base,
+		withDAP(base, func(*core.Config) {}),
+		withDAP(base, func(d *core.Config) { d.Disable.FWB = true }),
+		withDAP(base, func(d *core.Config) { d.Disable.WB = true }),
+		withDAP(base, func(d *core.Config) { d.Disable.IFRM = true }),
+		withDAP(base, func(d *core.Config) { d.Disable.SFRM = true }),
 	}
-	series := nws(o, mixes, base, []labeled{
-		mk("full", func(*core.Config) {}),
-		mk("-FWB", func(d *core.Config) { d.Disable.FWB = true }),
-		mk("-WB", func(d *core.Config) { d.Disable.WB = true }),
-		mk("-IFRM", func(d *core.Config) { d.Disable.IFRM = true }),
-		mk("-SFRM", func(d *core.Config) { d.Disable.SFRM = true }),
-	}, base)
 	return Figure{
 		ID:     "Abl. T",
 		Title:  "DAP with one technique disabled (normalized weighted speedup)",
-		Series: series,
+		Series: speedups(o, []string{"full", "-FWB", "-WB", "-IFRM", "-SFRM"}, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -631,18 +577,15 @@ func AblationTechniques(o Options) Figure {
 func AblationLearning(o Options) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
-	mk := func(label string, ewma bool) labeled {
-		cfg := base
-		cfg.Policy = DAP
-		dc := dapConfigFor(&cfg)
-		dc.EWMALearning = ewma
-		cfg.DAPOverride = &dc
-		return labeled{label, cfg}
+	cfgs := []Config{
+		base,
+		withDAP(base, func(d *core.Config) { d.EWMALearning = false }),
+		withDAP(base, func(d *core.Config) { d.EWMALearning = true }),
 	}
 	return Figure{
 		ID:     "Abl. L",
 		Title:  "Window learning: raw windows (paper) vs EWMA smoothing",
-		Series: nws(o, mixes, base, []labeled{mk("raw", false), mk("ewma", true)}, base),
+		Series: speedups(o, []string{"raw", "ewma"}, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -656,14 +599,13 @@ func AblationThreadAware(o Options) Figure {
 		n = 4
 	}
 	mixes := workload.HeterogeneousMixes(base.CPU.Cores)[:n]
-	plain := base
-	plain.Policy = DAP
+	plain := withPolicy(base, DAP)
 	aware := plain
 	aware.ThreadAwareIFRM = true
 	return Figure{
 		ID:     "Abl. TA",
 		Title:  "IFRM vs thread-aware IFRM on heterogeneous mixes",
-		Series: nws(o, mixes, base, []labeled{{"IFRM", plain}, {"thread-aware", aware}}, base),
+		Series: speedups(o, []string{"IFRM", "thread-aware"}, mixes, grid(o, []Config{base, plain, aware}, mixes)),
 	}
 }
 
@@ -672,19 +614,16 @@ func AblationThreadAware(o Options) Figure {
 func AblationReplacement(o Options) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
-	mk := func(label string, p cache.ReplPolicy) labeled {
-		cfg := base
-		cfg.Policy = DAP
+	cfgs := []Config{base}
+	for _, p := range []cache.ReplPolicy{cache.NRU, cache.LRU, cache.SRRIP, cache.Rand} {
+		cfg := withPolicy(base, DAP)
 		cfg.Sectored.Replacement = p
-		return labeled{label, cfg}
+		cfgs = append(cfgs, cfg)
 	}
 	return Figure{
-		ID:    "Abl. R",
-		Title: "Sector replacement policy under DAP (baseline uses NRU)",
-		Series: nws(o, mixes, base, []labeled{
-			mk("NRU", cache.NRU), mk("LRU", cache.LRU),
-			mk("SRRIP", cache.SRRIP), mk("random", cache.Rand),
-		}, base),
+		ID:     "Abl. R",
+		Title:  "Sector replacement policy under DAP (baseline uses NRU)",
+		Series: speedups(o, []string{"NRU", "LRU", "SRRIP", "random"}, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -692,14 +631,13 @@ func AblationReplacement(o Options) Figure {
 func AblationFootprint(o Options) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
-	with := base
-	with.Policy = DAP
+	with := withPolicy(base, DAP)
 	without := with
 	without.Sectored.Footprint = false
 	return Figure{
 		ID:     "Abl. F",
 		Title:  "DAP with and without the footprint prefetcher",
-		Series: nws(o, mixes, base, []labeled{{"footprint", with}, {"none", without}}, base),
+		Series: speedups(o, []string{"footprint", "none"}, mixes, grid(o, []Config{base, with, without}, mixes)),
 	}
 }
 
@@ -718,19 +656,16 @@ func ablationMixes(o Options, base Config) []workload.Mix {
 func ablateDAP(o Options, what, short string, vals []int64, apply func(*core.Config, int64)) Figure {
 	base := o.base()
 	mixes := ablationMixes(o, base)
-	var alts []labeled
+	cfgs := []Config{base}
+	var labels []string
 	for _, v := range vals {
-		cfg := base
-		cfg.Policy = DAP
-		dc := dapConfigFor(&cfg)
-		apply(&dc, v)
-		cfg.DAPOverride = &dc
-		alts = append(alts, labeled{fmt.Sprintf("%s=%d", short, v), cfg})
+		cfgs = append(cfgs, withDAP(base, func(dc *core.Config) { apply(dc, v) }))
+		labels = append(labels, fmt.Sprintf("%s=%d", short, v))
 	}
 	return Figure{
 		ID:     "Abl",
 		Title:  "DAP sensitivity: " + what,
-		Series: nws(o, mixes, base, alts, base),
+		Series: speedups(o, labels, mixes, grid(o, cfgs, mixes)),
 	}
 }
 
@@ -744,60 +679,49 @@ func ablateDAP(o Options, what, short string, vals []int64, apply func(*core.Con
 // A_MM the solver saw (backlog included).
 func Calibration(o Options) Figure {
 	base := o.base()
-	dapCfg := base
-	dapCfg.Policy = DAP
+	dapCfg := withPolicy(base, DAP)
 	dapCfg.Observe.Decisions = true
 
-	var mixes []workload.Mix
-	for _, s := range workload.All() {
-		mixes = append(mixes, workload.RateMix(s, base.CPU.Cores))
+	mixes := rateMixes(base.CPU.Cores)
+	rs := grid(o, []Config{base, dapCfg}, mixes)
+	rb, rd := rs[0], rs[1]
+	names := mixNames(mixes)
+	of := func(label string, f func(m int) float64) Series { return meanSeries(label, names, f) }
+	share := func(label string, k int) Series {
+		return of(label, func(m int) float64 { return techShare(rd[m], k) })
 	}
-	var series []Series
-	for _, l := range []string{"MPKI", "hit-base", "hit-dap", "tagmiss", "IPC-base", "IPC-dap",
-		"CAS-base", "CAS-dap", "FWB", "WB", "IFRM", "SFRM", "windows", "part-frac", "A_MS", "A_MM"} {
-		series = append(series, Series{Label: l, Names: mixNames(mixes), SummaryKind: "MEAN"})
-	}
-	ipc := func(r Result) float64 {
-		sum := 0.0
-		for i := range r.Cores {
-			sum += r.Cores[i].IPC()
-		}
-		return sum
-	}
-	rbs := runMixes(o, base, mixes)
-	rds := runMixes(o, dapCfg, mixes)
-	for i := range mixes {
-		rb, rd := rbs[i], rds[i]
-		mpki := 0.0
-		for c := range rb.Cores {
-			mpki += rb.Cores[c].MPKI() / float64(len(rb.Cores))
-		}
-		fwb, wb, ifrm, sfrm := rd.DAP.Fractions()
-		recs := rd.Decisions.Records()
-		var part, ams, amm float64
-		for _, rec := range recs {
-			if rec.Partitioned {
-				part++
+	// demand is the mean per-window A_MS$ or A_MM of the DAP run
+	demand := func(label string, f func(core.DecisionRecord) int64) Series {
+		return of(label, func(m int) float64 {
+			recs := rd[m].Decisions.Records()
+			if len(recs) == 0 {
+				return 0
 			}
-			ams += float64(rec.Counts.AMS())
-			amm += float64(rec.Counts.AMM)
-		}
-		if n := float64(len(recs)); n > 0 {
-			part, ams, amm = part/n, ams/n, amm/n
-		}
-		for j, v := range []float64{mpki, rb.MemSide.HitRatio(), rd.MemSide.HitRatio(),
-			rb.MemSide.TagCacheMissRatio(), ipc(rb), ipc(rd), rb.MainMemCASFraction(),
-			rd.MainMemCASFraction(), fwb, wb, ifrm, sfrm, float64(len(recs)), part, ams, amm} {
-			series[j].Values = append(series[j].Values, v)
-		}
-	}
-	for i := range series {
-		series[i].Summary = stats.Mean(series[i].Values)
+			var sum float64
+			for _, rec := range recs {
+				sum += float64(f(rec))
+			}
+			return sum / float64(len(recs))
+		})
 	}
 	return Figure{
-		ID:     "Calib.",
-		Title:  "Per-workload profile on the sectored cache, baseline vs DAP",
-		Notes:  "IPC sums the cores; FWB..SFRM are DAP's technique shares; windows..A_MM come from the DAP run's decision records (A_MS = A_MS$, backlog included)",
-		Series: series,
+		ID:    "Calib.",
+		Title: "Per-workload profile on the sectored cache, baseline vs DAP",
+		Notes: "IPC sums the cores; FWB..SFRM are DAP's technique shares; windows..A_MM come from the DAP run's decision records (A_MS = A_MS$, backlog included)",
+		Series: []Series{
+			of("MPKI", func(m int) float64 { return meanMPKI(rb[m]) }),
+			of("hit-base", func(m int) float64 { return rb[m].MemSide.HitRatio() }),
+			of("hit-dap", func(m int) float64 { return rd[m].MemSide.HitRatio() }),
+			of("tagmiss", func(m int) float64 { return rb[m].MemSide.TagCacheMissRatio() }),
+			of("IPC-base", func(m int) float64 { return rb[m].AggregateIPC() }),
+			of("IPC-dap", func(m int) float64 { return rd[m].AggregateIPC() }),
+			of("CAS-base", func(m int) float64 { return rb[m].MainMemCASFraction() }),
+			of("CAS-dap", func(m int) float64 { return rd[m].MainMemCASFraction() }),
+			share("FWB", 0), share("WB", 1), share("IFRM", 2), share("SFRM", 3),
+			of("windows", func(m int) float64 { return float64(len(rd[m].Decisions.Records())) }),
+			of("part-frac", func(m int) float64 { return partitionedFrac(rd[m]) }),
+			demand("A_MS", func(rec core.DecisionRecord) int64 { return rec.Counts.AMS() }),
+			demand("A_MM", func(rec core.DecisionRecord) int64 { return rec.Counts.AMM }),
+		},
 	}
 }

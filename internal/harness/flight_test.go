@@ -128,7 +128,7 @@ func TestSweepExecutorWrapsFlightError(t *testing.T) {
 	}
 	cfg.WatchdogEvents = 10_000
 	cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
-	res, runErr := RunSeededE(cfg, mix, 0)
+	res, runErr := RunMixE(cfg, mix)
 	if runErr == nil {
 		t.Fatal("poisoned run completed normally")
 	}

@@ -233,16 +233,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Policy = SBD                                  //
 	cfg.Faults = &faultinject.Plan{DelayMetaEvery: 3} // half-configured fault
 	cfg.Observe.TraceEvery = -1                       // negative tracing stride
+	cfg.SampleCI = -0.05                              // a target no run can meet
 
 	err := cfg.Validate()
 	var es check.Errors
 	if !errors.As(err, &es) {
 		t.Fatalf("expected check.Errors, got %T: %v", err, err)
 	}
-	if len(es) < 6 {
-		t.Fatalf("expected at least 6 diagnostics, got %d:\n%v", len(es), err)
+	if len(es) < 7 {
+		t.Fatalf("expected at least 7 diagnostics, got %d:\n%v", len(es), err)
 	}
-	wantFields := []string{"CPU.Cores", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery"}
+	wantFields := []string{"CPU.Cores", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery", "SampleCI"}
 	for _, f := range wantFields {
 		found := false
 		for _, e := range es {
@@ -256,8 +257,8 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 
-	if _, err := BuildE(cfg, quickMix()); err == nil {
-		t.Fatal("BuildE accepted an invalid config")
+	if _, err := RunSeededCkptE(cfg, quickMix(), 0, MemCheckpoints()); err == nil {
+		t.Fatal("RunSeededCkptE accepted an invalid config")
 	}
 	if _, err := RunMixE(cfg, quickMix()); err == nil {
 		t.Fatal("RunMixE accepted an invalid config")

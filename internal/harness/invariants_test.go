@@ -113,7 +113,8 @@ func TestCASConservation(t *testing.T) {
 	cfg := Quick()
 	spec, _ := workload.ByName("parboil-lbm")
 	sys := Build(cfg, workload.RateMix(spec, cfg.CPU.Cores))
-	r := sys.Run()
+	sys.Warmup()
+	r := sys.Measure()
 	mmStats := sys.MM.Stats()
 	if mmStats.Reads < r.MemSide.ReadMisses {
 		t.Fatalf("MM reads %d < MS$ read misses %d", mmStats.Reads, r.MemSide.ReadMisses)
@@ -166,17 +167,11 @@ func TestSeedRobustness(t *testing.T) {
 	cfg := Quick()
 	spec, _ := workload.ByName("libquantum")
 	mix := workload.RateMix(spec, cfg.CPU.Cores)
-	aggIPC := func(r Result) float64 {
-		s := 0.0
-		for i := range r.Cores {
-			s += r.Cores[i].IPC()
-		}
-		return s
-	}
-	_, baseMean, _ := Replicate(cfg, mix, 3, aggIPC)
+	aggIPC := func(r Result) float64 { return r.AggregateIPC() }
+	_, baseMean, _ := ReplicateParallel(1, cfg, mix, 3, aggIPC)
 	dapCfg := cfg
 	dapCfg.Policy = DAP
-	vals, dapMean, std := Replicate(dapCfg, mix, 3, aggIPC)
+	vals, dapMean, std := ReplicateParallel(1, dapCfg, mix, 3, aggIPC)
 	if dapMean <= baseMean {
 		t.Fatalf("DAP mean %.3f must beat baseline %.3f (runs %v)", dapMean, baseMean, vals)
 	}

@@ -22,7 +22,7 @@ import (
 func (s *System) arm(start, limit mem.Cycle) *telemetry.Run {
 	cfg := s.Cfg
 	run := telemetry.Runs.Start(telemetry.RunInfo{
-		Mix:         s.mixName,
+		Mix:         s.mix.Name,
 		Arch:        cfg.Arch.String(),
 		Policy:      cfg.Policy.String(),
 		Fingerprint: Fingerprint(cfg),
@@ -57,7 +57,7 @@ func (s *System) arm(start, limit mem.Cycle) *telemetry.Run {
 		}
 		s.Eng.SetFlightSampler(every, s.flightSample)
 		s.flight.Addf(s.Eng.Now(), "measure-start mix=%s arch=%s policy=%s horizon=%d events",
-			s.mixName, cfg.Arch, cfg.Policy, limit)
+			s.mix.Name, cfg.Arch, cfg.Policy, limit)
 	}
 	s.Eng.SetWatchdog(cfg.watchdogEvents(), s.CPU.ProgressFingerprint, s.snapshot)
 	if cfg.Audit {
@@ -87,12 +87,8 @@ func (s *System) finishObservers(run *telemetry.Run, r *Result) {
 	r.Breakdown = s.trace.Breakdown()
 
 	run.Progress(uint64(r.Cycles))
-	var aggIPC float64
-	for i := range r.Cores {
-		aggIPC += r.Cores[i].IPC()
-	}
 	run.Finish(r.Abort, map[string]float64{
-		"ipc":            aggIPC,
+		"ipc":            r.AggregateIPC(),
 		"cycles":         float64(r.Cycles),
 		"delivered_gbps": r.DeliveredGBps,
 	})
@@ -146,28 +142,24 @@ func FigBreakdown(o Options) Figure {
 	if o.Quick && len(mixes) > 4 {
 		mixes = mixes[:4]
 	}
+	rs := grid(o, []Config{cfg}, mixes)[0]
 	names := mixNames(mixes)
-	mk := func(label string) Series { return Series{Label: label, Names: names, SummaryKind: "MEAN"} }
-	series := []Series{
-		mk("q-ms$"), mk("meta-ms$"), mk("serve-ms$"),
-		mk("q-mm"), mk("meta-mm"), mk("serve-mm"),
+	phase := func(label string, src int, f func(stats.PhaseLatency) float64) Series {
+		return meanSeries(label, names, func(m int) float64 { return f(rs[m].Breakdown.BySource(src)) })
 	}
-	for _, r := range runMixes(o, cfg, mixes) {
-		for si, src := range []int{stats.BDSrcCache, stats.BDSrcMain} {
-			p := r.Breakdown.BySource(src)
-			series[si*3+0].Values = append(series[si*3+0].Values, p.Queue.Mean())
-			series[si*3+1].Values = append(series[si*3+1].Values, p.Meta.Mean())
-			series[si*3+2].Values = append(series[si*3+2].Values, p.Service.Mean())
-		}
-	}
-	for i := range series {
-		series[i].Summary = stats.Mean(series[i].Values)
-	}
+	queue := func(p stats.PhaseLatency) float64 { return p.Queue.Mean() }
+	meta := func(p stats.PhaseLatency) float64 { return p.Meta.Mean() }
+	serve := func(p stats.PhaseLatency) float64 { return p.Service.Mean() }
 	return Figure{
-		ID:     "Obs. 1",
-		Title:  "L3-miss latency breakdown by serving source (cycles)",
-		Notes:  "q = serving-device queue wait, meta = tag/metadata probe, serve = data service remainder",
-		Series: series,
+		ID:    "Obs. 1",
+		Title: "L3-miss latency breakdown by serving source (cycles)",
+		Notes: "q = serving-device queue wait, meta = tag/metadata probe, serve = data service remainder",
+		Series: []Series{
+			phase("q-ms$", stats.BDSrcCache, queue), phase("meta-ms$", stats.BDSrcCache, meta),
+			phase("serve-ms$", stats.BDSrcCache, serve),
+			phase("q-mm", stats.BDSrcMain, queue), phase("meta-mm", stats.BDSrcMain, meta),
+			phase("serve-mm", stats.BDSrcMain, serve),
+		},
 	}
 }
 

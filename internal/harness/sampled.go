@@ -11,14 +11,15 @@ import (
 
 // SMARTS-style interval sampling: the timed region is replaced by a train
 // of short measured intervals separated by functional fast-forward. Each
-// interval is a complete mini-run (every core retires SampleInterval
-// instructions under full timing); between intervals the cores fast-forward
-// SampleFF accesses functionally — same warmup machinery, no engine time —
-// so the caches and predictors track the workload while the detailed model
-// is off. Per-interval aggregate IPC, delivered bandwidth and MS$ hit ratio
-// feed a Student-t 95% confidence interval; once the IPC half-width drops
-// under SampleCI of the mean the run stops early. If SampleMax intervals
-// don't get there, the harness falls back to the full timed run.
+// interval is a complete mini-run (every core retires MeasureInstr/50
+// instructions, at least 25,000, under full timing); between intervals the
+// cores fast-forward sampleFF accesses functionally — same warmup machinery,
+// no engine time — so the caches and predictors track the workload while
+// the detailed model is off. Per-interval aggregate IPC, delivered
+// bandwidth and MS$ hit ratio feed a Student-t 95% confidence interval;
+// once the IPC half-width drops under SampleCI of the mean the run stops
+// early. If SampleMax intervals don't get there, the harness falls back to
+// the full timed run.
 
 // MetricCI is a sampled metric: the interval mean with its 95% confidence
 // half-width over N intervals.
@@ -88,25 +89,21 @@ func metricCI(vals []float64) MetricCI {
 	return MetricCI{Mean: mean, Half: tCrit95(n-1) * sd / math.Sqrt(float64(n)), N: n}
 }
 
+// sampleFF is the functional fast-forward between measured intervals, in
+// accesses per core. Functional warm costs about as much per access as
+// detailed simulation, so the fast-forward is decorrelation, not savings;
+// 10k accesses per core is enough to shuffle queue phase between intervals
+// without dominating the sampled run's wall clock.
+const sampleFF = 10_000
+
+// minSampleInterval floors the measured-interval length: below ~25k
+// instructions per core the empty queues each interval starts from (a
+// cold-start optimism) bias IPC visibly.
+const minSampleInterval = 25_000
+
 // sampleParams resolves the sampling knobs to effective values.
-func sampleParams(cfg Config) (interval uint64, ff, minN, maxN int, target float64) {
-	interval = cfg.SampleInterval
-	if interval == 0 {
-		// The floor matters: below ~25k instructions the empty queues each
-		// interval starts from (a cold-start optimism) bias IPC visibly.
-		interval = cfg.MeasureInstr / 50
-		if interval < 25_000 {
-			interval = 25_000
-		}
-	}
-	ff = cfg.SampleFF
-	if ff == 0 {
-		// Functional warm costs about as much per access as detailed
-		// simulation, so the fast-forward is decorrelation, not savings;
-		// 10k accesses per core is enough to shuffle queue phase between
-		// intervals without dominating the sampled run's wall clock.
-		ff = 10_000
-	}
+func sampleParams(cfg Config) (interval uint64, minN, maxN int, target float64) {
+	interval = max(cfg.MeasureInstr/50, minSampleInterval)
 	minN = cfg.SampleMin
 	if minN < 2 {
 		minN = 8
@@ -136,14 +133,7 @@ func (s *System) runSampled(ck *Checkpoints) Result {
 	}
 	cfg := s.Cfg
 	cfg.Sampled = false
-	ns := Build(cfg, s.mix)
-	ns.reseed(s.mix, s.seed)
-	if ck != nil {
-		ck.restoreOrWarm(ns, cfg, s.mix, s.seed)
-	} else {
-		ns.Warmup()
-	}
-	full := ns.Measure()
+	full := simulate(cfg, s.mix, s.seed, ck)
 	rep := *r.Sampling
 	rep.FellBack = true
 	full.Sampling = &rep
@@ -156,10 +146,10 @@ func (s *System) runSampled(ck *Checkpoints) Result {
 // so the caller surfaces the error instead of paying for a doomed full run.
 func (s *System) sampleIntervals() (Result, bool) {
 	cfg := s.Cfg
-	interval, ff, minN, maxN, target := sampleParams(cfg)
+	interval, minN, maxN, target := sampleParams(cfg)
 	start, limit := s.startTimed()
 
-	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: ff}
+	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: sampleFF}
 	var run *telemetry.Run
 	var ipcs, bws, hrs []float64
 	var coreAgg []stats.CoreStats
@@ -170,7 +160,7 @@ func (s *System) sampleIntervals() (Result, bool) {
 
 	for n := 0; n < maxN; n++ {
 		if n > 0 {
-			s.CPU.Warm(ff)
+			s.CPU.Warm(sampleFF)
 		}
 		c0 := s.Eng.Now()
 		s.CPU.Start(interval)
@@ -203,19 +193,17 @@ func (s *System) sampleIntervals() (Result, bool) {
 		if coreAgg == nil {
 			coreAgg = make([]stats.CoreStats, len(cs))
 		}
+		for i := range cs {
+			mergeCoreStats(&coreAgg[i], &cs[i])
+		}
+		ms1 := *s.Ctrl.MSStats()
+		cas1 := s.Ctrl.CacheCAS() + s.MM.Stats().CAS()
 		// The IPC sample is the sum of per-core IPCs, each over the core's
 		// own retirement time — the aggregate the figure drivers report.
 		// Dividing total instructions by the interval's wall cycles instead
 		// would charge every core for the slowest core's tail, a straggler
 		// bias that short intervals amplify.
-		var aggIPC float64
-		for i := range cs {
-			aggIPC += cs[i].IPC()
-			mergeCoreStats(&coreAgg[i], &cs[i])
-		}
-		ms1 := *s.Ctrl.MSStats()
-		cas1 := s.Ctrl.CacheCAS() + s.MM.Stats().CAS()
-		ipcs = append(ipcs, aggIPC)
+		ipcs = append(ipcs, stats.AggregateIPC(cs))
 		bws = append(bws, mem.GBPerSec((cas1-cas0)*mem.LineBytes, intervalCycles))
 		hrs = append(hrs, deltaHitRatio(&ms0, &ms1))
 		ms0, cas0 = ms1, cas1
@@ -273,14 +261,7 @@ func mergeCoreStats(dst, src *stats.CoreStats) {
 	dst.L3Misses += src.L3Misses
 	dst.L3ReadMissLatSum += src.L3ReadMissLatSum
 	dst.L3ReadMisses += src.L3ReadMisses
-	for i := range dst.L3MissLat.Buckets {
-		dst.L3MissLat.Buckets[i] += src.L3MissLat.Buckets[i]
-	}
-	dst.L3MissLat.Count += src.L3MissLat.Count
-	dst.L3MissLat.Sum += src.L3MissLat.Sum
-	if src.L3MissLat.MaxSeen > dst.L3MissLat.MaxSeen {
-		dst.L3MissLat.MaxSeen = src.L3MissLat.MaxSeen
-	}
+	dst.L3MissLat.Merge(&src.L3MissLat)
 }
 
 // deltaHitRatio is the MS$ hit ratio over the window between two snapshots.

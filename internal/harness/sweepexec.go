@@ -177,10 +177,7 @@ func sweepExecute(ctx context.Context, spec sweep.JobSpec, ck *Checkpoints) ([]b
 		}
 		return nil, err
 	}
-	agg := 0.0
-	for i := range res.Cores {
-		agg += res.Cores[i].IPC()
-	}
+	agg := res.AggregateIPC()
 	log.Info("simulation done", "corr", corr,
 		"mix", mix.Name, "agg_ipc", agg, "cycles", uint64(res.Cycles))
 	out := SweepResult{

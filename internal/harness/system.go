@@ -130,18 +130,13 @@ type Config struct {
 	Observe Observe
 
 	// Sampled enables SMARTS-style interval sampling: instead of one long
-	// timed region, the run alternates functional fast-forward with short
-	// measured intervals and reports per-metric means with measured 95%
-	// confidence intervals (Result.Sampling). If the intervals have not
-	// converged to SampleCI after SampleMax of them, the harness falls back
-	// to the full timed run.
+	// timed region, the run alternates functional fast-forward (sampleFF
+	// accesses per core) with short measured intervals (MeasureInstr/50
+	// instructions per core, at least 25,000) and reports per-metric means
+	// with measured 95% confidence intervals (Result.Sampling). If the
+	// intervals have not converged to SampleCI after SampleMax of them, the
+	// harness falls back to the full timed run.
 	Sampled bool
-	// SampleInterval is the measured-interval length in instructions per
-	// core (0 = MeasureInstr/50, at least 25_000).
-	SampleInterval uint64
-	// SampleFF is the functional fast-forward length between measured
-	// intervals, in accesses per core (0 = 10_000).
-	SampleFF int
 	// SampleMin and SampleMax bound the number of measured intervals
 	// (0 = 8 and 40 respectively).
 	SampleMin, SampleMax int
@@ -321,9 +316,8 @@ type System struct {
 	inj      *faultinject.Injector
 	counts   *reqCounter
 
-	mixName string
-	mix     workload.Mix // resized to Cores; kept for the sampled-run fallback
-	seed    uint64
+	mix  workload.Mix // resized to Cores
+	seed uint64
 }
 
 // Build assembles a system for the given mix.
@@ -332,7 +326,7 @@ func Build(cfg Config, mix workload.Mix) *System {
 		// allow rate mixes authored for a different core count
 		mix = workload.Mix{Name: mix.Name, Specs: resize(mix.Specs, cfg.CPU.Cores)}
 	}
-	s := &System{Cfg: cfg, Eng: sim.New(), mixName: mix.Name, mix: mix}
+	s := &System{Cfg: cfg, Eng: sim.New(), mix: mix}
 	s.MM = dram.NewDevice(cfg.MainMemory, s.Eng)
 	s.Part = core.Nop{}
 
@@ -344,43 +338,15 @@ func Build(cfg Config, mix workload.Mix) *System {
 		if cfg.Policy == DAP || cfg.Policy == DAPFWBWB {
 			ac.BEAR = true // DAP builds on the BEAR presence bit (Section IV-B)
 		}
-		al := mscache.NewAlloy(ac, s.Eng, s.MM, s.Part)
-		s.alloy = al
-		if cfg.Policy == DAP || cfg.Policy == DAPFWBWB {
-			dc := dapWithPolicy(cfg, mix)
-			dc.Backlog = func() (int64, int64, int64) {
-				return int64(al.Device().QueueLen()), 0, int64(s.MM.QueueLen())
-			}
-			d := core.NewDAP(dc, s.Eng, al.Windows())
-			al.SetPartitioner(d)
-			s.Part, s.dap = d, d
-		}
-		s.Ctrl = al
+		s.alloy = mscache.NewAlloy(ac, s.Eng, s.MM, s.Part)
+		s.Ctrl = s.alloy
 	case SectoredEDRAM:
-		ed := mscache.NewEDRAM(cfg.EDRAM, s.Eng, s.MM, s.Part)
-		s.edram = ed
-		if cfg.Policy == DAP || cfg.Policy == DAPFWBWB {
-			dc := dapWithPolicy(cfg, mix)
-			dc.Backlog = func() (int64, int64, int64) {
-				return int64(ed.ReadDevice().QueueLen()), int64(ed.WriteDevice().QueueLen()), int64(s.MM.QueueLen())
-			}
-			d := core.NewDAP(dc, s.Eng, ed.Windows())
-			ed.SetPartitioner(d)
-			s.Part, s.dap = d, d
-		}
-		s.Ctrl = ed
+		s.edram = mscache.NewEDRAM(cfg.EDRAM, s.Eng, s.MM, s.Part)
+		s.Ctrl = s.edram
 	default:
 		sc := mscache.NewSectored(cfg.Sectored, s.Eng, s.MM, s.Part)
 		s.sectored = sc
 		switch cfg.Policy {
-		case DAP, DAPFWBWB:
-			dc := dapWithPolicy(cfg, mix)
-			dc.Backlog = func() (int64, int64, int64) {
-				return int64(sc.Device().QueueLen()), 0, int64(s.MM.QueueLen())
-			}
-			d := core.NewDAP(dc, s.Eng, sc.Windows())
-			sc.SetPartitioner(d)
-			s.Part, s.dap = d, d
 		case SBD:
 			sc.SBD = policy.NewSBD(false)
 		case SBDWT:
@@ -391,6 +357,16 @@ func Build(cfg Config, mix workload.Mix) *System {
 				cfg.Sectored.Array.PeakGBps(), cfg.MainMemory.PeakGBps())
 		}
 		s.Ctrl = sc
+	}
+	// NewDAP arms the window timer, so it keeps its place in the event
+	// order: right after the controller, ahead of the faults, the CPU and
+	// the observers.
+	if pc, ok := s.Ctrl.(partitioned); ok && (cfg.Policy == DAP || cfg.Policy == DAPFWBWB) {
+		dc := dapWithPolicy(cfg, mix)
+		dc.Backlog = s.backlog()
+		d := core.NewDAP(dc, s.Eng, pc.Windows())
+		pc.SetPartitioner(d)
+		s.Part, s.dap = d, d
 	}
 
 	if cfg.Faults != nil {
@@ -438,6 +414,27 @@ func Build(cfg Config, mix workload.Mix) *System {
 	return s
 }
 
+// partitioned is the part of a memory-side cache controller DAP attaches
+// to: its per-window demand counters and its partitioner slot.
+type partitioned interface {
+	Windows() *core.WindowCounts
+	SetPartitioner(core.Partitioner)
+}
+
+// backlog reports the requests still queued at the cache's read channel,
+// its write channel (eDRAM only, else 0) and main memory: the backlog term
+// DAP adds to each window's demand.
+func (s *System) backlog() func() (msR, msW, mm int64) {
+	cache := s.devices()[1:] // the read channel, then the eDRAM write channel
+	return func() (msR, msW, mm int64) {
+		msR = int64(cache[0].QueueLen())
+		if len(cache) > 1 {
+			msW = int64(cache[1].QueueLen())
+		}
+		return msR, msW, int64(s.MM.QueueLen())
+	}
+}
+
 // setTracer attaches the lifecycle tracer to whichever controller backs the
 // system (all controllers and mmOnly implement the optional interface).
 func (s *System) setTracer(t *obs.Tracer) {
@@ -458,15 +455,6 @@ func (s *System) devices() []*dram.Device {
 		devs = append(devs, s.edram.ReadDevice(), s.edram.WriteDevice())
 	}
 	return devs
-}
-
-// BuildE validates the configuration and assembles a system, returning
-// structured diagnostics (check.Errors) instead of panicking downstream.
-func BuildE(cfg Config, mix workload.Mix) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return Build(cfg, mix), nil
 }
 
 func dapWithPolicy(cfg Config, mix workload.Mix) core.Config {
@@ -493,16 +481,6 @@ func resize(specs []workload.Spec, n int) []workload.Spec {
 	return out
 }
 
-// Run executes warmup plus the timed region and collects the results.
-// Sampled configurations route through the interval-sampling estimator.
-func (s *System) Run() Result {
-	s.Warmup()
-	if s.Cfg.Sampled {
-		return s.runSampled(nil)
-	}
-	return s.Measure()
-}
-
 // Warmup executes the functional warmup: WarmAccesses accesses per core
 // stream through the SRAM hierarchy and the memory-side tags without
 // advancing the engine clock. The post-warmup state is exactly what
@@ -513,8 +491,7 @@ func (s *System) Warmup() {
 }
 
 // Measure runs the timed region on an already-warm system and collects the
-// results. Run = Warmup + Measure; checkpoint-aware entry points swap the
-// Warmup for a LoadCheckpoint.
+// results. A run is Warmup (or LoadCheckpoint) then Measure; see simulate.
 func (s *System) Measure() Result {
 	cfg := s.Cfg
 	start, limit := s.startTimed()
@@ -628,63 +605,49 @@ func (s *System) snapshot() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
+// simulate is the one body behind every entry point that runs a
+// simulation: build the system, reseed its streams, restore it from ck or
+// warm it (ck may be nil), then run the timed region, sampled or full.
+func simulate(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) Result {
+	s := ck.restoreOrWarm(newSystem(cfg, mix, seed))
+	if cfg.Sampled {
+		return s.runSampled(ck)
+	}
+	return s.Measure()
+}
+
+// newSystem builds a system and seeds its streams with seed.
+func newSystem(cfg Config, mix workload.Mix, seed uint64) *System {
+	s := Build(cfg, mix)
+	s.seed = seed
+	if seed != 0 {
+		s.CPU.SetStreams(s.mix.StreamsSeeded(seed))
+	}
+	return s
+}
+
 // RunMix builds and runs in one step.
 func RunMix(cfg Config, mix workload.Mix) Result {
-	return Build(cfg, mix).Run()
+	return simulate(cfg, mix, 0, nil)
 }
 
 // RunMixE is the hardened RunMix: it validates the configuration before
 // building, and surfaces an abnormal end of run (watchdog, deadlock or
 // audit violation) as an error alongside the partial result.
 func RunMixE(cfg Config, mix workload.Mix) (Result, error) {
-	s, err := BuildE(cfg, mix)
-	if err != nil {
-		return Result{}, err
-	}
-	r := s.Run()
-	return r, r.Abort
+	return RunSeededCkptE(cfg, mix, 0, nil)
 }
 
 // RunSeeded runs the mix with a run-level stream seed (seed 0 equals RunMix).
 func RunSeeded(cfg Config, mix workload.Mix, seed uint64) Result {
-	s := Build(cfg, mix)
-	s.reseed(mix, seed)
-	return s.Run()
+	return simulate(cfg, mix, seed, nil)
 }
 
-// RunSeededE is RunSeeded with configuration validation and abnormal-end
-// reporting (the seeded counterpart of RunMixE).
-func RunSeededE(cfg Config, mix workload.Mix, seed uint64) (Result, error) {
-	s, err := BuildE(cfg, mix)
-	if err != nil {
-		return Result{}, err
-	}
-	s.reseed(mix, seed)
-	r := s.Run()
-	return r, r.Abort
-}
-
-func (s *System) reseed(mix workload.Mix, seed uint64) {
-	s.seed = seed
-	if seed == 0 {
-		return
-	}
-	if len(mix.Specs) != s.Cfg.CPU.Cores {
-		mix = workload.Mix{Name: mix.Name, Specs: resize(mix.Specs, s.Cfg.CPU.Cores)}
-	}
-	s.CPU.SetStreams(mix.StreamsSeeded(seed))
-}
-
-// Replicate runs the mix over n seeds and returns the per-seed values of
-// metric plus their mean and (population) standard deviation — statistical
-// confidence for any reported number.
-func Replicate(cfg Config, mix workload.Mix, n int, metric func(Result) float64) (vals []float64, mean, std float64) {
-	return ReplicateParallel(1, cfg, mix, n, metric)
-}
-
-// ReplicateParallel is Replicate with the per-seed simulations fanned out
-// across up to parallel workers (<= 0 selects GOMAXPROCS). Each seed owns a
-// private system, so the per-seed values — and therefore mean and std — are
+// ReplicateParallel runs the mix over n seeds, fanned out across up to
+// parallel workers (<= 0 selects GOMAXPROCS), and returns the per-seed
+// values of metric plus their mean and (population) standard deviation —
+// statistical confidence for any reported number. Each seed owns a private
+// system, so the per-seed values — and therefore mean and std — are
 // bit-identical to the serial run.
 func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric func(Result) float64) (vals []float64, mean, std float64) {
 	vals = runner.Map(parallel, n, func(seed int) float64 {
@@ -707,8 +670,7 @@ func AloneIPC(cfg Config, spec workload.Spec) float64 {
 	// the process; they stay exact even when the figure itself is sampled.
 	cfg.Sampled = false
 	mix := workload.Mix{Name: spec.Name + "-alone", Specs: []workload.Spec{spec}}
-	r := RunMix(cfg, mix)
-	return r.Cores[0].IPC()
+	return simulate(cfg, mix, 0, nil).Cores[0].IPC()
 }
 
 // aloneFingerprint returns a complete textual key of every configuration
@@ -793,7 +755,7 @@ func (a *aloneMemo) get(cfg Config, spec workload.Spec) float64 {
 }
 
 // weightedSpeedup computes a run's weighted speedup using alone IPCs from
-// the memo (measured on cfgWeights, typically the baseline configuration).
+// the memo, measured on cfgWeights (the figure's base configuration).
 func (a *aloneMemo) weightedSpeedup(r Result, cfgWeights Config, mix workload.Mix) float64 {
 	aloneIPCs := make([]float64, len(r.Cores))
 	specs := resize(mix.Specs, len(r.Cores))

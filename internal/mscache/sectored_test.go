@@ -1,8 +1,11 @@
 package mscache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
+	"dap/internal/ckpt"
 	"dap/internal/core"
 	"dap/internal/dram"
 	"dap/internal/mem"
@@ -167,6 +170,49 @@ func TestFootprintPrefetchOnReallocation(t *testing.T) {
 	line := s.tags.Probe(base)
 	if !line.Ok() || line.VMask()&0b111 != 0b111 {
 		t.Fatalf("predicted footprint not restored: VMask=%b", line.VMask())
+	}
+}
+
+// TestFootprintCheckpointSlotForSlot overfills a footprint table (at its
+// budget a new sector whose home slot is empty still takes it, so the
+// occupancy passes the budget), saves it and restores it into a fresh
+// table: the slots and occupancy must come back verbatim, and both tables
+// must then evict and predict alike.
+func TestFootprintCheckpointSlotForSlot(t *testing.T) {
+	const budget = 16
+	rng := rand.New(rand.NewSource(5))
+	f := newFootprintTable(budget)
+	for i := 0; i < budget+budget/2; i++ {
+		f.record(uint64(rng.Intn(1<<20)), uint64(rng.Int63()))
+	}
+	if f.n <= f.cap {
+		t.Fatalf("occupancy %d never passed the budget %d", f.n, f.cap)
+	}
+	w := ckpt.NewWriter()
+	saveFootprint(w.Section("fp"), f)
+	r, err := ckpt.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := r.Section("fp")
+	got := newFootprintTable(budget)
+	if err := loadFootprint(d, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.keys, f.keys) || !slices.Equal(got.vals, f.vals) || got.n != f.n {
+		t.Fatal("restored table differs from the saved one slot for slot")
+	}
+	for i := 0; i < 4*budget; i++ {
+		sec, mask := uint64(rng.Intn(1<<20)), uint64(rng.Int63())
+		f.record(sec, mask)
+		got.record(sec, mask)
+	}
+	if !slices.Equal(got.keys, f.keys) || !slices.Equal(got.vals, f.vals) || got.n != f.n {
+		t.Fatal("restored table evicted differently from the saved one")
+	}
+
+	if d, _ := r.Section("fp"); loadFootprint(d, nil) == nil {
+		t.Fatal("a cache without the prefetcher must refuse a saved table")
 	}
 }
 

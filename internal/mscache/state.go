@@ -2,7 +2,6 @@ package mscache
 
 import (
 	"fmt"
-	"sort"
 
 	"dap/internal/ckpt"
 )
@@ -102,49 +101,39 @@ func (e *EDRAM) LoadState(d *ckpt.Dec) error {
 	return nil
 }
 
-// saveFootprint serializes the footprint history table sorted by sector so
-// the byte stream is deterministic despite map iteration order. A cache
-// built without the prefetcher (nil table) saves an empty table.
+// saveFootprint serializes the footprint history table slot for slot: the
+// key and mask arrays verbatim, so a restored table probes, fills and
+// evicts exactly like the saved one. A cache built without the prefetcher
+// (nil table) saves only an absent flag.
 func saveFootprint(e *ckpt.Enc, f *footprintTable) {
+	e.Bool(f != nil)
 	if f == nil {
-		e.U32(0)
 		return
 	}
-	idx := make([]int, 0, f.n)
-	for i, k := range f.keys {
-		if k != 0 {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.keys[idx[a]] < f.keys[idx[b]] })
-	e.U32(uint32(len(idx)))
-	for _, i := range idx {
-		e.U64(f.keys[i] - 1)
-		e.U64(f.vals[i])
-	}
+	e.U64s(f.keys)
+	e.U64s(f.vals)
 }
 
 func loadFootprint(d *ckpt.Dec, f *footprintTable) error {
-	n := int(d.U32())
+	had := d.Bool()
 	if err := d.Err(); err != nil {
 		return err
 	}
+	if had != (f != nil) {
+		return fmt.Errorf("mscache: checkpoint footprint table presence %v != built %v", had, f != nil)
+	}
 	if f == nil {
-		if n != 0 {
-			return fmt.Errorf("mscache: checkpoint footprint table has %d entries, prefetcher disabled", n)
-		}
 		return nil
 	}
-	if n > f.cap {
-		return fmt.Errorf("mscache: checkpoint footprint table has %d entries, cap %d", n, f.cap)
-	}
-	for i := range f.keys {
-		f.keys[i] = 0
-	}
+	d.U64s(f.keys)
+	d.U64s(f.vals)
+	// n counts occupied slots: record only ever fills an empty slot or
+	// overwrites an occupied one.
 	f.n = 0
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		f.record(k, d.U64())
+	for _, k := range f.keys {
+		if k != 0 {
+			f.n++
+		}
 	}
 	return d.Err()
 }

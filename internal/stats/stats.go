@@ -46,6 +46,16 @@ func (c *CoreStats) AvgL3ReadMissLatency() float64 {
 	return float64(c.L3ReadMissLatSum) / float64(c.L3ReadMisses)
 }
 
+// AggregateIPC is the sum of per-core IPCs, each over the core's own
+// retirement time: the throughput every report and figure quotes.
+func AggregateIPC(cores []CoreStats) float64 {
+	sum := 0.0
+	for i := range cores {
+		sum += cores[i].IPC()
+	}
+	return sum
+}
+
 // WeightedSpeedup computes sum_i IPC_i / IPCalone_i. The alone slice must be
 // parallel to cores; zero alone IPCs contribute zero.
 func WeightedSpeedup(cores []CoreStats, alone []float64) float64 {
@@ -159,6 +169,9 @@ func (r *Run) MainMemCASFraction() float64 {
 	}
 	return float64(r.MainMemCAS) / float64(t)
 }
+
+// AggregateIPC is the sum of the run's per-core IPCs.
+func (r *Run) AggregateIPC() float64 { return AggregateIPC(r.Cores) }
 
 // WeightedSpeedup against per-core alone IPCs.
 func (r *Run) WeightedSpeedup(alone []float64) float64 { return WeightedSpeedup(r.Cores, alone) }
