@@ -48,7 +48,7 @@ func main() {
 		audit   = flag.Bool("audit", false, "enable the runtime invariant auditor (aborts on the first violation)")
 		wdog    = flag.Int("watchdog", 0, "forward-progress watchdog deadline in events (0 = default, -1 = off)")
 		seed    = flag.Uint64("seed", 0, "workload address-stream seed (0 = default streams)")
-		ckptDir = flag.String("ckpt-dir", "", "reuse warmup checkpoints under this directory: the post-warmup state is snapshotted once per (workload, arch, warmup, seed) and later runs — any policy — resume from it bit-identically")
+		ckptDir = flag.String("ckpt-dir", "", "reuse warmup checkpoints under this directory: the post-warmup state is snapshotted once per (workload, arch, warmup, seed, SRAM, prefetcher and memory-side tag geometry) and later runs — any policy — resume from it bit-identically")
 		sampled = flag.Bool("sampled", false, "SMARTS-style interval sampling: alternate functional fast-forward with short measured intervals and report means with 95% confidence intervals (falls back to the full run if they do not converge)")
 		replic  = flag.Int("replicate", 0, "run N replicas over seeds 0..N-1 and report mean/std aggregate IPC")
 		jobs    = flag.Int("j", 0, "max concurrent replica simulations (0 = GOMAXPROCS, 1 = serial)")
@@ -175,7 +175,8 @@ func main() {
 		// Replicated mode: N runs over seeds 0..N-1, fanned across -j
 		// workers. Per-seed values are seed-ordered and identical at any -j.
 		aggIPC := func(r dap.Result) float64 { return r.AggregateIPC() }
-		vals, mean, std := dap.Replicate(*jobs, cfg, mix, *replic, aggIPC)
+		vals, mean, std, err := dap.Replicate(*jobs, cfg, mix, *replic, aggIPC)
+		fatalIf(err)
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")

@@ -235,8 +235,10 @@ func AloneIPC(cfg Config, name string) float64 {
 // Replicate runs a workload over n address-stream seeds — fanning the
 // simulations across up to parallel workers (0 = GOMAXPROCS, 1 = serial) —
 // and returns the per-seed values of metric in seed order plus their mean
-// and sample standard deviation. Results are identical at any parallelism.
-func Replicate(parallel int, cfg Config, w Workload, n int, metric func(Result) float64) (vals []float64, mean, std float64) {
+// and population standard deviation. Results are identical at any
+// parallelism. An invalid configuration, or a replica that aborts
+// (watchdog, deadlock or audit violation), returns an error and no values.
+func Replicate(parallel int, cfg Config, w Workload, n int, metric func(Result) float64) (vals []float64, mean, std float64, err error) {
 	return harness.ReplicateParallel(parallel, cfg, w, n, metric)
 }
 

@@ -49,32 +49,6 @@ type Line struct {
 	DMask uint64 // per-block dirty bits (sector caches)
 }
 
-// Stats counts hits and misses.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	DirtyEvic uint64
-}
-
-// MissRatio returns misses / lookups.
-func (s *Stats) MissRatio() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(t)
-}
-
-// HitRatio returns hits / lookups.
-func (s *Stats) HitRatio() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(t)
-}
-
 // Cache is a set-associative tag array. Addresses are mapped as
 // line -> set = (line / SetSkip) % Sets, tag = line / (Sets*SetSkip).
 // SetSkip lets sector caches index by sector rather than by line.
@@ -83,7 +57,6 @@ type Cache struct {
 	Ways    int
 	Policy  ReplPolicy
 	SetSkip uint64 // lines per indexing unit (1 for ordinary caches)
-	Stats   Stats
 
 	tv   []uint64 // Sets*Ways: tag<<1 | valid
 	meta []uint64 // Sets*Ways: dirty | nru | rrpv<<2 | lru<<32
@@ -296,8 +269,8 @@ func (c *Cache) clearSlot(i int) {
 	}
 }
 
-// Probe looks up an address without updating recency or stats. A miss
-// returns a Ref with Ok() == false.
+// Probe looks up an address without updating recency. A miss returns a Ref
+// with Ok() == false.
 func (c *Cache) Probe(a mem.Addr) Ref {
 	si, tag := c.Index(a)
 	base := si * c.Ways
@@ -311,7 +284,7 @@ func (c *Cache) Probe(a mem.Addr) Ref {
 	return noRef
 }
 
-// Lookup searches for an address, updating recency and hit/miss stats.
+// Lookup searches for an address, updating recency on a hit.
 func (c *Cache) Lookup(a mem.Addr) Ref {
 	si, tag := c.Index(a)
 	base := si * c.Ways
@@ -319,13 +292,11 @@ func (c *Cache) Lookup(a mem.Addr) Ref {
 	tv := c.tv[base : base+c.Ways]
 	for w := range tv {
 		if tv[w] == want {
-			c.Stats.Hits++
 			i := base + w
 			c.touch(base, i)
 			return Ref{c, int32(i)}
 		}
 	}
-	c.Stats.Misses++
 	return noRef
 }
 
@@ -432,10 +403,6 @@ func (c *Cache) Insert(a mem.Addr, dirty bool) (evicted Line) {
 	vi := c.victimIndex(si)
 	if c.tv[vi]&1 != 0 {
 		evicted = c.snapshot(vi)
-		c.Stats.Evictions++
-		if c.meta[vi]&metaDirty != 0 {
-			c.Stats.DirtyEvic++
-		}
 	}
 	c.tv[vi] = tag<<1 | 1
 	var m uint64

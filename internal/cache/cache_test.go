@@ -17,9 +17,6 @@ func TestBasicHitMiss(t *testing.T) {
 	if !c.Lookup(a).Ok() {
 		t.Fatal("inserted line must hit")
 	}
-	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
-	}
 }
 
 func TestLRUVictim(t *testing.T) {
@@ -158,17 +155,6 @@ func TestNewBytesRoundsSetsToPowerOfTwo(t *testing.T) {
 	c := NewBytes(8*mem.MiB, 15, LRU)
 	if c.Sets != 8192 {
 		t.Fatalf("sets = %d, want 8192", c.Sets)
-	}
-}
-
-func TestStatsRatios(t *testing.T) {
-	var s Stats
-	if s.HitRatio() != 0 || s.MissRatio() != 0 {
-		t.Fatal("empty stats must be zero")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.HitRatio() != 0.75 || s.MissRatio() != 0.25 {
-		t.Fatalf("ratios = %v/%v", s.HitRatio(), s.MissRatio())
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // SaveState serializes the cache's complete mutable state — the packed tag
-// and metadata arrays, the lazily-present sector masks, the recency tick,
-// the random-victim RNG and the hit/miss counters — into a checkpoint
-// section. Geometry (sets, ways, policy, set skip) is written first so
-// LoadState can refuse a checkpoint taken under a different configuration.
+// and metadata arrays, the lazily-present sector masks, the recency tick and
+// the random-victim RNG — into a checkpoint section. Geometry (sets, ways,
+// policy, set skip) is written first so LoadState can refuse a checkpoint
+// taken under a different configuration.
 // The packed arrays are written as bulk word arrays, and a side array that
 // was never allocated writes a single absence flag instead of a block of
 // zeros, so ordinary caches checkpoint at 16 bytes per line.
@@ -21,10 +21,6 @@ func (c *Cache) SaveState(e *ckpt.Enc) {
 	e.U64(c.SetSkip)
 	e.U32(c.tick)
 	e.U64(c.rng)
-	e.U64(c.Stats.Hits)
-	e.U64(c.Stats.Misses)
-	e.U64(c.Stats.Evictions)
-	e.U64(c.Stats.DirtyEvic)
 	e.U64s(c.tv)
 	e.U64s(c.meta)
 	e.Bool(c.vmask != nil)
@@ -52,10 +48,6 @@ func (c *Cache) LoadState(d *ckpt.Dec) error {
 	}
 	c.tick = d.U32()
 	c.rng = d.U64()
-	c.Stats.Hits = d.U64()
-	c.Stats.Misses = d.U64()
-	c.Stats.Evictions = d.U64()
-	c.Stats.DirtyEvic = d.U64()
 	d.U64s(c.tv)
 	d.U64s(c.meta)
 	if d.Bool() {

@@ -1,19 +1,17 @@
 // Package ckpt implements the versioned, checksummed binary envelope used
-// for warmup checkpoints (ISSUE 8). A checkpoint is a flat sequence of named
-// sections — one per simulator component (per-core caches, prefetchers,
-// workload stream cursors, memory-side cache tags, policy state, DRAM
-// state) — framed by a magic string, a format version, and a trailing
-// FNV-64a checksum over the whole payload.
+// for warmup checkpoints. A checkpoint is a flat sequence of named sections
+// — one per simulator component that warmup changes (the CPU's caches,
+// prefetchers and workload stream cursors, and the memory-side cache's tags
+// and metadata) — framed by a magic string, a format version, and a
+// trailing FNV-64a checksum over the whole payload.
 //
 // The envelope is deliberately dumb: fixed-width little-endian integers,
 // length-prefixed sections, no compression, no reflection. Components
 // serialize themselves through Enc/Dec so the set of bytes written is
 // exactly the set of fields a restore needs, and nothing else. Sections are
-// looked up by name at load time, so readers skip sections they do not
-// understand and tolerate sections that are absent (a component that did
-// not exist in the saving configuration simply has no section; the restored
-// component keeps its freshly-constructed state, which is correct because
-// functional warmup never mutates it).
+// looked up by name at load time; a component with no section keeps its
+// freshly constructed state, which is correct because functional warmup
+// never mutates it.
 //
 // The writer streams every section into one contiguous buffer: opening a
 // section writes its header with a length placeholder that is backpatched
@@ -21,8 +19,8 @@
 // single checksum pass with no per-section intermediate slices. The buffer
 // is sized from the previous envelope rendered by this process, so a
 // steady-state checkpoint cycle performs one right-sized allocation. The
-// decoder reads in place — section payloads and Bytes values are views into
-// the caller's blob, never copies.
+// decoder reads in place — section payloads are views into the caller's
+// blob, never copies.
 package ckpt
 
 import (
@@ -30,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -44,10 +41,12 @@ import (
 // 3 = no caller-state side array in cache sections, and the Alloy section
 // holds its direct-mapped tag words plus dirty and reused bitmaps; 4 = the
 // sectored footprint table is saved slot for slot (presence flag, key and
-// mask arrays) instead of as sorted (sector, mask) pairs.
+// mask arrays) instead of as sorted (sector, mask) pairs; 5 = only the cpu
+// section and the memory-side controller's section, without the Alloy
+// predictors or the SRAM caches' hit and miss counters.
 const (
 	Magic   = "DAPCKPT1"
-	Version = 4
+	Version = 5
 )
 
 // ErrCorrupt is returned (wrapped) for any structural damage: bad magic,
@@ -227,9 +226,6 @@ func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 // U32 appends a uint32.
 func (e *Enc) U32(v uint32) { e.w.buf = binary.LittleEndian.AppendUint32(e.w.buf, v) }
 
-// U16 appends a uint16.
-func (e *Enc) U16(v uint16) { e.w.buf = binary.LittleEndian.AppendUint16(e.w.buf, v) }
-
 // U8 appends a byte.
 func (e *Enc) U8(v uint8) { e.w.buf = append(e.w.buf, v) }
 
@@ -240,15 +236,6 @@ func (e *Enc) Bool(v bool) {
 	} else {
 		e.U8(0)
 	}
-}
-
-// F64 appends an IEEE-754 float64 bit pattern.
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *Enc) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
-	e.w.buf = append(e.w.buf, b...)
 }
 
 // grow extends the buffer by n bytes in one step and returns the window to
@@ -272,18 +259,6 @@ func (e *Enc) U64s(v []uint64) {
 		binary.LittleEndian.PutUint64(dst[8*i:], x)
 	}
 }
-
-// U32s appends a length-prefixed uint32 array as one contiguous write.
-func (e *Enc) U32s(v []uint32) {
-	e.U32(uint32(len(v)))
-	dst := e.grow(4 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(dst[4*i:], x)
-	}
-}
-
-// Len returns the number of bytes encoded into the envelope so far.
-func (e *Enc) Len() int { return len(e.w.buf) }
 
 // Dec reads fixed-width little-endian values from a section. Reads past the
 // end latch an error and return zero values; check Err once after decoding
@@ -328,15 +303,6 @@ func (d *Dec) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// U16 reads a uint16.
-func (d *Dec) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U8 reads a byte.
 func (d *Dec) U8() uint8 {
 	b := d.take(1)
@@ -348,20 +314,6 @@ func (d *Dec) U8() uint8 {
 
 // Bool reads a byte-encoded bool.
 func (d *Dec) Bool() bool { return d.U8() != 0 }
-
-// F64 reads an IEEE-754 float64.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bytes reads a length-prefixed byte string. The returned slice is a view
-// into the decoder's section (and thus into the caller's blob); copy it if
-// it must outlive the blob.
-func (d *Dec) Bytes() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	return d.take(n)
-}
 
 // U64s reads a length-prefixed uint64 array written by Enc.U64s into dst.
 // A length mismatch with len(dst) latches ErrCorrupt and leaves dst
@@ -381,25 +333,6 @@ func (d *Dec) U64s(dst []uint64) {
 	}
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-}
-
-// U32s reads a length-prefixed uint32 array written by Enc.U32s into dst.
-func (d *Dec) U32s(dst []uint32) {
-	n := int(d.U32())
-	if d.err != nil {
-		return
-	}
-	if n != len(dst) {
-		d.err = fmt.Errorf("%w: array length %d, want %d", ErrCorrupt, n, len(dst))
-		return
-	}
-	b := d.take(4 * n)
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 }
 

@@ -8,38 +8,33 @@ import (
 )
 
 // snapshotSeed renders a realistic envelope through the production Writer:
-// several sections in the shapes the simulator actually serializes (scalar
-// runs, bulk uint64/uint32 arrays, length-prefixed byte strings), so the
+// the two sections a sectored warmup checkpoint holds, in the shapes the
+// simulator actually serializes (scalar runs and bulk uint64 arrays), so the
 // fuzzer starts from the real wire format rather than having to discover
-// it. The section names mirror the harness's component sections.
+// it.
 func snapshotSeed() []byte {
 	w := NewWriter()
 	e := w.Section("cpu")
+	e.U32(8)
 	for i := 0; i < 16; i++ {
 		e.U64(uint64(i) * 0x9e3779b97f4a7c15)
 	}
+	for i := 0; i < 4; i++ {
+		e.I64(int64(i) - 2)
+	}
 	e.Bool(true)
-	e.F64(0.75)
 
-	e = w.Section("mscache.tags")
+	e = w.Section("ctrl.sectored")
+	e.U32(64)
+	e.U32(4)
+	e.U8(1)
 	tv := make([]uint64, 128)
 	for i := range tv {
 		tv[i] = uint64(i)<<1 | 1
 	}
 	e.U64s(tv)
-	st := make([]uint32, 64)
-	for i := range st {
-		st[i] = uint32(i * 3)
-	}
-	e.U32s(st)
-
-	e = w.Section("dap")
-	for i := 0; i < 20; i++ {
-		e.I64(int64(i) - 10)
-	}
-	e.Bytes([]byte("window-diagnostics"))
-	e.U16(0xBEEF)
-	e.U8(7)
+	e.Bool(false)
+	e.U64s(tv[:32])
 	return w.Bytes()
 }
 
@@ -100,13 +95,10 @@ func FuzzDecEnvelope(f *testing.F) {
 			}
 			d.U64()
 			d.U32()
-			d.Bytes()
 			d.U64s(make([]uint64, 4))
-			d.U32s(make([]uint32, 4))
-			d.U16()
+			d.I64()
 			d.U8()
 			d.Bool()
-			d.F64()
 			for d.Remaining() > 0 && d.Err() == nil {
 				d.U64()
 			}

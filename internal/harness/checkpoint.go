@@ -7,21 +7,21 @@ import (
 	"sync/atomic"
 
 	"dap/internal/ckpt"
-	"dap/internal/dram"
 	"dap/internal/store"
 	"dap/internal/workload"
 )
 
-// Warmup checkpoints: a versioned, checksummed snapshot of the full
-// post-warmup simulator state, keyed by a fingerprint of the warmup prefix
-// only. Functional warmup (cpu.Warm → WarmRead/WarmWriteback) touches the
-// SRAM hierarchy, the prefetchers, the workload stream cursors and the
-// memory-side tag/metadata structures — and nothing else: it never advances
-// the engine clock, never issues a timed DRAM request, and never consults
-// the partitioning policy. The warmup state of a (config, mix, seed) triple
-// therefore depends only on the fields WarmKey hashes, so every policy
-// variant of the same figure point (baseline, DAP, SBD, ...) resumes from
-// one shared checkpoint instead of re-running the warmup per variant.
+// Warmup checkpoints: a versioned, checksummed snapshot of the state
+// functional warmup leaves behind, keyed by a fingerprint of the warmup
+// prefix only. Functional warmup (cpu.Warm → WarmRead/WarmWriteback)
+// touches the SRAM hierarchy, the prefetchers, the workload stream cursors
+// and the memory-side tag/metadata structures — and nothing else: it never
+// advances the engine clock, never issues a timed DRAM request, and never
+// consults the partitioning policy. The warmup state of a (config, mix,
+// seed) triple therefore depends only on the fields WarmKey hashes, so
+// every policy variant of the same figure point (baseline, DAP, SBD, ...)
+// resumes from one shared checkpoint instead of re-running the warmup per
+// variant.
 
 // WarmKey fingerprints the warmup prefix of a (config, mix, seed) triple:
 // the workload (mix name, per-core specs after resizing, stream seed), the
@@ -63,88 +63,56 @@ func WarmKey(cfg Config, mix workload.Mix, seed uint64) string {
 	return fmt.Sprintf("warm-%016x", h.Sum64())
 }
 
-// devTag fingerprints a DRAM device configuration. Device sections are
-// tagged with it so a checkpoint written under one DRAM timing model is not
-// applied to a variant built with another (bandwidth sweeps share a warmup
-// checkpoint across DRAM configurations).
-func devTag(cfg dram.Config) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cfg)
-	return h.Sum64()
-}
-
-// ckptDevice pairs a device with its stable section name.
-type ckptDevice struct {
-	name string
-	dev  *dram.Device
-}
-
-func (s *System) ckptDevices() []ckptDevice {
-	out := []ckptDevice{{"dram.mm", s.MM}}
-	switch {
-	case s.sectored != nil:
-		out = append(out, ckptDevice{"dram.cache", s.sectored.Device()})
-	case s.alloy != nil:
-		out = append(out, ckptDevice{"dram.cache", s.alloy.Device()})
-	case s.edram != nil:
-		out = append(out,
-			ckptDevice{"dram.cache-rd", s.edram.ReadDevice()},
-			ckptDevice{"dram.cache-wr", s.edram.WriteDevice()})
-	}
-	return out
-}
-
-// SaveCheckpoint serializes the full simulator state after functional
-// warmup: the CPU (SRAM caches, prefetchers, stream cursors), the
-// memory-side cache controller, the DRAM devices, and the policy machines
-// (DAP, SBD, BATMAN) when present. It must be called after Warmup and
-// before the timed region; the per-component savers enforce that (no
-// in-flight requests, drained DRAM queues, engine at cycle zero).
+// SaveCheckpoint serializes the state functional warmup leaves behind: the
+// cpu section (SRAM caches, prefetchers, stream cursors) and, when the
+// system has a memory-side cache, its controller's ctrl.<arch> section. The
+// DRAM devices, DAP, SBD and BATMAN act only on timed traffic, so after
+// warmup they still hold their freshly built state and are not saved. It
+// must be called after Warmup and before the timed region: the engine must
+// be at cycle zero and every DRAM device drained.
 func (s *System) SaveCheckpoint() ([]byte, error) {
 	if now := s.Eng.Now(); now != 0 {
 		return nil, fmt.Errorf("harness: checkpoint at cycle %d; must be taken after warmup, before the timed region", now)
+	}
+	for _, d := range s.devices() {
+		if n := d.QueueLen(); n != 0 {
+			return nil, fmt.Errorf("harness: checkpoint with %d requests queued at %s; warmup must leave memory drained", n, d.Cfg.Name)
+		}
 	}
 	w := ckpt.NewWriter()
 	if err := s.CPU.SaveState(w.Section("cpu")); err != nil {
 		return nil, fmt.Errorf("harness: checkpoint cpu: %w", err)
 	}
-	switch {
-	case s.sectored != nil:
-		s.sectored.SaveState(w.Section("ctrl.sectored"))
-	case s.alloy != nil:
-		s.alloy.SaveState(w.Section("ctrl.alloy"))
-	case s.edram != nil:
-		s.edram.SaveState(w.Section("ctrl.edram"))
-	}
-	for _, cd := range s.ckptDevices() {
-		e := w.Section(cd.name)
-		e.U64(devTag(cd.dev.Cfg))
-		if err := cd.dev.SaveState(e); err != nil {
-			return nil, fmt.Errorf("harness: checkpoint %s: %w", cd.name, err)
-		}
-	}
-	if s.dap != nil {
-		s.dap.SaveState(w.Section("dap"))
-	}
-	if s.sectored != nil {
-		if s.sectored.SBD != nil {
-			s.sectored.SBD.SaveState(w.Section("sbd"))
-		}
-		if s.sectored.BATMAN != nil {
-			s.sectored.BATMAN.SaveState(w.Section("batman"))
-		}
+	if name, ctrl := s.ctrlSection(); ctrl != nil {
+		ctrl.SaveState(w.Section(name))
 	}
 	return w.Bytes(), nil
 }
 
+// warmCtrl is the checkpoint interface every memory-side controller has.
+type warmCtrl interface {
+	SaveState(*ckpt.Enc)
+	LoadState(*ckpt.Dec) error
+}
+
+// ctrlSection returns the memory-side controller and the name of its
+// checkpoint section; ctrl is nil for a system without a memory-side cache.
+func (s *System) ctrlSection() (name string, ctrl warmCtrl) {
+	switch {
+	case s.sectored != nil:
+		return "ctrl.sectored", s.sectored
+	case s.alloy != nil:
+		return "ctrl.alloy", s.alloy
+	case s.edram != nil:
+		return "ctrl.edram", s.edram
+	}
+	return "", nil
+}
+
 // LoadCheckpoint restores a SaveCheckpoint blob into a freshly built,
-// reseeded system, leaving it in exactly the state Warmup would have. The
-// cpu and controller sections are mandatory for the architectures that
-// have them; the device/policy sections are applied only when this
-// system's matching component exists and its configuration tag agrees —
-// a mismatch (a variant with different DRAM timing, or without DAP) leaves
-// the freshly built component untouched, which is correct because warmup
-// provably never mutates those components.
+// reseeded system, leaving it in exactly the state Warmup would have. Every
+// component without a section keeps its freshly built state, which is the
+// state warmup leaves it in.
 func (s *System) LoadCheckpoint(blob []byte) error {
 	r, err := ckpt.NewReader(blob)
 	if err != nil {
@@ -157,55 +125,15 @@ func (s *System) LoadCheckpoint(blob []byte) error {
 	if err := s.CPU.LoadState(d); err != nil {
 		return fmt.Errorf("harness: restore cpu: %w", err)
 	}
-	type ctrlLoad struct {
-		name string
-		load func(*ckpt.Dec) error
+	name, ctrl := s.ctrlSection()
+	if ctrl == nil {
+		return nil
 	}
-	var ctrl *ctrlLoad
-	switch {
-	case s.sectored != nil:
-		ctrl = &ctrlLoad{"ctrl.sectored", s.sectored.LoadState}
-	case s.alloy != nil:
-		ctrl = &ctrlLoad{"ctrl.alloy", s.alloy.LoadState}
-	case s.edram != nil:
-		ctrl = &ctrlLoad{"ctrl.edram", s.edram.LoadState}
+	if d, ok = r.Section(name); !ok {
+		return fmt.Errorf("harness: checkpoint missing %s section", name)
 	}
-	if ctrl != nil {
-		d, ok := r.Section(ctrl.name)
-		if !ok {
-			return fmt.Errorf("harness: checkpoint missing %s section", ctrl.name)
-		}
-		if err := ctrl.load(d); err != nil {
-			return fmt.Errorf("harness: restore %s: %w", ctrl.name, err)
-		}
-	}
-	for _, cd := range s.ckptDevices() {
-		d, ok := r.Section(cd.name)
-		if !ok || d.U64() != devTag(cd.dev.Cfg) {
-			continue
-		}
-		if err := cd.dev.LoadState(d); err != nil {
-			return fmt.Errorf("harness: restore %s: %w", cd.name, err)
-		}
-	}
-	if s.dap != nil {
-		if d, ok := r.Section("dap"); ok {
-			if err := s.dap.LoadState(d); err != nil {
-				return fmt.Errorf("harness: restore dap: %w", err)
-			}
-		}
-	}
-	if s.sectored != nil {
-		if d, ok := r.Section("sbd"); ok && s.sectored.SBD != nil {
-			if err := s.sectored.SBD.LoadState(d); err != nil {
-				return fmt.Errorf("harness: restore sbd: %w", err)
-			}
-		}
-		if d, ok := r.Section("batman"); ok && s.sectored.BATMAN != nil {
-			if err := s.sectored.BATMAN.LoadState(d); err != nil {
-				return fmt.Errorf("harness: restore batman: %w", err)
-			}
-		}
+	if err := ctrl.LoadState(d); err != nil {
+		return fmt.Errorf("harness: restore %s: %w", name, err)
 	}
 	return nil
 }

@@ -6,10 +6,12 @@ import (
 	"hash/fnv"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"dap/internal/ckpt"
+	"dap/internal/core"
 	"dap/internal/dram"
 	"dap/internal/faultinject"
 	"dap/internal/mem"
@@ -31,24 +33,29 @@ func tinyCkptCfg(arch Arch, pol Policy) Config {
 
 // TestCheckpointResumeBitIdentical is the tentpole correctness claim: for
 // each architecture, a run resumed from a warmup checkpoint is byte-identical
-// to the same run warmed directly. DAP is enabled so the dap section (and on
-// sectored the tag cache + footprint state) is exercised too; the sectored
-// cache also runs without its footprint prefetcher (the abl-footprint
-// variant), which checkpoints an empty history table.
+// to the same run warmed directly. DAP is enabled, so the DAP state the
+// checkpoint leaves out must come back from its freshly built form; the
+// sectored cache also runs without its footprint prefetcher (the
+// abl-footprint variant), which checkpoints an empty history table. The
+// checkpoint must hold exactly the warm state: the cpu section plus the
+// memory-side controller's section, if the system has one.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	mix := quickMix()
 	for _, tc := range []struct {
 		name        string
 		arch        Arch
+		pol         Policy
 		noFootprint bool
+		sections    []string
 	}{
-		{"sectored", SectoredDRAM, false},
-		{"sectored-no-footprint", SectoredDRAM, true},
-		{"alloy", AlloyCache, false},
-		{"edram", SectoredEDRAM, false},
+		{"sectored", SectoredDRAM, DAP, false, []string{"cpu", "ctrl.sectored"}},
+		{"sectored-no-footprint", SectoredDRAM, DAP, true, []string{"cpu", "ctrl.sectored"}},
+		{"alloy", AlloyCache, DAP, false, []string{"cpu", "ctrl.alloy"}},
+		{"edram", SectoredEDRAM, DAP, false, []string{"cpu", "ctrl.edram"}},
+		{"none", NoMSCache, Baseline, false, []string{"cpu"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tinyCkptCfg(tc.arch, DAP)
+			cfg := tinyCkptCfg(tc.arch, tc.pol)
 			if tc.noFootprint {
 				cfg.Sectored.Footprint = false
 			}
@@ -62,19 +69,35 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if got := ck.Builds(); got != 1 {
 				t.Fatalf("builds = %d, want 1", got)
 			}
+			blob, err := ck.get(WarmKey(cfg, mix, 7), cfg, mix, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ckpt.NewReader(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Names(); !reflect.DeepEqual(got, tc.sections) {
+				t.Fatalf("checkpoint sections %q, want %q", got, tc.sections)
+			}
 		})
 	}
 }
 
 // TestCheckpointSaveRejectsTimedState guards the envelope's precondition:
-// once the engine has advanced past warmup, a checkpoint would capture timed
-// state the restore path cannot reproduce, so SaveCheckpoint must refuse.
+// a checkpoint holds only what functional warmup writes, so SaveCheckpoint
+// must refuse once timed state exists — a request queued at a DRAM device,
+// or an engine advanced past warmup.
 func TestCheckpointSaveRejectsTimedState(t *testing.T) {
 	cfg := tinyCkptCfg(SectoredDRAM, Baseline)
 	s := Build(cfg, quickMix())
 	s.Warmup()
 	if _, err := s.SaveCheckpoint(); err != nil {
 		t.Fatalf("post-warmup save: %v", err)
+	}
+	s.MM.Access(0, mem.ReadKind, 0, nil)
+	if _, err := s.SaveCheckpoint(); err == nil {
+		t.Fatal("save with a request queued at main memory should fail")
 	}
 	s.Measure()
 	if _, err := s.SaveCheckpoint(); err == nil {
@@ -85,9 +108,9 @@ func TestCheckpointSaveRejectsTimedState(t *testing.T) {
 // TestCheckpointSharedParallelVariants drives eight concurrent policy/DRAM
 // variants of one figure point through a shared cache (the make ckpt-race
 // workload): the warmup must build exactly once and every variant must stay
-// bit-identical to its straight run. The two DDR4-3200 variants additionally
-// exercise the devTag skip — their main-memory section tag disagrees with the
-// stored blob, so restore leaves the freshly built device untouched.
+// bit-identical to its straight run. The two DDR4-3200 variants share the
+// blob too: the checkpoint holds no DRAM state, so each variant keeps the
+// main-memory device it was built with.
 func TestCheckpointSharedParallelVariants(t *testing.T) {
 	mix := quickMix()
 	variants := make([]Config, 0, 8)
@@ -135,15 +158,156 @@ func TestCheckpointSharedParallelVariants(t *testing.T) {
 	}
 }
 
+// TestWarmKeyClassifiesEveryConfigField pins what WarmKey covers. The
+// checkpoint holds no DRAM or policy state, so the key alone decides which
+// variants share a warmup blob: every field functional warmup can observe
+// must change it, and every runtime-only field must leave it alone, or
+// ablation variants stop sharing one warmup. The cpu and memory-side cache
+// configurations are classified field by field; a Config field the table
+// does not name fails the test until it is classified.
+func TestWarmKeyClassifiesEveryConfigField(t *testing.T) {
+	all := []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM, NoMSCache}
+	var (
+		warm     = all
+		sectored = []Arch{SectoredDRAM}
+		alloy    = []Arch{AlloyCache}
+		edram    = []Arch{SectoredEDRAM}
+		runtime  []Arch
+	)
+	// Each field lists the architectures under which changing it must
+	// change the key; a memory-side cache's geometry is visible only while
+	// that cache is the active one.
+	fields := map[string]struct {
+		warmUnder []Arch
+		mutate    func(*Config)
+	}{
+		"CPU.Cores":         {warm, func(c *Config) { c.CPU.Cores++ }},
+		"CPU.ROB":           {runtime, func(c *Config) { c.CPU.ROB++ }},
+		"CPU.Width":         {runtime, func(c *Config) { c.CPU.Width++ }},
+		"CPU.L1Bytes":       {warm, func(c *Config) { c.CPU.L1Bytes *= 2 }},
+		"CPU.L1Ways":        {warm, func(c *Config) { c.CPU.L1Ways *= 2 }},
+		"CPU.L2Bytes":       {warm, func(c *Config) { c.CPU.L2Bytes *= 2 }},
+		"CPU.L2Ways":        {warm, func(c *Config) { c.CPU.L2Ways *= 2 }},
+		"CPU.L3Bytes":       {warm, func(c *Config) { c.CPU.L3Bytes *= 2 }},
+		"CPU.L3Ways":        {warm, func(c *Config) { c.CPU.L3Ways *= 2 }},
+		"CPU.L1Lat":         {runtime, func(c *Config) { c.CPU.L1Lat++ }},
+		"CPU.L2Lat":         {runtime, func(c *Config) { c.CPU.L2Lat++ }},
+		"CPU.L3Lat":         {runtime, func(c *Config) { c.CPU.L3Lat++ }},
+		"CPU.PFStreams":     {warm, func(c *Config) { c.CPU.PFStreams++ }},
+		"CPU.PFDegree":      {warm, func(c *Config) { c.CPU.PFDegree++ }},
+		"CPU.PFDistance":    {warm, func(c *Config) { c.CPU.PFDistance++ }},
+		"CPU.PFOutstanding": {runtime, func(c *Config) { c.CPU.PFOutstanding++ }},
+		"MainMemory":        {runtime, func(c *Config) { c.MainMemory = dram.DDR4_3200() }},
+		"Arch":              {warm, func(c *Config) { c.Arch = (c.Arch + 1) % (NoMSCache + 1) }},
+
+		"Sectored.CapacityBytes":    {sectored, func(c *Config) { c.Sectored.CapacityBytes *= 2 }},
+		"Sectored.SectorBytes":      {sectored, func(c *Config) { c.Sectored.SectorBytes *= 2 }},
+		"Sectored.Ways":             {sectored, func(c *Config) { c.Sectored.Ways *= 2 }},
+		"Sectored.TagCacheEntries":  {sectored, func(c *Config) { c.Sectored.TagCacheEntries *= 2 }},
+		"Sectored.TagCacheWays":     {sectored, func(c *Config) { c.Sectored.TagCacheWays *= 2 }},
+		"Sectored.TagCacheLat":      {runtime, func(c *Config) { c.Sectored.TagCacheLat++ }},
+		"Sectored.Replacement":      {sectored, func(c *Config) { c.Sectored.Replacement++ }},
+		"Sectored.Footprint":        {sectored, func(c *Config) { c.Sectored.Footprint = !c.Sectored.Footprint }},
+		"Sectored.FootprintEntries": {sectored, func(c *Config) { c.Sectored.FootprintEntries *= 2 }},
+		"Sectored.Array":            {runtime, func(c *Config) { c.Sectored.Array = dram.DDR4_3200() }},
+
+		"Alloy.CapacityBytes": {alloy, func(c *Config) { c.Alloy.CapacityBytes *= 2 }},
+		"Alloy.TADBurst":      {runtime, func(c *Config) { c.Alloy.TADBurst++ }},
+		"Alloy.BEAR":          {runtime, func(c *Config) { c.Alloy.BEAR = !c.Alloy.BEAR }},
+		"Alloy.DBCEntries":    {alloy, func(c *Config) { c.Alloy.DBCEntries *= 2 }},
+		"Alloy.DBCWays":       {alloy, func(c *Config) { c.Alloy.DBCWays *= 2 }},
+		"Alloy.DBCLat":        {runtime, func(c *Config) { c.Alloy.DBCLat++ }},
+		"Alloy.Array":         {runtime, func(c *Config) { c.Alloy.Array = dram.DDR4_3200() }},
+
+		"EDRAM.CapacityBytes": {edram, func(c *Config) { c.EDRAM.CapacityBytes *= 2 }},
+		"EDRAM.SectorBytes":   {edram, func(c *Config) { c.EDRAM.SectorBytes *= 2 }},
+		"EDRAM.Ways":          {edram, func(c *Config) { c.EDRAM.Ways *= 2 }},
+		"EDRAM.TagLat":        {runtime, func(c *Config) { c.EDRAM.TagLat++ }},
+		"EDRAM.ReadArray":     {runtime, func(c *Config) { c.EDRAM.ReadArray = dram.DDR4_3200() }},
+		"EDRAM.WriteArray":    {runtime, func(c *Config) { c.EDRAM.WriteArray = dram.DDR4_3200() }},
+
+		"Policy":          {runtime, func(c *Config) { c.Policy = SBD }},
+		"DAPOverride":     {runtime, func(c *Config) { c.DAPOverride = &core.Config{} }},
+		"ThreadAwareIFRM": {runtime, func(c *Config) { c.ThreadAwareIFRM = !c.ThreadAwareIFRM }},
+		"WarmAccesses":    {warm, func(c *Config) { c.WarmAccesses++ }},
+		"MeasureInstr":    {runtime, func(c *Config) { c.MeasureInstr++ }},
+		"MaxCycles":       {runtime, func(c *Config) { c.MaxCycles++ }},
+		"Audit":           {runtime, func(c *Config) { c.Audit = !c.Audit }},
+		"AuditEvery":      {runtime, func(c *Config) { c.AuditEvery++ }},
+		"WatchdogEvents":  {runtime, func(c *Config) { c.WatchdogEvents++ }},
+		"Faults":          {runtime, func(c *Config) { c.Faults = &faultinject.Plan{DropReadEvery: 1} }},
+		"Observe":         {runtime, func(c *Config) { c.Observe.TraceEvery = 1 }},
+		"Sampled":         {runtime, func(c *Config) { c.Sampled = !c.Sampled }},
+		"SampleMin":       {runtime, func(c *Config) { c.SampleMin++ }},
+		"SampleMax":       {runtime, func(c *Config) { c.SampleMax++ }},
+		"SampleCI":        {runtime, func(c *Config) { c.SampleCI += 0.01 }},
+	}
+
+	// The leaves of Config: its own fields, with the cpu and memory-side
+	// cache configurations opened up into theirs.
+	var leaves []string
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, prefix string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if pkg := f.Type.PkgPath(); f.Type.Kind() == reflect.Struct &&
+				(pkg == "dap/internal/cpu" || pkg == "dap/internal/mscache") {
+				walk(f.Type, prefix+f.Name+".")
+				continue
+			}
+			leaves = append(leaves, prefix+f.Name)
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "")
+	for _, name := range leaves {
+		if _, ok := fields[name]; !ok {
+			t.Errorf("Config field %s is not classified as warm-visible or runtime-only", name)
+		}
+	}
+	if len(fields) != len(leaves) {
+		t.Fatalf("the table names %d fields, Config has %d leaves: %q", len(fields), len(leaves), leaves)
+	}
+
+	mix := quickMix()
+	lbm, ok := workload.ByName("parboil-lbm")
+	if !ok {
+		t.Fatal("no parboil-lbm workload")
+	}
+	for _, arch := range all {
+		base := Quick()
+		base.Arch = arch
+		key := WarmKey(base, mix, 0)
+		if WarmKey(base, workload.RateMix(lbm, 8), 0) == key {
+			t.Errorf("%s: another mix keeps the warm key", arch)
+		}
+		if WarmKey(base, mix, 1) == key {
+			t.Errorf("%s: another seed keeps the warm key", arch)
+		}
+		for _, name := range leaves {
+			f := fields[name]
+			c := base
+			f.mutate(&c)
+			if reflect.DeepEqual(c, base) {
+				t.Fatalf("the %s mutation leaves the configuration unchanged", name)
+			}
+			want := slices.Contains(f.warmUnder, arch)
+			if got := WarmKey(c, mix, 0) != key; got != want {
+				t.Errorf("%s: changing %s changes the warm key = %v, want %v", arch, name, got, want)
+			}
+		}
+	}
+}
+
 // TestCheckpointFigureDriverSingleFlight runs a multi-variant figure grid
 // (the grid and speedup series every speedup figure uses) with and without
 // the checkpoint cache: the series must be bit-identical, and the cache
 // must have built exactly one checkpoint per mix.
 func TestCheckpointFigureDriverSingleFlight(t *testing.T) {
-	mixes := []workload.Mix{quickMix()}
-	if s, ok := workload.ByName("lbm"); ok {
-		mixes = append(mixes, workload.RateMix(s, 8))
+	lbm, ok := workload.ByName("parboil-lbm")
+	if !ok {
+		t.Fatal("no parboil-lbm workload")
 	}
+	mixes := []workload.Mix{quickMix(), workload.RateMix(lbm, 8)}
 	cfgs := []Config{
 		tinyCkptCfg(SectoredDRAM, Baseline),
 		tinyCkptCfg(SectoredDRAM, DAP),

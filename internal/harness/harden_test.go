@@ -265,6 +265,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestReplicateReportsFailedReplicas: replicated runs pass the same checks
+// as a single run. An invalid configuration and a watchdog-aborted replica
+// each return their error and no values, rather than statistics over runs
+// that never completed.
+func TestReplicateReportsFailedReplicas(t *testing.T) {
+	ipc := func(r Result) float64 { return r.AggregateIPC() }
+
+	bad := Quick()
+	bad.CPU.Cores = 0
+	vals, _, _, err := ReplicateParallel(2, bad, quickMix(), 2, ipc)
+	var es check.Errors
+	if !errors.As(err, &es) || vals != nil {
+		t.Fatalf("invalid config: values %v, error %v; want a validation error and no values", vals, err)
+	}
+
+	wedged := hardenConfig()
+	wedged.Policy = DAP
+	wedged.WatchdogEvents = 1
+	vals, _, _, err = ReplicateParallel(2, wedged, quickMix(), 2, ipc)
+	var stall *sim.StallError
+	if !errors.As(err, &stall) || vals != nil {
+		t.Fatalf("aborted replicas: values %v, error %v; want a *sim.StallError and no values", vals, err)
+	}
+}
+
 // TestWatchdogDisabled: a negative deadline turns the watchdog off — the
 // wedged run then exhausts MaxCycles instead (legacy behavior, kept
 // reachable on purpose for debugging the watchdog itself).

@@ -168,10 +168,16 @@ func TestSeedRobustness(t *testing.T) {
 	spec, _ := workload.ByName("libquantum")
 	mix := workload.RateMix(spec, cfg.CPU.Cores)
 	aggIPC := func(r Result) float64 { return r.AggregateIPC() }
-	_, baseMean, _ := ReplicateParallel(1, cfg, mix, 3, aggIPC)
+	_, baseMean, _, err := ReplicateParallel(1, cfg, mix, 3, aggIPC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dapCfg := cfg
 	dapCfg.Policy = DAP
-	vals, dapMean, std := ReplicateParallel(1, dapCfg, mix, 3, aggIPC)
+	vals, dapMean, std, err := ReplicateParallel(1, dapCfg, mix, 3, aggIPC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dapMean <= baseMean {
 		t.Fatalf("DAP mean %.3f must beat baseline %.3f (runs %v)", dapMean, baseMean, vals)
 	}

@@ -39,8 +39,14 @@ func TestPoolingUnderParallelRuns(t *testing.T) {
 		t.Run(arch.String(), func(t *testing.T) {
 			c := cfg
 			c.Arch = arch
-			par, _, _ := ReplicateParallel(8, c, mix, seeds, ipc)
-			ser, _, _ := ReplicateParallel(1, c, mix, seeds, ipc)
+			par, _, _, err := ReplicateParallel(8, c, mix, seeds, ipc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ser, _, _, err := ReplicateParallel(1, c, mix, seeds, ipc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range par {
 				if par[i] != ser[i] {
 					t.Fatalf("seed %d: parallel IPC %v != serial IPC %v — pooled state bled across runs",

@@ -648,17 +648,26 @@ func RunSeeded(cfg Config, mix workload.Mix, seed uint64) Result {
 // values of metric plus their mean and (population) standard deviation —
 // statistical confidence for any reported number. Each seed owns a private
 // system, so the per-seed values — and therefore mean and std — are
-// bit-identical to the serial run.
-func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric func(Result) float64) (vals []float64, mean, std float64) {
-	vals = runner.Map(parallel, n, func(seed int) float64 {
-		return metric(RunSeeded(cfg, mix, uint64(seed)))
+// bit-identical to the serial run. An invalid configuration or an aborted
+// replica returns its error (the lowest seed's, if several fail) instead
+// of statistics over incomplete runs.
+func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric func(Result) float64) (vals []float64, mean, std float64, err error) {
+	vals, err = runner.MapE(parallel, n, func(seed int) (float64, error) {
+		r, err := RunSeededCkptE(cfg, mix, uint64(seed), nil)
+		if err != nil {
+			return 0, err
+		}
+		return metric(r), nil
 	})
+	if err != nil {
+		return nil, 0, 0, err
+	}
 	mean = stats.Mean(vals)
 	for _, v := range vals {
 		std += (v - mean) * (v - mean)
 	}
 	std = math.Sqrt(std / float64(len(vals)))
-	return vals, mean, std
+	return vals, mean, std, nil
 }
 
 // AloneIPC measures a workload's single-core IPC on the given configuration

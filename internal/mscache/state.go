@@ -10,11 +10,11 @@ import (
 // Functional warmup (WarmRead/WarmWriteback) mutates only the structures
 // serialized here: the sector/line tag arrays (including per-block
 // valid/dirty masks and replacement metadata), the SRAM tag cache, the
-// footprint history table, the Alloy dirty-bit cache and the Alloy
-// predictors. The per-window demand counters and MemSideStats are reset by
-// the harness before measurement on both the straight and the resumed
-// path, so they are not serialized; the optional SBD/BATMAN policies are
-// serialized as their own sections by the harness.
+// footprint history table and the Alloy dirty-bit cache. The Alloy hit and
+// fill predictors, SBD and BATMAN train only on timed traffic, and the
+// per-window demand counters and MemSideStats are reset by the harness
+// before measurement on both the straight and the resumed path, so none of
+// them is serialized.
 
 // SaveState serializes the sectored DRAM cache's warmup-visible state.
 func (s *Sectored) SaveState(e *ckpt.Enc) {
@@ -55,8 +55,6 @@ func (a *Alloy) SaveState(e *ckpt.Enc) {
 	e.U64s(a.dbc.gv)
 	e.U64s(a.dbc.bits)
 	e.U64s(a.dbc.lru)
-	e.Bytes(a.pred)
-	e.Bytes(a.fillPred)
 }
 
 // LoadState restores state saved by SaveState.
@@ -75,17 +73,7 @@ func (a *Alloy) LoadState(d *ckpt.Dec) error {
 	d.U64s(a.dbc.gv)
 	d.U64s(a.dbc.bits)
 	d.U64s(a.dbc.lru)
-	pred, fillPred := d.Bytes(), d.Bytes()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(pred) != len(a.pred) || len(fillPred) != len(a.fillPred) {
-		return fmt.Errorf("mscache: checkpoint predictor sizes %d/%d != built %d/%d",
-			len(pred), len(fillPred), len(a.pred), len(a.fillPred))
-	}
-	copy(a.pred, pred)
-	copy(a.fillPred, fillPred)
-	return nil
+	return d.Err()
 }
 
 // SaveState serializes the eDRAM cache's warmup-visible state.

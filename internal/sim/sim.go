@@ -18,18 +18,20 @@ import (
 // which is why the simulator's hot completion paths use it instead of At.
 type Handler func(ctx any, v uint64, now mem.Cycle)
 
-// event is a scheduled callback. Exactly one of fn, fnc and fna is set: fn
-// is a plain closure, fnc receives the cycle the event runs at (AtCall),
-// and fna is a typed Handler with its ctx/v payload (AtArg).
+// event is a scheduled callback: a Handler with its ctx/v payload. At and
+// AtCall carry their closure as ctx through callFunc and callCycleFunc.
 type event struct {
 	when mem.Cycle
 	seq  uint64 // insertion order; breaks ties deterministically
-	fn   func()
-	fnc  func(mem.Cycle)
-	fna  Handler
+	fn   Handler
 	ctx  any
 	v    uint64
 }
+
+// callFunc and callCycleFunc run the closures At and AtCall box as ctx. A
+// func value is pointer-shaped, so boxing it allocates nothing.
+func callFunc(ctx any, _ uint64, _ mem.Cycle)        { ctx.(func())() }
+func callCycleFunc(ctx any, _ uint64, now mem.Cycle) { ctx.(func(mem.Cycle))(now) }
 
 // The timing wheel exploits the fact that nearly every event in this
 // simulator is scheduled a bounded, small number of cycles ahead: DRAM
@@ -247,11 +249,7 @@ func (e *Engine) schedule(ev event) {
 // At schedules fn to run at absolute cycle when. Scheduling in the past is
 // clamped to the current cycle (the event runs before time advances).
 func (e *Engine) At(when mem.Cycle, fn func()) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fn: fn})
+	e.AtArg(when, callFunc, fn, 0)
 }
 
 // AtCall schedules fn to run at absolute cycle when, passing it the cycle
@@ -260,11 +258,7 @@ func (e *Engine) At(when mem.Cycle, fn func()) {
 // allocating a wrapper closure per event, which matters on the DRAM
 // data-return path where every access schedules one completion.
 func (e *Engine) AtCall(when mem.Cycle, fn func(mem.Cycle)) {
-	if when < e.now {
-		when = e.now
-	}
-	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fnc: fn})
+	e.AtArg(when, callCycleFunc, fn, 0)
 }
 
 // AtArg schedules the typed handler fn(ctx, v, when) at absolute cycle
@@ -277,7 +271,7 @@ func (e *Engine) AtArg(when mem.Cycle, fn Handler, ctx any, v uint64) {
 		when = e.now
 	}
 	e.seq++
-	e.schedule(event{when: when, seq: e.seq, fna: fn, ctx: ctx, v: v})
+	e.schedule(event{when: when, seq: e.seq, fn: fn, ctx: ctx, v: v})
 }
 
 // After schedules fn to run delay cycles from now.
@@ -427,14 +421,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.when
-	switch {
-	case ev.fn != nil:
-		ev.fn()
-	case ev.fnc != nil:
-		ev.fnc(ev.when)
-	default:
-		ev.fna(ev.ctx, ev.v, ev.when)
-	}
+	ev.fn(ev.ctx, ev.v, ev.when)
 	if f := e.fs; f != nil {
 		f.count++
 		if f.count >= f.every {
