@@ -4,9 +4,9 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke runner-race obs-check obs-race telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies fuzz-smoke
 
-check: fmt vet build race runner-race obs-check obs-race pool-debug telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke bench-smoke
+check: fmt vet build race runner-race obs-check obs-race telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke bench-smoke
 
 # fmt fails when any Go file is not gofmt-formatted, and lists the files.
 fmt:
@@ -87,22 +87,13 @@ crash-smoke:
 # under the race detector: the full runner suite (ordering, panic/error
 # propagation), the harness unit tests, and the parallel-vs-serial figure
 # identity sweep (which shrinks itself to race-affordable drivers — see
-# raceEnabled in internal/harness). The full harness integration suite is
-# simulation-bound and exceeds any sane race budget; `make race` covers it
-# without the detector's ~10x tax via the plain test target.
+# raceEnabled in internal/harness). The full harness integration suite runs
+# under the detector in `make race` (go test -race with a 90-minute
+# timeout); this target keeps the -short subset and the identity sweep.
 runner-race:
 	$(GO) test -race ./internal/runner
 	$(GO) test -race -short ./internal/harness
 	$(GO) test -race -run 'TestParallelFiguresBitIdentical|TestAloneFingerprintSeparates' -timeout 20m -count=1 ./internal/harness
-
-# pool-debug reruns the pooled-allocation paths with the request-pool poison
-# mode armed (-tags dappooldebug): double-free, use-after-free and
-# freed-record callbacks panic instead of corrupting an unrelated request.
-# The harness test drives full simulations of all three architectures
-# through the armed pools.
-pool-debug:
-	$(GO) test -tags dappooldebug ./internal/mem/
-	$(GO) test -tags dappooldebug -run 'TestPoolingUnderParallelRuns' ./internal/harness/
 
 # bench-smoke vets the end-to-end benchmark and runs its own tests (bench/
 # is a module of its own, so the root `go vet ./...` and `go test ./...`

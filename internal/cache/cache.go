@@ -213,17 +213,6 @@ func (r Ref) DMask() uint64 {
 	return r.c.dmask[r.i]
 }
 
-// SetDMask stores the sector dirty mask.
-func (r Ref) SetDMask(v uint64) {
-	if r.c.dmask == nil {
-		if v == 0 {
-			return
-		}
-		r.c.dmask = make([]uint64, len(r.c.tv))
-	}
-	r.c.dmask[r.i] = v
-}
-
 // OrDMask ORs bits into the sector dirty mask.
 func (r Ref) OrDMask(v uint64) {
 	if r.c.dmask == nil {

@@ -232,8 +232,6 @@ type DAP struct {
 	// partitioning was invoked (useful in tests and for insensitive
 	// workloads, where this should be near zero).
 	Windows, Partitioned uint64
-	// SumAMS/SumAMM accumulate the observed per-window demand (diagnostics).
-	SumAMS, SumAMM int64
 
 	stopped bool
 }
@@ -416,8 +414,6 @@ func (d *DAP) window() {
 		w = *s
 	}
 	d.Windows++
-	d.SumAMS += w.AMS()
-	d.SumAMM += w.AMM
 
 	switch d.cfg.Arch {
 	case EDRAMArch:

@@ -193,9 +193,6 @@ func (d *DAP) SetRecorder(r *DecisionRecorder) {
 	r.setSources(d.sourceNames())
 }
 
-// Recorder returns the attached decision recorder (nil when detached).
-func (d *DAP) Recorder() *DecisionRecorder { return d.rec }
-
 // SourceBandwidths returns the derated (Efficiency-scaled) per-source
 // bandwidths in GB/s the decision audit evaluates Equation 2 over, ordered
 // like the records' fraction vectors.

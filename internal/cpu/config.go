@@ -28,7 +28,9 @@ type Config struct {
 	L2Bytes, L2Ways int
 	L3Bytes, L3Ways int
 
-	L1Lat, L2Lat, L3Lat mem.Cycle // round-trip load-to-use latencies
+	// L2Lat and L3Lat are round-trip load-to-use latencies; L1 hits are
+	// free in this model.
+	L2Lat, L3Lat mem.Cycle
 
 	// Prefetcher: Streams tracked per core, Degree lines issued per
 	// trigger, Distance lines of lookahead, PFOutstanding outstanding
@@ -70,18 +72,9 @@ func Default() Config {
 		L1Bytes: 32 * mem.KiB, L1Ways: 8,
 		L2Bytes: 256 * mem.KiB, L2Ways: 8,
 		L3Bytes: 8 * mem.MiB, L3Ways: 16,
-		L1Lat: 3, L2Lat: 11, L3Lat: 20,
+		L2Lat: 11, L3Lat: 20,
 		PFStreams: 16, PFDegree: 4, PFDistance: 32, PFOutstanding: 32,
 	}
-}
-
-// Default16 is the sixteen-core scaling configuration (Section VI-A.5):
-// 16 MB L3 at the same sixteen-way associativity.
-func Default16() Config {
-	c := Default()
-	c.Cores = 16
-	c.L3Bytes = 16 * mem.MiB
-	return c
 }
 
 // Backend is the memory system below the L3: a memory-side cache controller

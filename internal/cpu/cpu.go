@@ -485,7 +485,7 @@ func (co *core) execute(a workload.Access, pos uint64) {
 		co.installL1(addr, a.Store)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L2Lat)
 	case cpu.l3.Lookup(addr).Ok():
-		co.installL2(addr, false)
+		co.installL2(addr)
 		co.installL1(addr, a.Store)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L3Lat)
 	default:
@@ -551,7 +551,7 @@ func (co *core) fillArrived(addr mem.Addr, t mem.Cycle) {
 // fillFromMemory installs a returned line into L3, L2 and L1.
 func (co *core) fillFromMemory(addr mem.Addr, store bool) {
 	co.installL3(addr)
-	co.installL2(addr, false)
+	co.installL2(addr)
 	co.installL1(addr, store)
 }
 
@@ -601,14 +601,11 @@ func (co *core) installL1(addr mem.Addr, dirty bool) {
 
 // installL2 inserts into L2; victims invalidate L1 and dirty data settles in
 // the (inclusive) L3 copy.
-func (co *core) installL2(addr mem.Addr, dirty bool) {
-	if l := co.l2.Probe(addr); l.Ok() {
-		if dirty {
-			l.MarkDirty()
-		}
+func (co *core) installL2(addr mem.Addr) {
+	if co.l2.Probe(addr).Ok() {
 		return
 	}
-	ev := co.l2.Insert(addr, dirty)
+	ev := co.l2.Insert(addr, false)
 	if !ev.Valid {
 		return
 	}

@@ -3,7 +3,6 @@ package dram
 import (
 	"dap/internal/mem"
 	"dap/internal/sim"
-	"dap/internal/stats"
 )
 
 // bank tracks row-buffer state and when its next data burst may start.
@@ -13,18 +12,21 @@ type bank struct {
 	actAt    mem.Cycle // last activation time (for tRAS)
 }
 
-// queued is a request waiting in a channel queue. The request lives in the
-// owning device's free-list pool: the channel is its sole holder from
-// enqueue until issue, where the callbacks are extracted and the record is
-// returned to the pool. gen is the pool generation stamped at enqueue
-// (always 0 unless built with -tags dappooldebug), re-checked at issue to
-// catch a record freed or reused while queued.
+// queued is a request waiting in a channel queue, held by value: the
+// queue it sits in says whether it is a read or a write, and these fields
+// are everything issue needs. burst overrides the data-bus occupancy in
+// device clocks when non-zero (the Alloy cache's 72 B TADs occupy three
+// HBM clocks instead of two). done, if non-nil, fires once when the access
+// completes; onIssue, if non-nil, receives the time the request spent
+// queued when its data burst is scheduled, and must never influence
+// timing.
 type queued struct {
-	req      *mem.Request
-	gen      uint64
-	bank     int
 	row      int64
 	enqueued mem.Cycle
+	done     func(mem.Cycle)
+	onIssue  func(mem.Cycle)
+	bank     int32
+	burst    uint8
 }
 
 // window is how many of the oldest queued requests the scheduler considers
@@ -59,7 +61,7 @@ func (q *reqQueue) push(e queued) {
 }
 
 // remove takes out live entry i, keeping the others in FIFO order. The
-// vacated head slot is cleared so it no longer points at a pooled request.
+// vacated head slot is cleared so it no longer holds the callbacks.
 func (q *reqQueue) remove(i int) queued {
 	live := q.buf[q.head:]
 	e := live[i]
@@ -82,10 +84,7 @@ type ChannelStats struct {
 	RowMisses  uint64
 	BusyCycles mem.Cycle // data-bus occupancy
 	ReadLatSum mem.Cycle // enqueue-to-data latency, reads only
-	QueuePeak  int
 	Refreshes  uint64
-	// ReadLat is the read latency distribution (cycles, log2 buckets).
-	ReadLat stats.Histogram
 }
 
 // CAS returns the total column accesses performed.
@@ -101,7 +100,6 @@ const horizon mem.Cycle = 240
 type channel struct {
 	cfg    *Config
 	eng    *sim.Engine
-	pool   *mem.RequestPool // owned by the device, shared by its channels
 	banks  []bank
 	readQ  reqQueue
 	writeQ reqQueue
@@ -116,9 +114,9 @@ type channel struct {
 	tCAS, tRCD, tRP, tRAS, burst, io, turn mem.Cycle
 }
 
-func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
+func newChannel(cfg *Config, eng *sim.Engine) *channel {
 	ch := &channel{
-		cfg: cfg, eng: eng, pool: pool, banks: make([]bank, cfg.Banks),
+		cfg: cfg, eng: eng, banks: make([]bank, cfg.Banks),
 		// Queues sized for the usual backlog up front: growing them from
 		// nil one doubling at a time was the largest allocation site of a
 		// freshly built device.
@@ -158,18 +156,15 @@ func newChannel(cfg *Config, eng *sim.Engine, pool *mem.RequestPool) *channel {
 	return ch
 }
 
-// enqueue adds a pooled request; bank/row decoding already done by the
-// device. Ownership of r transfers to the channel, which returns it to the
-// pool at issue time.
-func (ch *channel) enqueue(r *mem.Request, bk int, row int64) {
-	q := queued{req: r, gen: ch.pool.Generation(r), bank: bk, row: row, enqueued: ch.eng.Now()}
-	if r.Kind.IsWrite() && !ch.cfg.ReadOnly {
-		ch.writeQ.push(q)
+// enqueue queues e, whose bank and row the device has decoded, on the
+// write queue if write is set and the channel has one, else on the read
+// queue.
+func (ch *channel) enqueue(write bool, e queued) {
+	e.enqueued = ch.eng.Now()
+	if write && !ch.cfg.ReadOnly {
+		ch.writeQ.push(e)
 	} else {
-		ch.readQ.push(q)
-	}
-	if n := ch.queueLen(); n > ch.stats.QueuePeak {
-		ch.stats.QueuePeak = n
+		ch.readQ.push(e)
 	}
 	ch.kick(ch.eng.Now())
 }
@@ -273,21 +268,17 @@ func (ch *channel) schedule() {
 			return
 		}
 		e := q.remove(ch.pick(q.live(), now))
-		ch.issue(&e, now)
+		ch.issue(&e, q == &ch.writeQ, now)
 	}
 }
 
-// issue performs the timing bookkeeping for one request, then releases the
-// request record back to the device pool: everything the completion needs
-// (the Done func value) is copied into the scheduled event, so nothing
-// references the record after issue returns.
-func (ch *channel) issue(e *queued, now mem.Cycle) {
-	ch.pool.CheckLive(e.req, e.gen)
-	isWrite := e.req.Kind.IsWrite() && !ch.cfg.ReadOnly
+// issue performs the timing bookkeeping for one request popped from the
+// write queue if isWrite is set, else from the read queue.
+func (ch *channel) issue(e *queued, isWrite bool, now mem.Cycle) {
 	b := &ch.banks[e.bank]
 	burst := ch.burst
-	if e.req.Burst > 0 {
-		burst = ch.cfg.cpuCycles(int(e.req.Burst))
+	if e.burst > 0 {
+		burst = ch.cfg.cpuCycles(int(e.burst))
 	}
 
 	var dataStart mem.Cycle
@@ -317,8 +308,8 @@ func (ch *channel) issue(e *queued, now mem.Cycle) {
 	ch.busFree = dataStart + burst
 	ch.stats.BusyCycles += burst
 
-	if e.req.OnIssue != nil {
-		e.req.OnIssue(dataStart - e.enqueued)
+	if e.onIssue != nil {
+		e.onIssue(dataStart - e.enqueued)
 	}
 
 	done := dataStart + burst + ch.io
@@ -327,15 +318,12 @@ func (ch *channel) issue(e *queued, now mem.Cycle) {
 	} else {
 		ch.stats.Reads++
 		ch.stats.ReadLatSum += done - e.enqueued
-		ch.stats.ReadLat.Add(uint64(done - e.enqueued))
 	}
-	if e.req.Done != nil {
+	if e.done != nil {
 		// AtCall hands the callback its execution cycle directly, so no
 		// wrapper closure is allocated per completed access.
-		ch.eng.AtCall(done, e.req.Done)
+		ch.eng.AtCall(done, e.done)
 	}
-	ch.pool.Put(e.req)
-	e.req = nil
 }
 
 func maxCycle(a, b mem.Cycle) mem.Cycle {

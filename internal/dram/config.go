@@ -7,8 +7,11 @@
 // the data bus is the bandwidth bottleneck (every 64 B access occupies the
 // bus for a burst), banks provide parallelism and row buffers provide the
 // latency/bandwidth difference between hits and misses. Command-bus
-// contention and refresh are not modeled (the paper likewise assumes no
-// maintenance overheads for its bandwidth kernels).
+// contention is not modeled. Refresh is modeled but off in every named
+// configuration (the paper likewise assumes no maintenance overheads for
+// its bandwidth kernels): Config.EnableRefresh sets RefreshInterval and
+// RefreshCycles, and each refresh closes every bank and stalls the channel
+// for tRFC.
 package dram
 
 import (

@@ -13,9 +13,10 @@ type FaultAction struct {
 	ExtraDelay   mem.Cycle
 }
 
-// FaultHook inspects every enqueued request and returns the fault (if any)
-// to inject. The zero FaultAction leaves the request untouched.
-type FaultHook func(*mem.Request) FaultAction
+// FaultHook inspects the kind of every enqueued request and returns the
+// fault (if any) to inject. The zero FaultAction leaves the request
+// untouched.
+type FaultHook func(mem.Kind) FaultAction
 
 // Device is a multi-channel DRAM bandwidth source. Lines are interleaved
 // across channels at 64 B granularity; banks are selected from higher
@@ -24,12 +25,6 @@ type Device struct {
 	Cfg      Config
 	eng      *sim.Engine
 	channels []*channel
-
-	// pool recycles request records across the device's channel queues.
-	// The device and its channels run on one engine goroutine, so the
-	// LIFO free list is deterministic and needs no locking. Steady state
-	// holds the peak queue depth's worth of records and allocates nothing.
-	pool mem.RequestPool
 
 	rowLines uint64 // lines per row
 
@@ -48,7 +43,7 @@ func NewDeviceE(cfg Config, eng *sim.Engine) (*Device, error) {
 	}
 	d := &Device{Cfg: cfg, eng: eng, rowLines: uint64(cfg.RowBytes / mem.LineBytes)}
 	for i := 0; i < cfg.Channels; i++ {
-		d.channels = append(d.channels, newChannel(&d.Cfg, eng, &d.pool))
+		d.channels = append(d.channels, newChannel(&d.Cfg, eng))
 	}
 	return d, nil
 }
@@ -76,90 +71,58 @@ func (d *Device) route(a mem.Addr) (ch, bk int, row int64) {
 	return ch, bk, int64(r)
 }
 
-// Enqueue submits a request to the device. The request's Done callback (if
-// any) fires when data is transferred. The request is consumed by value —
-// the device copies it into a pooled record and never retains r — so
-// callers may pass a stack-allocated request and reuse or discard it
-// immediately. (Prefer Access/AccessBurst: they fill the pooled record
-// directly without the intermediate copy.)
-func (d *Device) Enqueue(r *mem.Request) {
-	p := d.pool.Get()
-	*p = *r
-	d.submit(p)
-}
-
-// submit is the pooled-request path shared by Access, AccessTraced,
-// AccessBurst and Enqueue. Ownership of r (a record from d.pool) passes to
-// the target channel. The fault hook lives on a separate non-inlined path
-// so the fault-free common case stays branch-light.
-func (d *Device) submit(r *mem.Request) {
-	if d.Fault != nil {
-		d.submitFaulty(r)
-		return
-	}
-	d.Kinds[r.Kind]++
-	ch, bk, row := d.route(r.Addr)
-	d.channels[ch].enqueue(r, bk, row)
-}
-
-// submitFaulty consults the fault hook and rewrites the request according
-// to its verdict: a dropped response loses its Done callback (the transfer
-// still happens, so the bandwidth is spent, but the waiter never wakes); a
-// delay defers Done.
-//
-//go:noinline
-func (d *Device) submitFaulty(r *mem.Request) {
-	if act := d.Fault(r); act.DropResponse || act.ExtraDelay > 0 {
-		switch {
-		case act.DropResponse:
-			r.Done = nil
-		case r.Done != nil:
-			orig, extra := r.Done, act.ExtraDelay
-			r.Done = func(t mem.Cycle) {
-				d.eng.After(extra, func() { orig(t + extra) })
-			}
-		}
-	}
-	d.Kinds[r.Kind]++
-	ch, bk, row := d.route(r.Addr)
-	d.channels[ch].enqueue(r, bk, row)
-}
-
-// Access is a convenience wrapper building a Request.
-func (d *Device) Access(a mem.Addr, k mem.Kind, core int, done func(mem.Cycle)) {
-	r := d.pool.Get()
-	r.Addr, r.Kind, r.Core, r.Issued, r.Done = a, k, core, d.eng.Now(), done
-	d.submit(r)
+// Access queues one 64-byte access of kind k to address a. done, if
+// non-nil, fires once when the access completes (data returned for reads;
+// accepted for writes).
+func (d *Device) Access(a mem.Addr, k mem.Kind, done func(mem.Cycle)) {
+	d.access(a, k, 0, nil, done)
 }
 
 // AccessBurst is Access with an explicit burst-length override in device
-// cycles (0 means the config default). It exists for the mscache
-// controllers' tag-and-data and writeback transactions, which transfer
-// more than one line per CAS; routing them here keeps the request record
-// pooled instead of heap-allocating one per enqueue.
-func (d *Device) AccessBurst(a mem.Addr, k mem.Kind, core int, burst uint8, done func(mem.Cycle)) {
-	r := d.pool.Get()
-	r.Addr, r.Kind, r.Core, r.Issued, r.Burst, r.Done = a, k, core, d.eng.Now(), burst, done
-	d.submit(r)
+// cycles (0 means the config default), for the mscache controllers'
+// tag-and-data transactions, which transfer more than one line per CAS.
+func (d *Device) AccessBurst(a mem.Addr, k mem.Kind, burst uint8, done func(mem.Cycle)) {
+	d.access(a, k, burst, nil, done)
 }
 
 // AccessTraced is Access with an observability issue hook attached: onIssue
 // (if non-nil) receives the request's in-queue wait when its data burst is
 // scheduled. Timing is identical to Access.
-func (d *Device) AccessTraced(a mem.Addr, k mem.Kind, core int, onIssue func(mem.Cycle), done func(mem.Cycle)) {
-	r := d.pool.Get()
-	r.Addr, r.Kind, r.Core, r.Issued, r.OnIssue, r.Done = a, k, core, d.eng.Now(), onIssue, done
-	d.submit(r)
+func (d *Device) AccessTraced(a mem.Addr, k mem.Kind, onIssue, done func(mem.Cycle)) {
+	d.access(a, k, 0, onIssue, done)
 }
 
-// NumChannels returns the number of channels.
-func (d *Device) NumChannels() int { return len(d.channels) }
+// access routes one request to its channel and queues it there by value.
+// The fault hook lives on a separate non-inlined path so the fault-free
+// common case stays branch-light.
+func (d *Device) access(a mem.Addr, k mem.Kind, burst uint8, onIssue, done func(mem.Cycle)) {
+	if d.Fault != nil {
+		done = d.fault(k, done)
+	}
+	d.Kinds[k]++
+	ch, bk, row := d.route(a)
+	d.channels[ch].enqueue(k.IsWrite(), queued{row: row, done: done, onIssue: onIssue, bank: int32(bk), burst: burst})
+}
 
-// ChannelQueueLen returns the pending requests queued on one channel.
-func (d *Device) ChannelQueueLen(i int) int { return d.channels[i].queueLen() }
-
-// ChannelBusyCycles returns one channel's cumulative data-bus occupancy.
-func (d *Device) ChannelBusyCycles(i int) mem.Cycle { return d.channels[i].stats.BusyCycles }
+// fault consults the fault hook and returns the completion to queue
+// according to its verdict: a dropped response loses done (the transfer
+// still happens, so the bandwidth is spent, but the waiter never wakes); a
+// delay defers it.
+//
+//go:noinline
+func (d *Device) fault(k mem.Kind, done func(mem.Cycle)) func(mem.Cycle) {
+	act := d.Fault(k)
+	switch {
+	case act.DropResponse:
+		return nil
+	case act.ExtraDelay > 0 && done != nil:
+		extra := act.ExtraDelay
+		return func(t mem.Cycle) {
+			d.eng.After(extra, func() { done(t + extra) })
+		}
+	}
+	return done
+}
 
 // TotalCAS returns the cumulative column accesses across channels.
 func (d *Device) TotalCAS() uint64 {
@@ -189,11 +152,7 @@ func (d *Device) Stats() ChannelStats {
 		s.RowMisses += ch.stats.RowMisses
 		s.BusyCycles += ch.stats.BusyCycles
 		s.ReadLatSum += ch.stats.ReadLatSum
-		s.ReadLat.Merge(&ch.stats.ReadLat)
 		s.Refreshes += ch.stats.Refreshes
-		if ch.stats.QueuePeak > s.QueuePeak {
-			s.QueuePeak = ch.stats.QueuePeak
-		}
 	}
 	return s
 }
@@ -204,19 +163,4 @@ func (d *Device) ResetStats() {
 		ch.stats = ChannelStats{}
 	}
 	d.Kinds = [8]uint64{}
-}
-
-// DeliveredGBps reports the average data bandwidth over a cycle span.
-func (d *Device) DeliveredGBps(cycles mem.Cycle) float64 {
-	s := d.Stats()
-	return mem.GBPerSec(s.CAS()*mem.LineBytes, cycles)
-}
-
-// AvgReadLatency returns the mean enqueue-to-data read latency in cycles.
-func (d *Device) AvgReadLatency() float64 {
-	s := d.Stats()
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadLatSum) / float64(s.Reads)
 }

@@ -56,7 +56,7 @@ func streamGBps(t *testing.T, cfg Config, outstanding int, cycles mem.Cycle) flo
 			return
 		}
 		addr += mem.LineBytes
-		dev.Access(addr, mem.ReadKind, 0, func(mem.Cycle) {
+		dev.Access(addr, mem.ReadKind, func(mem.Cycle) {
 			done++
 			issue()
 		})
@@ -96,7 +96,7 @@ func TestRandomIsSlowerThanStreaming(t *testing.T) {
 		rng ^= rng << 25
 		rng ^= rng >> 27
 		a := mem.Addr(rng*0x2545f4914f6cdd1d) & 0x3fffffc0
-		dev.Access(a, mem.ReadKind, 0, func(mem.Cycle) {
+		dev.Access(a, mem.ReadKind, func(mem.Cycle) {
 			done++
 			issue()
 		})
@@ -122,7 +122,7 @@ func TestRowHitsForSequential(t *testing.T) {
 	dev := NewDevice(cfg, eng)
 	// touch 64 sequential lines synchronously-ish
 	for i := 0; i < 256; i++ {
-		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, 0, nil)
+		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, nil)
 	}
 	eng.Drain()
 	st := dev.Stats()
@@ -140,8 +140,8 @@ func TestWritesAreBatched(t *testing.T) {
 	dev := NewDevice(cfg, eng)
 	// interleave reads and writes; writes must not starve
 	for i := 0; i < 100; i++ {
-		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, 0, nil)
-		dev.Access(mem.Addr((i+4096)*mem.LineBytes), mem.WritebackKind, 0, nil)
+		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, nil)
+		dev.Access(mem.Addr((i+4096)*mem.LineBytes), mem.WritebackKind, nil)
 	}
 	eng.Drain()
 	st := dev.Stats()
@@ -157,11 +157,43 @@ func TestDoneCallbackAlwaysFires(t *testing.T) {
 	fired := 0
 	n := 500
 	for i := 0; i < n; i++ {
-		dev.Access(mem.Addr(i*977*mem.LineBytes), mem.ReadKind, 0, func(mem.Cycle) { fired++ })
+		dev.Access(mem.Addr(i*977*mem.LineBytes), mem.ReadKind, func(mem.Cycle) { fired++ })
 	}
 	eng.Drain()
 	if fired != n {
 		t.Fatalf("done fired %d times, want %d", fired, n)
+	}
+}
+
+// TestQueuedRequestsAllocateNothing: queueing a request by value costs no
+// heap allocation. A warm device serves batches of reads with a completion
+// and writebacks without one, drains each batch, and allocates nothing.
+func TestQueuedRequestsAllocateNothing(t *testing.T) {
+	eng := sim.New()
+	dev := NewDevice(DDR4_2400(), eng)
+	const perBatch = 64
+	completed := 0
+	done := func(mem.Cycle) { completed++ }
+	var next mem.Addr
+	batch := func() {
+		for i := 0; i < perBatch; i++ {
+			dev.Access(next, mem.ReadKind, done)
+			dev.Access(next+mem.MiB, mem.WritebackKind, nil)
+			next += mem.LineBytes
+		}
+		eng.Drain()
+	}
+	batch() // warm the channel queues and the engine's event storage
+	const runs = 20
+	if a := testing.AllocsPerRun(runs, batch); a != 0 {
+		t.Fatalf("a drained batch of %d reads and %d writebacks allocates %.1f times, want 0", perBatch, perBatch, a)
+	}
+	// AllocsPerRun makes one extra warm-up call before the counted runs.
+	if want := perBatch * (runs + 2); completed != want {
+		t.Fatalf("%d reads completed, want %d", completed, want)
+	}
+	if st := dev.Stats(); st.Reads != st.Writes || st.Reads != uint64(completed) {
+		t.Fatalf("served %d reads and %d writes, want %d each", st.Reads, st.Writes, completed)
 	}
 }
 
@@ -171,7 +203,7 @@ func TestReadLatencyReasonable(t *testing.T) {
 	dev := NewDevice(cfg, eng)
 	var lat mem.Cycle
 	issued := eng.Now()
-	dev.Access(0, mem.ReadKind, 0, func(d mem.Cycle) { lat = d - issued })
+	dev.Access(0, mem.ReadKind, func(d mem.Cycle) { lat = d - issued })
 	eng.Drain()
 	// closed bank: tRCD+tCAS+burst+IO = (15+15)*3.33 + 13.3 + 33.3 ~ 147
 	if lat < 80 || lat > 250 {
@@ -184,7 +216,7 @@ func TestTADBurstOccupiesMoreBus(t *testing.T) {
 	eng := sim.New()
 	dev := NewDevice(cfg, eng)
 	for i := 0; i < 100; i++ {
-		dev.Enqueue(&mem.Request{Addr: mem.Addr(i * mem.LineBytes), Kind: mem.ReadKind, Burst: 3})
+		dev.AccessBurst(mem.Addr(i*mem.LineBytes), mem.ReadKind, 3, nil)
 	}
 	eng.Drain()
 	tad := dev.Stats().BusyCycles
@@ -192,7 +224,7 @@ func TestTADBurstOccupiesMoreBus(t *testing.T) {
 	eng2 := sim.New()
 	dev2 = NewDevice(cfg, eng2)
 	for i := 0; i < 100; i++ {
-		dev2.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, 0, nil)
+		dev2.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, nil)
 	}
 	eng2.Drain()
 	plain := dev2.Stats().BusyCycles
@@ -206,8 +238,8 @@ func TestEDRAMSeparateChannels(t *testing.T) {
 	rd := NewDevice(EDRAMRead(51.2), eng)
 	wr := NewDevice(EDRAMWrite(51.2), eng)
 	for i := 0; i < 50; i++ {
-		rd.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, 0, nil)
-		wr.Access(mem.Addr(i*mem.LineBytes), mem.FillKind, 0, nil)
+		rd.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, nil)
+		wr.Access(mem.Addr(i*mem.LineBytes), mem.FillKind, nil)
 	}
 	eng.Drain()
 	if rd.Stats().Reads != 50 {
@@ -221,7 +253,7 @@ func TestEDRAMSeparateChannels(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	eng := sim.New()
 	dev := NewDevice(DDR4_2400(), eng)
-	dev.Access(0, mem.ReadKind, 0, nil)
+	dev.Access(0, mem.ReadKind, nil)
 	eng.Drain()
 	if dev.Stats().CAS() != 1 {
 		t.Fatal("expected one CAS")
@@ -236,7 +268,7 @@ func TestQueueLen(t *testing.T) {
 	eng := sim.New()
 	dev := NewDevice(DDR4_2400(), eng)
 	for i := 0; i < 10; i++ {
-		dev.Access(mem.Addr(i*64), mem.ReadKind, 0, nil)
+		dev.Access(mem.Addr(i*64), mem.ReadKind, nil)
 	}
 	if dev.QueueLen() == 0 {
 		t.Fatal("queue should hold pending requests before the engine runs")
@@ -252,7 +284,7 @@ func TestChannelInterleaving(t *testing.T) {
 	dev := NewDevice(DDR4_2400(), eng) // 2 channels
 	// consecutive lines alternate channels: per-channel stats should split
 	for i := 0; i < 100; i++ {
-		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, 0, nil)
+		dev.Access(mem.Addr(i*mem.LineBytes), mem.ReadKind, nil)
 	}
 	eng.Drain()
 	for i, ch := range dev.channels {
@@ -268,7 +300,7 @@ func BenchmarkDRAMStream(b *testing.B) {
 	eng := sim.New()
 	dev := NewDevice(HBM102(), eng)
 	for i := 0; i < b.N; i++ {
-		dev.Access(mem.Addr(i)<<mem.LineShift, mem.ReadKind, 0, nil)
+		dev.Access(mem.Addr(i)<<mem.LineShift, mem.ReadKind, nil)
 		if dev.QueueLen() > 512 {
 			eng.Drain()
 		}

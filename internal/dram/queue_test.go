@@ -7,8 +7,28 @@ import (
 	"dap/internal/mem"
 )
 
-// entry makes a queued request identified by its enqueue cycle.
-func entry(id int) queued { return queued{enqueued: mem.Cycle(id), bank: id % 8} }
+func nop(mem.Cycle) {}
+
+// entry makes a queued request identified by its enqueue cycle, with both
+// callbacks set.
+func entry(id int) queued {
+	return queued{row: int64(id / 3), enqueued: mem.Cycle(id), done: nop, onIssue: nop, bank: int32(id % 8), burst: uint8(id % 4)}
+}
+
+// entryKey is a queued entry's comparable form: a struct holding funcs
+// cannot be compared with ==, so the callbacks are reduced to whether
+// they are set.
+type entryKey struct {
+	row           int64
+	enqueued      mem.Cycle
+	bank          int32
+	burst         uint8
+	done, onIssue bool
+}
+
+func keyOf(e queued) entryKey {
+	return entryKey{e.row, e.enqueued, e.bank, e.burst, e.done != nil, e.onIssue != nil}
+}
 
 // TestReqQueueMatchesSliceRemoval drives reqQueue and the plain slice it
 // replaced (removal by append(q[:i], q[i+1:]...)) with the same random
@@ -35,7 +55,7 @@ func TestReqQueueMatchesSliceRemoval(t *testing.T) {
 			got := q.remove(i)
 			want := ref[i]
 			ref = append(ref[:i], ref[i+1:]...)
-			if got != want {
+			if keyOf(got) != keyOf(want) {
 				t.Fatalf("step %d: remove(%d) = %d, want %d", step, i, got.enqueued, want.enqueued)
 			}
 		}
@@ -44,13 +64,13 @@ func TestReqQueueMatchesSliceRemoval(t *testing.T) {
 			t.Fatalf("step %d: queue holds %d, reference %d", step, len(live), len(ref))
 		}
 		for k := range ref {
-			if live[k] != ref[k] {
+			if keyOf(live[k]) != keyOf(ref[k]) {
 				t.Fatalf("step %d: entry %d is %d, reference %d", step, k, live[k].enqueued, ref[k].enqueued)
 			}
 		}
 		for k := 0; k < q.head; k++ {
-			if q.buf[k] != (queued{}) {
-				t.Fatalf("step %d: dead slot %d still holds entry %d", step, k, q.buf[k].enqueued)
+			if e := q.buf[k]; e.done != nil || e.onIssue != nil || keyOf(e) != (entryKey{}) {
+				t.Fatalf("step %d: dead slot %d still holds entry %d", step, k, e.enqueued)
 			}
 		}
 	}

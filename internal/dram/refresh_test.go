@@ -20,7 +20,7 @@ func streamWithConfig(cfg Config, cycles mem.Cycle) float64 {
 			return
 		}
 		addr += mem.LineBytes
-		dev.Access(addr, mem.ReadKind, 0, func(mem.Cycle) {
+		dev.Access(addr, mem.ReadKind, func(mem.Cycle) {
 			done++
 			issue()
 		})
@@ -49,7 +49,7 @@ func TestRefreshCostsBandwidth(t *testing.T) {
 func TestRefreshCountsRecorded(t *testing.T) {
 	eng := sim.New()
 	dev := NewDevice(DDR4_2400().EnableRefresh(), eng)
-	dev.Access(0, mem.ReadKind, 0, nil)
+	dev.Access(0, mem.ReadKind, nil)
 	eng.RunUntil(500_000)
 	if dev.Stats().Refreshes == 0 {
 		t.Fatal("refreshes must be counted")

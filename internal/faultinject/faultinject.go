@@ -80,8 +80,8 @@ func (i *Injector) Plan() Plan { return i.plan }
 // dropping and metadata delays. Attach it to every device the plan should
 // perturb (typically both main memory and the cache array).
 func (i *Injector) DeviceHook() dram.FaultHook {
-	return func(r *mem.Request) dram.FaultAction {
-		switch r.Kind {
+	return func(k mem.Kind) dram.FaultAction {
+		switch k {
 		case mem.ReadKind:
 			if every := i.plan.DropReadEvery; every > 0 {
 				n := i.reads

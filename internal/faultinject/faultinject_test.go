@@ -16,7 +16,7 @@ func TestDropReadDeterministic(t *testing.T) {
 		hook := inj.DeviceHook()
 		var dropped []bool
 		for n := 0; n < 12; n++ {
-			act := hook(&mem.Request{Kind: mem.ReadKind})
+			act := hook(mem.ReadKind)
 			dropped = append(dropped, act.DropResponse)
 		}
 		return dropped
@@ -43,7 +43,7 @@ func TestSeedShiftsPhase(t *testing.T) {
 		inj := New(Plan{Seed: seed, DropReadEvery: 4})
 		hook := inj.DeviceHook()
 		for n := 0; n < 16; n++ {
-			if hook(&mem.Request{Kind: mem.ReadKind}).DropResponse {
+			if hook(mem.ReadKind).DropResponse {
 				drops = append(drops, n)
 			}
 		}
@@ -63,13 +63,13 @@ func TestSeedShiftsPhase(t *testing.T) {
 func TestMetaDelayOnly(t *testing.T) {
 	inj := New(Plan{DelayMetaEvery: 1, DelayMetaCycles: 50})
 	hook := inj.DeviceHook()
-	if act := hook(&mem.Request{Kind: mem.MetaReadKind}); act.ExtraDelay != 50 || act.DropResponse {
+	if act := hook(mem.MetaReadKind); act.ExtraDelay != 50 || act.DropResponse {
 		t.Fatalf("meta fetch not delayed: %+v", act)
 	}
-	if act := hook(&mem.Request{Kind: mem.ReadKind}); act != (dram.FaultAction{}) {
+	if act := hook(mem.ReadKind); act != (dram.FaultAction{}) {
 		t.Fatalf("demand read perturbed: %+v", act)
 	}
-	if act := hook(&mem.Request{Kind: mem.WritebackKind}); act != (dram.FaultAction{}) {
+	if act := hook(mem.WritebackKind); act != (dram.FaultAction{}) {
 		t.Fatalf("writeback perturbed: %+v", act)
 	}
 	if inj.Delayed != 1 {
@@ -87,7 +87,7 @@ func TestDeviceDropsResponse(t *testing.T) {
 
 	completions := 0
 	for n := 0; n < 4; n++ {
-		dev.Access(mem.Addr(n*4096), mem.ReadKind, 0, func(mem.Cycle) { completions++ })
+		dev.Access(mem.Addr(n*4096), mem.ReadKind, func(mem.Cycle) { completions++ })
 	}
 	eng.Drain()
 	if completions != 2 {
@@ -108,7 +108,7 @@ func TestDeviceDelaysResponse(t *testing.T) {
 	eng := sim.New()
 	base := dram.NewDevice(dram.DDR4_2400(), eng)
 	var baseline mem.Cycle
-	base.Access(0, mem.MetaReadKind, 0, func(mem.Cycle) { baseline = eng.Now() })
+	base.Access(0, mem.MetaReadKind, func(mem.Cycle) { baseline = eng.Now() })
 	eng.Drain()
 
 	eng2 := sim.New()
@@ -116,7 +116,7 @@ func TestDeviceDelaysResponse(t *testing.T) {
 	inj := New(Plan{DelayMetaEvery: 1, DelayMetaCycles: 123})
 	dev.Fault = inj.DeviceHook()
 	var delayed mem.Cycle
-	dev.Access(0, mem.MetaReadKind, 0, func(mem.Cycle) { delayed = eng2.Now() })
+	dev.Access(0, mem.MetaReadKind, func(mem.Cycle) { delayed = eng2.Now() })
 	eng2.Drain()
 
 	if delayed != baseline+123 {

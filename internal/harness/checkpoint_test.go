@@ -95,7 +95,7 @@ func TestCheckpointSaveRejectsTimedState(t *testing.T) {
 	if _, err := s.SaveCheckpoint(); err != nil {
 		t.Fatalf("post-warmup save: %v", err)
 	}
-	s.MM.Access(0, mem.ReadKind, 0, nil)
+	s.MM.Access(0, mem.ReadKind, nil)
 	if _, err := s.SaveCheckpoint(); err == nil {
 		t.Fatal("save with a request queued at main memory should fail")
 	}
@@ -190,7 +190,6 @@ func TestWarmKeyClassifiesEveryConfigField(t *testing.T) {
 		"CPU.L2Ways":        {warm, func(c *Config) { c.CPU.L2Ways *= 2 }},
 		"CPU.L3Bytes":       {warm, func(c *Config) { c.CPU.L3Bytes *= 2 }},
 		"CPU.L3Ways":        {warm, func(c *Config) { c.CPU.L3Ways *= 2 }},
-		"CPU.L1Lat":         {runtime, func(c *Config) { c.CPU.L1Lat++ }},
 		"CPU.L2Lat":         {runtime, func(c *Config) { c.CPU.L2Lat++ }},
 		"CPU.L3Lat":         {runtime, func(c *Config) { c.CPU.L3Lat++ }},
 		"CPU.PFStreams":     {warm, func(c *Config) { c.CPU.PFStreams++ }},

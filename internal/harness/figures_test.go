@@ -6,11 +6,19 @@ import "testing"
 // exercised elsewhere. These are integration tests over the whole stack;
 // they are skipped in -short mode.
 
+// shapeCkpt is the warmup-checkpoint cache the four figure-shape tests
+// share. Their configurations differ only in runtime-only fields (policy,
+// DAP parameters, cache array), so each mix warms once for all four, and
+// a checkpointed figure is bit-identical to a straight one.
+// TestParallelFiguresBitIdentical runs without it: the straight parallel
+// path is what it checks.
+var shapeCkpt = MemCheckpoints()
+
 func TestFig08Relations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Fig08(Options{Quick: true})
+	f := Fig08(Options{Quick: true, Ckpt: shapeCkpt})
 	if len(f.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(f.Series))
 	}
@@ -33,7 +41,7 @@ func TestTab01Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Tab01(Options{Quick: true})
+	f := Tab01(Options{Quick: true, Ckpt: shapeCkpt})
 	if len(f.Series) != 6 {
 		t.Fatalf("series = %d, want 6 (3 windows + 3 efficiencies)", len(f.Series))
 	}
@@ -48,7 +56,7 @@ func TestFig04SensitiveVsInsensitive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Fig04(Options{Quick: true})
+	f := Fig04(Options{Quick: true, Ckpt: shapeCkpt})
 	speed := f.Series[0]
 	// mean speedup from doubling bandwidth over the 12 sensitive mixes must
 	// exceed that over the 5 insensitive ones (that is their definition)
@@ -78,7 +86,7 @@ func TestAblationTechniquesStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := AblationTechniques(Options{Quick: true})
+	f := AblationTechniques(Options{Quick: true, Ckpt: shapeCkpt})
 	if len(f.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(f.Series))
 	}

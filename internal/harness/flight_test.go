@@ -147,7 +147,7 @@ func TestSweepExecutorWrapsFlightError(t *testing.T) {
 	}
 }
 
-// TestSweepExecutorLogsWithCorr runs one real job through SweepExecutor
+// TestSweepExecutorLogsWithCorr runs one real job through SweepExecutorCkpt(nil)
 // with a capture logger on the context and asserts the start and done
 // records both carry the correlation ID.
 func TestSweepExecutorLogsWithCorr(t *testing.T) {
@@ -158,7 +158,7 @@ func TestSweepExecutorLogsWithCorr(t *testing.T) {
 		Mix: "mcf", Arch: "sectored", Policy: "baseline",
 		Cores: 1, Instr: 60_000, Warm: 30_000, Quick: true,
 	}
-	payload, err := SweepExecutor(ctx, spec)
+	payload, err := SweepExecutorCkpt(nil)(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

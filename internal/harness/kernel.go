@@ -64,15 +64,15 @@ func BandwidthKernel(arch KernelArch, hitRate float64, outstanding int, duration
 		addr += mem.LineBytes // stream sequentially, as the paper kernel does
 		a := addr
 		if next() < hitRate {
-			cacheRd.Access(a, mem.ReadKind, 0, func(mem.Cycle) {
+			cacheRd.Access(a, mem.ReadKind, func(mem.Cycle) {
 				completedReads++
 				issue()
 			})
 			return
 		}
-		mm.Access(a, mem.ReadKind, 0, func(mem.Cycle) {
+		mm.Access(a, mem.ReadKind, func(mem.Cycle) {
 			completedReads++
-			cacheWr.Access(a, mem.FillKind, 0, nil)
+			cacheWr.Access(a, mem.FillKind, nil)
 			issue()
 		})
 	}

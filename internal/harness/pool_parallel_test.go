@@ -7,13 +7,12 @@ import (
 )
 
 // TestPoolingUnderParallelRuns is the pool-safety concurrency test: the
-// request and continuation free lists introduced by the allocation-free hot
-// path are strictly per-engine, so concurrent simulations must never share
-// a record. Running replicated seeds of all three architectures with eight
-// workers gives the race detector (make runner-race) a chance to catch any
-// pooled state that leaked across engines, and — built with
-// -tags dappooldebug — arms the poison checks inside every one of those
-// concurrent runs. Parallel results must stay bit-identical to serial ones:
+// controller and core continuation free lists introduced by the
+// allocation-free hot path are strictly per-engine, so concurrent
+// simulations must never share a record. Running replicated seeds of all
+// three architectures with eight workers gives the race detector (make
+// race, make runner-race) a chance to catch any pooled state that leaked
+// across engines. Parallel results must stay bit-identical to serial ones:
 // pooling only recycles memory, it must never change recycling-visible
 // order.
 func TestPoolingUnderParallelRuns(t *testing.T) {

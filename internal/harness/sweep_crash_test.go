@@ -78,7 +78,7 @@ func TestSweepCrashHelper(t *testing.T) {
 		if execs.Add(1) == crashAt {
 			os.Exit(sweepCrashExitCode)
 		}
-		payload, err := SweepExecutor(ctx, spec)
+		payload, err := SweepExecutorCkpt(nil)(ctx, spec)
 		if err == nil {
 			fmt.Printf("SIMDONE %s\n", SweepKey(spec))
 		}
@@ -145,7 +145,7 @@ func TestSweepResumeAfterKill(t *testing.T) {
 	// must reproduce bit-for-bit.
 	reference := make(map[string][]byte, len(specs))
 	for _, spec := range specs {
-		payload, err := SweepExecutor(context.Background(), spec)
+		payload, err := SweepExecutorCkpt(nil)(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("reference run %s: %v", spec.String(), err)
 		}

@@ -128,26 +128,20 @@ type SweepResult struct {
 	Sampling *SamplingReport `json:"sampling,omitempty"`
 }
 
-// SweepExecutor runs one job spec through the simulator and renders its
-// SweepResult. It is the sweep.Executor of the sweep service. The
-// context carries the job's correlation ID and logger (obs.WithCorr /
-// obs.WithLogger); an aborted run comes back as an *obs.FlightError
-// wrapping the cause, so the service can store the frozen flight
-// recording in the job's failure record and serve it as a postmortem.
+// SweepExecutorCkpt returns the sweep service's sweep.Executor: it runs
+// one job spec through the simulator and renders its SweepResult, resuming
+// from the shared warmup-checkpoint cache ck when ck is non-nil, so
+// concurrent jobs differing only in runtime policy restore from one
+// single-flight snapshot with byte-identical results. The context carries
+// the job's correlation ID and logger (obs.WithCorr / obs.WithLogger); an
+// aborted run comes back as an *obs.FlightError wrapping the cause, so the
+// service can store the frozen flight recording in the job's failure
+// record and serve it as a postmortem.
 //
 // Every error it returns depends only on the spec (resolution, watchdog
-// stall, audit violation, result encoding), which is why the service
-// stores a failure instead of retrying.
-func SweepExecutor(ctx context.Context, spec sweep.JobSpec) ([]byte, error) {
-	return sweepExecute(ctx, spec, nil)
-}
-
-// SweepExecutorCkpt returns a sweep.Executor that resumes each job from
-// the shared warmup-checkpoint cache: concurrent jobs differing only in
-// runtime policy restore from one single-flight snapshot. Results stay
-// byte-identical to SweepExecutor's. Checkpoint disk I/O is best-effort,
-// so the only error it adds is checkpoint encoding, which also depends only
-// on the spec.
+// stall, audit violation, result encoding, checkpoint encoding; checkpoint
+// disk I/O is best-effort), which is why the service stores a failure
+// instead of retrying.
 func SweepExecutorCkpt(ck *Checkpoints) sweep.Executor {
 	return func(ctx context.Context, spec sweep.JobSpec) ([]byte, error) {
 		return sweepExecute(ctx, spec, ck)

@@ -97,11 +97,11 @@ func TestSweepExecutorDeterministicPayload(t *testing.T) {
 		t.Skip("simulation in -short mode")
 	}
 	spec := tinySweepSpec()
-	p1, err := SweepExecutor(context.Background(), spec)
+	p1, err := SweepExecutorCkpt(nil)(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := SweepExecutor(context.Background(), spec)
+	p2, err := SweepExecutorCkpt(nil)(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSweepExecutorSampledJob(t *testing.T) {
 }
 
 func TestSweepExecutorRejectsBadSpec(t *testing.T) {
-	if _, err := SweepExecutor(context.Background(), sweep.JobSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
+	if _, err := SweepExecutorCkpt(nil)(context.Background(), sweep.JobSpec{Mix: "nope", Arch: "sectored", Policy: "baseline"}); err == nil {
 		t.Fatal("executor ran an unresolvable spec")
 	}
 }

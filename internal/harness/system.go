@@ -281,10 +281,10 @@ func (m *mmOnly) Read(a mem.Addr, c int, k mem.Kind, done func(mem.Cycle)) {
 	m.st.ReadMisses++
 	sp := m.tr.Read(c, a, k)
 	sp.Serve(stats.BDSrcMain)
-	m.mm.AccessTraced(a, k, c, obs.OnIssue(sp), sp.Wrap(done))
+	m.mm.AccessTraced(a, k, obs.OnIssue(sp), sp.Wrap(done))
 }
 func (m *mmOnly) Writeback(a mem.Addr, c int) {
-	m.mm.Access(a, mem.WritebackKind, c, nil)
+	m.mm.Access(a, mem.WritebackKind, nil)
 }
 func (m *mmOnly) WarmRead(mem.Addr, int)       {}
 func (m *mmOnly) WarmWriteback(mem.Addr, int)  {}

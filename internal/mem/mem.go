@@ -1,5 +1,5 @@
 // Package mem defines the shared vocabulary of the memory-system simulator:
-// addresses, cycles, access kinds, request records and bandwidth units.
+// addresses, cycles, access kinds and bandwidth units.
 //
 // All times are expressed in CPU cycles. The simulated CPU frequency is
 // fixed at 4 GHz (the paper's core clock), so one cycle is 0.25 ns and a
@@ -64,25 +64,6 @@ func (k Kind) IsWrite() bool {
 		return true
 	}
 	return false
-}
-
-// Request is one 64-byte access flowing through the memory system.
-type Request struct {
-	Addr   Addr
-	Kind   Kind
-	Core   int   // originating core, -1 for maintenance traffic
-	Issued Cycle // time the request entered the memory system
-	// Burst overrides the device's data-bus occupancy in device clocks when
-	// non-zero (the Alloy cache's 72 B TADs occupy three HBM clocks instead
-	// of two).
-	Burst uint8
-	// Done, if non-nil, is invoked exactly once when the access completes
-	// (data returned for reads; accepted for writes).
-	Done func(done Cycle)
-	// OnIssue, if non-nil, is invoked when the device schedules the
-	// request's data burst, with the time the request spent queued. It is
-	// an observability hook and must never influence timing.
-	OnIssue func(wait Cycle)
 }
 
 // BytesPerCycle converts a bandwidth in GB/s to bytes per CPU cycle.

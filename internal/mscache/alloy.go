@@ -244,7 +244,7 @@ func (op *alloyOp) tadDone(t mem.Cycle) {
 	}
 	op.sp.Serve(stats.BDSrcMain)
 	// the TAD reference transfers to the main-memory completion (finCB)
-	a.mm.AccessTraced(op.addr, mem.ReadKind, op.coreID, obs.OnIssue(op.sp), op.finCB)
+	a.mm.AccessTraced(op.addr, mem.ReadKind, obs.OnIssue(op.sp), op.finCB)
 }
 
 // fin completes the serial (non-parallel) miss path.
@@ -274,11 +274,11 @@ func (op *alloyOp) wbTadDone(mem.Cycle) {
 // alloyIFRM resumes a DAP forced miss after the DBC lookup latency.
 func alloyIFRM(ctx any, _ uint64, _ mem.Cycle) {
 	op := ctx.(*alloyOp)
-	a, addr, coreID, sp, done := op.a, op.addr, op.coreID, op.sp, op.done
+	a, addr, sp, done := op.a, op.addr, op.sp, op.done
 	op.deref()
 	sp.Decide(stats.BDTechIFRM)
 	sp.Serve(stats.BDSrcMain)
-	a.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+	a.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 }
 
 // NewAlloy builds the controller. mm is the shared main-memory device.
@@ -348,9 +348,9 @@ func (a *Alloy) setOf(addr mem.Addr) (set int, group uint64, bit uint64) {
 // dbcSlot returns the DBC group of a set and the set's bit in it.
 func dbcSlot(set int) (group, bit uint64) { return uint64(set) / 64, 1 << (uint64(set) % 64) }
 
-// tad enqueues a TAD-sized array access through the device's request pool.
-func (a *Alloy) tad(addr mem.Addr, kind mem.Kind, coreID int, done func(mem.Cycle)) {
-	a.dev.AccessBurst(addr, kind, coreID, a.cfg.TADBurst, done)
+// tad enqueues a TAD-sized array access.
+func (a *Alloy) tad(addr mem.Addr, kind mem.Kind, done func(mem.Cycle)) {
+	a.dev.AccessBurst(addr, kind, a.cfg.TADBurst, done)
 }
 
 // dbcBitsFromTags rebuilds a DBC entry from the tag array (models a
@@ -413,7 +413,7 @@ func (a *Alloy) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.Cyc
 		sp.Serve(stats.BDSrcMain)
 		op := a.getOp(addr, coreID, sp, done)
 		op.refs, op.bearHit = 1, hit
-		a.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), op.bearCB)
+		a.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), op.bearCB)
 		return
 	}
 
@@ -428,12 +428,12 @@ func (a *Alloy) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.Cyc
 		// Speculative serve mark: on a TAD hit the span is re-marked with
 		// the true source in tadDone.
 		sp.Serve(stats.BDSrcMain)
-		a.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), op.mmCB)
+		a.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), op.mmCB)
 	}
 
 	a.wc.AMSR++
 	sp.Meta()
-	a.tad(addr, mem.MetaReadKind, coreID, op.tadCB)
+	a.tad(addr, mem.MetaReadKind, op.tadCB)
 }
 
 // fill installs a returned line. probed reports whether a TAD read of the
@@ -469,15 +469,15 @@ func (a *Alloy) fill(addr mem.Addr, coreID int, dirty, probed bool) {
 			a.wc.AMM++
 			if probed {
 				// the probe already moved the victim's TAD
-				a.mm.Access(ev.addr, mem.WritebackKind, -1, nil)
+				a.mm.Access(ev.addr, mem.WritebackKind, nil)
 			} else {
 				a.st.VictimReads++
 				a.wc.AMSR++
-				a.tad(ev.addr, mem.VictimRdKind, -1, a.fwd.forward(ev.addr))
+				a.tad(ev.addr, mem.VictimRdKind, a.fwd.forward(ev.addr))
 			}
 		}
 	}
-	a.tad(addr, mem.FillKind, -1, nil)
+	a.tad(addr, mem.FillKind, nil)
 	e := a.dbc.lookup(group)
 	if e < 0 {
 		e = a.dbc.install(group, a.dbcBitsFromTags(group))
@@ -504,7 +504,7 @@ func (a *Alloy) Writeback(addr mem.Addr, coreID int) {
 	a.st.MetaReads++
 	op := a.getOp(addr, coreID, nil, nil)
 	op.refs = 1
-	a.tad(addr, mem.MetaReadKind, coreID, op.wbCB)
+	a.tad(addr, mem.MetaReadKind, op.wbCB)
 }
 
 // applyWriteback lands a writeback once presence is established (directly
@@ -524,9 +524,9 @@ func (a *Alloy) applyWriteback(addr mem.Addr, coreID int, probed bool) {
 	wt := a.part.TakeWT()
 	a.tags.setDirty(set, !wt)
 	a.tags.markReused(set)
-	a.tad(addr, mem.WritebackKind, coreID, nil)
+	a.tad(addr, mem.WritebackKind, nil)
 	if wt {
-		a.mm.Access(addr, mem.WritebackKind, coreID, nil)
+		a.mm.Access(addr, mem.WritebackKind, nil)
 	}
 	e := a.dbc.lookup(group)
 	if e < 0 {

@@ -159,13 +159,13 @@ func edramReadTag(ctx any, _ uint64, _ mem.Cycle) {
 				e.st.ForcedMisses++
 				sp.Decide(stats.BDTechIFRM)
 				sp.Serve(stats.BDSrcMain)
-				e.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+				e.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 				return
 			}
 		}
 		sp.Decide(stats.BDTechNone)
 		sp.Serve(stats.BDSrcCache)
-		e.rdev.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+		e.rdev.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		return
 	}
 	// read miss
@@ -174,7 +174,7 @@ func edramReadTag(ctx any, _ uint64, _ mem.Cycle) {
 	e.wc.Rm++
 	sp.Decide(stats.BDTechNone)
 	sp.Serve(stats.BDSrcMain)
-	e.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+	e.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 	e.handleFill(addr, line)
 }
 
@@ -197,7 +197,7 @@ func (e *EDRAM) handleFill(addr mem.Addr, line cache.Ref) {
 	e.st.Fills++
 	line.OrVMask(bit)
 	line.ClearDMask(bit)
-	e.wdev.Access(addr, mem.FillKind, -1, nil)
+	e.wdev.Access(addr, mem.FillKind, nil)
 }
 
 // evictSector writes out a victim sector's dirty blocks (read channel to
@@ -212,7 +212,7 @@ func (e *EDRAM) evictSector(newAddr mem.Addr, ev cache.Line) {
 		e.st.VictimReads++
 		e.wc.AMSR++
 		e.wc.AMM++
-		e.rdev.Access(a, mem.VictimRdKind, -1, e.fwd.forward(a))
+		e.rdev.Access(a, mem.VictimRdKind, e.fwd.forward(a))
 	})
 }
 
@@ -225,7 +225,7 @@ func (e *EDRAM) Writeback(addr mem.Addr, coreID int) {
 // edramWBTag resumes a writeback after the tag lookup latency.
 func edramWBTag(ctx any, _ uint64, _ mem.Cycle) {
 	op := ctx.(*edramOp)
-	e, addr, coreID := op.e, op.addr, op.coreID
+	e, addr := op.e, op.addr
 	e.putOp(op)
 	e.wc.Wm++
 	e.wc.AMSW++
@@ -234,7 +234,7 @@ func edramWBTag(ctx any, _ uint64, _ mem.Cycle) {
 	present := line.Ok() && line.VMask()&bit != 0
 	if e.part.TakeWB() {
 		e.st.WriteBypasses++
-		e.mm.Access(addr, mem.WritebackKind, coreID, nil)
+		e.mm.Access(addr, mem.WritebackKind, nil)
 		if present {
 			line.ClearVMask(bit)
 			line.ClearDMask(bit)
@@ -257,7 +257,7 @@ func edramWBTag(ctx any, _ uint64, _ mem.Cycle) {
 		line.OrVMask(bit)
 		line.OrDMask(bit)
 	}
-	e.wdev.Access(addr, mem.WritebackKind, coreID, nil)
+	e.wdev.Access(addr, mem.WritebackKind, nil)
 }
 
 // WarmRead implements cpu.Backend's functional path.

@@ -50,5 +50,5 @@ func (p *fwdPool) forward(a mem.Addr) func(mem.Cycle) {
 func (f *fwdOp) run(mem.Cycle) {
 	p, a := f.p, f.a
 	p.free = append(p.free, f)
-	p.mm.Access(a, mem.WritebackKind, -1, nil)
+	p.mm.Access(a, mem.WritebackKind, nil)
 }

@@ -156,13 +156,13 @@ func (op *tagOp) tagDone(mem.Cycle) {
 		op.free()
 		s.readTagKnown(addr, coreID, sfrm, sp, done, line)
 	case opWriteback:
-		addr, coreID := op.addr, op.coreID
+		addr := op.addr
 		op.free()
-		s.wbTagKnown(addr, coreID, line)
+		s.wbTagKnown(addr, line)
 	default: // opWriteThrough
-		addr, coreID := op.addr, op.coreID
+		addr := op.addr
 		op.free()
-		s.wtTagKnown(addr, coreID, line)
+		s.wtTagKnown(addr, line)
 	}
 }
 
@@ -199,7 +199,7 @@ func (f *fpOp) fill(mem.Cycle) {
 	if cur := s.tags.Probe(ba); cur.Ok() {
 		s.st.Fills++
 		cur.OrVMask(b)
-		s.dev.Access(ba, mem.FillKind, -1, nil)
+		s.dev.Access(ba, mem.FillKind, nil)
 	}
 }
 
@@ -311,7 +311,7 @@ func (s *Sectored) writeoutDirtyBlock(a mem.Addr) {
 	s.st.VictimReads++
 	s.wc.AMSR++
 	s.wc.AMM++
-	s.dev.Access(a, mem.VictimRdKind, -1, s.fwd.forward(a))
+	s.dev.Access(a, mem.VictimRdKind, s.fwd.forward(a))
 }
 
 // sectorOf returns the sector index of an address.
@@ -334,7 +334,7 @@ func (s *Sectored) markMetaDirty(a mem.Addr) {
 	}
 	s.st.MetaWrites++
 	s.wc.AMSW++
-	s.dev.Access(a, mem.MetaWriteKind, -1, nil)
+	s.dev.Access(a, mem.MetaWriteKind, nil)
 }
 
 // tagPath performs the metadata lookup and resumes op (via tagDone) when
@@ -348,7 +348,7 @@ func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 		s.st.MetaReads++
 		s.wc.AMSR++
 		op.sfrm = isRead && s.part.TakeSFRM()
-		s.dev.Access(a, mem.MetaReadKind, op.coreID, op.cb)
+		s.dev.Access(a, mem.MetaReadKind, op.cb)
 		return
 	}
 	if s.tagCache.Lookup(a).Ok() {
@@ -361,7 +361,7 @@ func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 	s.wc.AMSR++
 	op.sfrm = isRead && s.part.TakeSFRM()
 	op.inst = true
-	s.dev.Access(a, mem.MetaReadKind, op.coreID, op.cb)
+	s.dev.Access(a, mem.MetaReadKind, op.cb)
 }
 
 // installTagEntry fills the SRAM tag cache; dirty victims update metadata in
@@ -373,7 +373,7 @@ func (s *Sectored) installTagEntry(a mem.Addr) {
 		va := s.tagCache.LineAddr(si, ev.Tag)
 		s.st.MetaWrites++
 		s.wc.AMSW++
-		s.dev.Access(va, mem.MetaWriteKind, -1, nil)
+		s.dev.Access(va, mem.MetaWriteKind, nil)
 	}
 }
 
@@ -392,7 +392,7 @@ func (s *Sectored) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.
 			s.st.ReadMisses++
 			s.wc.AMM++
 			sp.Serve(stats.BDSrcMain)
-			s.mm.AccessTraced(addr, kind, coreID, obs.OnIssue(sp), done)
+			s.mm.AccessTraced(addr, kind, obs.OnIssue(sp), done)
 			return
 		}
 	}
@@ -412,7 +412,7 @@ func (s *Sectored) Read(addr mem.Addr, coreID int, kind mem.Kind, done func(mem.
 				}
 				s.wc.AMM++
 				sp.Serve(stats.BDSrcMain)
-				s.mm.AccessTraced(addr, kind, coreID, obs.OnIssue(sp), done)
+				s.mm.AccessTraced(addr, kind, obs.OnIssue(sp), done)
 				return
 			}
 		}
@@ -449,22 +449,22 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 			s.st.SpecWasted++
 			sp.Decide(stats.BDTechSFRM)
 			sp.Serve(stats.BDSrcCache)
-			s.dev.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+			s.dev.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		case sfrm:
 			// clean hit already being served by main memory
 			s.st.SpecForced++
 			sp.Decide(stats.BDTechSFRM)
 			sp.Serve(stats.BDSrcMain)
-			s.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+			s.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		case !dirty && s.part.TakeIFRM(coreID):
 			s.st.ForcedMisses++
 			sp.Decide(stats.BDTechIFRM)
 			sp.Serve(stats.BDSrcMain)
-			s.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+			s.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		default:
 			sp.Decide(stats.BDTechNone)
 			sp.Serve(stats.BDSrcCache)
-			s.dev.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+			s.dev.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		}
 		return
 	}
@@ -474,7 +474,7 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 	s.wc.Rm++
 	sp.Decide(stats.BDTechNone)
 	sp.Serve(stats.BDSrcMain)
-	s.mm.AccessTraced(addr, mem.ReadKind, coreID, obs.OnIssue(sp), done)
+	s.mm.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 	s.handleFill(addr, line)
 }
 
@@ -499,7 +499,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 		s.st.Fills++
 		line.OrVMask(bit)
 		line.ClearDMask(bit)
-		s.dev.Access(addr, mem.FillKind, -1, nil)
+		s.dev.Access(addr, mem.FillKind, nil)
 		s.markMetaDirty(addr)
 		return
 	}
@@ -518,7 +518,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 	} else {
 		s.st.Fills++
 		nl.OrVMask(bit)
-		s.dev.Access(addr, mem.FillKind, -1, nil)
+		s.dev.Access(addr, mem.FillKind, nil)
 	}
 
 	// footprint fetch for the rest of the predicted footprint
@@ -536,7 +536,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 			return
 		}
 		b := s.blockBit(ba)
-		s.mm.Access(ba, mem.ReadKind, -1, s.getFpOp(ba, b).cb)
+		s.mm.Access(ba, mem.ReadKind, s.getFpOp(ba, b).cb)
 	})
 }
 
@@ -565,7 +565,7 @@ func (s *Sectored) Writeback(addr mem.Addr, coreID int) {
 
 	if s.BATMAN != nil {
 		if set, _ := s.tags.Index(addr); s.BATMAN.Disabled(set) {
-			s.mm.Access(addr, mem.WritebackKind, coreID, nil)
+			s.mm.Access(addr, mem.WritebackKind, nil)
 			return
 		}
 	}
@@ -589,13 +589,13 @@ func (s *Sectored) Writeback(addr mem.Addr, coreID int) {
 
 // wbTagKnown finishes a dirty L3 eviction once the sector's metadata is
 // known (the opWriteback continuation of tagPath).
-func (s *Sectored) wbTagKnown(addr mem.Addr, coreID int, line cache.Ref) {
+func (s *Sectored) wbTagKnown(addr mem.Addr, line cache.Ref) {
 	bit := s.blockBit(addr)
 	present := line.Ok() && line.VMask()&bit != 0
 	s.wc.AMSW++ // the cache write this eviction demands
 	if s.part.TakeWB() {
 		s.st.WriteBypasses++
-		s.mm.Access(addr, mem.WritebackKind, coreID, nil)
+		s.mm.Access(addr, mem.WritebackKind, nil)
 		if present {
 			// the stale cache copy must be invalidated
 			line.ClearVMask(bit)
@@ -621,7 +621,7 @@ func (s *Sectored) wbTagKnown(addr mem.Addr, coreID int, line cache.Ref) {
 		line.OrDMask(bit)
 	}
 	s.markMetaDirty(addr)
-	s.dev.Access(addr, mem.WritebackKind, coreID, nil)
+	s.dev.Access(addr, mem.WritebackKind, nil)
 }
 
 // writeThrough writes a block to both the cache and main memory, leaving the
@@ -633,10 +633,10 @@ func (s *Sectored) writeThrough(addr mem.Addr, coreID int) {
 
 // wtTagKnown finishes an SBD write-through once the sector's metadata is
 // known (the opWriteThrough continuation of tagPath).
-func (s *Sectored) wtTagKnown(addr mem.Addr, coreID int, line cache.Ref) {
+func (s *Sectored) wtTagKnown(addr mem.Addr, line cache.Ref) {
 	bit := s.blockBit(addr)
 	s.wc.AMSW++
-	s.mm.Access(addr, mem.WritebackKind, coreID, nil)
+	s.mm.Access(addr, mem.WritebackKind, nil)
 	if line.Ok() && line.VMask()&bit != 0 {
 		s.st.WriteHits++
 	} else {
@@ -653,7 +653,7 @@ func (s *Sectored) wtTagKnown(addr mem.Addr, coreID int, line cache.Ref) {
 	line.ClearDMask(bit) // clean: main memory holds the latest copy
 	s.tags.Lookup(addr)
 	s.markMetaDirty(addr)
-	s.dev.Access(addr, mem.WritebackKind, coreID, nil)
+	s.dev.Access(addr, mem.WritebackKind, nil)
 }
 
 // cleanPage writes out all dirty blocks of a page falling out of SBD's

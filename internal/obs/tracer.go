@@ -19,7 +19,8 @@ type SpanRecord struct {
 
 	Start, Meta, Decide, Serve, End mem.Cycle
 	// Wait is how long the serving access sat in its device queue before
-	// its data burst was scheduled (reported by mem.Request.OnIssue).
+	// its data burst was scheduled (reported through the onIssue argument
+	// of dram.Device.AccessTraced).
 	Wait mem.Cycle
 
 	Src  int // stats.BDSrc*: which source served the data
@@ -158,8 +159,9 @@ func (sp *Span) QueueWait(w mem.Cycle) {
 	sp.rec.Wait = w
 }
 
-// OnIssue adapts a span to the mem.Request.OnIssue hook. It returns nil
-// for an untraced span so the request's fast path stays allocation-free.
+// OnIssue adapts a span to the onIssue argument of dram.Device.AccessTraced.
+// It returns nil for an untraced span so the request's fast path stays
+// allocation-free.
 func OnIssue(sp *Span) func(mem.Cycle) {
 	if sp == nil {
 		return nil

@@ -20,9 +20,7 @@ type BATMAN struct {
 	hits, lookups uint64
 
 	// Stats
-	Epochs     uint64
-	DisableOps uint64
-	EnableOps  uint64
+	Epochs uint64
 }
 
 // NewBATMAN builds the policy for a cache with the given set count and
@@ -69,14 +67,12 @@ func (b *BATMAN) Epoch() (from, to int) {
 	case hr > b.TargetHitRate+b.Margin && b.disabled+step <= b.sets/2:
 		from, to = b.disabled, b.disabled+step
 		b.disabled += step
-		b.DisableOps++
 		return from, to
 	case hr < b.TargetHitRate-b.Margin && b.disabled > 0:
 		b.disabled -= step
 		if b.disabled < 0 {
 			b.disabled = 0
 		}
-		b.EnableOps++
 	}
 	return 0, 0
 }

@@ -45,7 +45,7 @@ func TestServiceObservabilityEndToEnd(t *testing.T) {
 	var logs syncBuffer
 	tracer := obs.NewJobTracer(0)
 
-	// The executor mirrors harness.SweepExecutor's observability contract:
+	// The executor mirrors harness.SweepExecutorCkpt's observability contract:
 	// it logs through the context logger stamped with the context corr, and
 	// an aborted run surfaces as an *obs.FlightError carrying the frozen
 	// flight ring.

@@ -62,7 +62,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	httpSrv *http.Server
-	lis     net.Listener
 	started time.Time
 	extra   []extraRoute
 }
@@ -189,7 +188,7 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	srv := &http.Server{Handler: s.Handler()}
 	s.mu.Lock()
-	s.lis, s.httpSrv = lis, srv
+	s.httpSrv = srv
 	s.mu.Unlock()
 	go srv.Serve(lis) //nolint:errcheck // ErrServerClosed after Shutdown
 	return lis.Addr().String(), nil
