@@ -1,7 +1,9 @@
-// Package cache implements the set-associative tag arrays used throughout
-// the hierarchy: the L1/L2/L3 data caches, and the tag arrays and SRAM tag
-// cache of the sectored DRAM and eDRAM caches. The direct-mapped Alloy
-// cache keeps its own tag store in internal/mscache.
+// Package cache implements the set-associative tag arrays of the
+// memory-side caches: the sector tag arrays of the sectored DRAM and eDRAM
+// caches and the sectored cache's SRAM tag cache, under LRU, NRU, SRRIP or
+// random replacement. The L1/L2/L3 hierarchy keeps its own LRU store in
+// internal/cpu, and the direct-mapped Alloy cache its own in
+// internal/mscache.
 //
 // The caches are tag-only (the simulator never moves real data).
 //
@@ -385,9 +387,10 @@ func (c *Cache) Victim(a mem.Addr) Ref {
 	return Ref{c, int32(c.victimIndex(si))}
 }
 
-// Insert installs an address, returning the evicted line contents (valid
-// only if a real eviction occurred). The new line is marked recently used.
-func (c *Cache) Insert(a mem.Addr, dirty bool) (evicted Line) {
+// Insert installs an address, returning the filled slot and the evicted
+// line contents (valid only if a real eviction occurred). The new line is
+// marked recently used.
+func (c *Cache) Insert(a mem.Addr, dirty bool) (r Ref, evicted Line) {
 	si, tag := c.Index(a)
 	vi := c.victimIndex(si)
 	if c.tv[vi]&1 != 0 {
@@ -410,7 +413,7 @@ func (c *Cache) Insert(a mem.Addr, dirty bool) (evicted Line) {
 	} else {
 		c.touch(si*c.Ways, vi)
 	}
-	return evicted
+	return Ref{c, int32(vi)}, evicted
 }
 
 // Invalidate removes an address if present, returning the removed line.
@@ -427,18 +430,6 @@ func (c *Cache) Invalidate(a mem.Addr) (Line, bool) {
 func (c *Cache) LineAddr(si int, tag uint64) mem.Addr {
 	unit := tag<<c.setShift | uint64(si)
 	return mem.Addr(unit * c.SetSkip << mem.LineShift)
-}
-
-// ForEach visits every valid line (used for BATMAN set disabling and tests).
-func (c *Cache) ForEach(fn func(set int, r Ref)) {
-	for si := 0; si < c.Sets; si++ {
-		base := si * c.Ways
-		for w := 0; w < c.Ways; w++ {
-			if c.tv[base+w]&1 != 0 {
-				fn(si, Ref{c, int32(base + w)})
-			}
-		}
-	}
 }
 
 // ForEachInSet visits the valid lines of one set.
@@ -462,15 +453,4 @@ func (c *Cache) InvalidateSet(si int, fn func(r Ref)) {
 			c.clearSlot(base + w)
 		}
 	}
-}
-
-// Occupancy returns the fraction of valid lines.
-func (c *Cache) Occupancy() float64 {
-	n := 0
-	for _, v := range c.tv {
-		if v&1 != 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.tv))
 }

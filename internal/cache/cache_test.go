@@ -27,7 +27,7 @@ func TestLRUVictim(t *testing.T) {
 	c.Insert(a, false)
 	c.Insert(b, false)
 	c.Lookup(a) // a is MRU
-	ev := c.Insert(x, false)
+	_, ev := c.Insert(x, false)
 	if !ev.Valid {
 		t.Fatal("full set must evict")
 	}
@@ -111,24 +111,9 @@ func TestInsertEvictReturnsContents(t *testing.T) {
 	c.Insert(a, true)
 	l := c.Probe(a)
 	l.SetVMask(0xdeadbeef)
-	ev := c.Insert(mem.Addr(0x40+64*1), false)
+	_, ev := c.Insert(mem.Addr(0x40+64*1), false)
 	if !ev.Valid || !ev.Dirty || ev.VMask != 0xdeadbeef {
 		t.Fatalf("evicted = %+v", ev)
-	}
-}
-
-func TestOccupancyAndForEach(t *testing.T) {
-	c := New(4, 2, LRU, 1)
-	for i := 0; i < 4; i++ {
-		c.Insert(mem.Addr(i*64), false)
-	}
-	if got := c.Occupancy(); got != 0.5 {
-		t.Fatalf("occupancy = %v, want 0.5", got)
-	}
-	n := 0
-	c.ForEach(func(set int, l Ref) { n++ })
-	if n != 4 {
-		t.Fatalf("ForEach visited %d, want 4", n)
 	}
 }
 
@@ -180,7 +165,8 @@ func TestSetNeverOverflows(t *testing.T) {
 	}
 }
 
-// Property: inserting then probing always hits, regardless of history.
+// Property: inserting then probing always hits the slot Insert returned,
+// regardless of history.
 func TestInsertThenProbe(t *testing.T) {
 	f := func(seeds []uint16, a uint16) bool {
 		c := New(8, 2, NRU, 1)
@@ -188,8 +174,8 @@ func TestInsertThenProbe(t *testing.T) {
 			c.Insert(mem.Addr(s)<<6, false)
 		}
 		addr := mem.Addr(a) << 6
-		c.Insert(addr, false)
-		return c.Probe(addr).Ok()
+		r, _ := c.Insert(addr, false)
+		return r.Ok() && c.Probe(addr) == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

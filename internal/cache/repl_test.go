@@ -94,7 +94,7 @@ func TestRandEventuallyEvictsEverything(t *testing.T) {
 	c.Insert(mem.Addr(1<<6), false)
 	evicted := map[uint64]bool{}
 	for i := 2; i < 200; i++ {
-		ev := c.Insert(mem.Addr(i)<<6, false)
+		_, ev := c.Insert(mem.Addr(i)<<6, false)
 		if ev.Valid {
 			evicted[ev.Tag] = true
 		}

@@ -43,10 +43,13 @@ import (
 // sectored footprint table is saved slot for slot (presence flag, key and
 // mask arrays) instead of as sorted (sector, mask) pairs; 5 = only the cpu
 // section and the memory-side controller's section, without the Alloy
-// predictors or the SRAM caches' hit and miss counters.
+// predictors or the SRAM caches' hit and miss counters; 6 = the cpu
+// section's L1/L2/L3 are the cpu package's LRU store (tag words plus a
+// recency-order and a valid/dirty word per set) instead of cache.Cache
+// sections.
 const (
 	Magic   = "DAPCKPT1"
-	Version = 5
+	Version = 6
 )
 
 // ErrCorrupt is returned (wrapped) for any structural damage: bad magic,

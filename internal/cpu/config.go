@@ -47,8 +47,8 @@ func (c *Config) Validate() error {
 	errs.Positive("ROB", c.ROB)
 	errs.Positive("Width", c.Width)
 	level := func(name string, bytes, ways int) {
-		if ways <= 0 {
-			errs.Addf(name+"Ways", ways, "must be positive")
+		if ways <= 0 || ways > maxWays {
+			errs.Addf(name+"Ways", ways, "must be in [1, %d]", maxWays)
 			return
 		}
 		if bytes < mem.LineBytes*ways {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dap/internal/cache"
 	"dap/internal/mem"
 	"dap/internal/sim"
 	"dap/internal/stats"
@@ -16,7 +15,7 @@ type CPU struct {
 	cfg     Config
 	eng     *sim.Engine
 	backend Backend
-	l3      *cache.Cache
+	l3      *sram
 	cores   []*core
 
 	startAt   mem.Cycle
@@ -27,12 +26,12 @@ type CPU struct {
 // New builds the processor complex. Streams are attached with SetStreams.
 func New(cfg Config, eng *sim.Engine, backend Backend) *CPU {
 	c := &CPU{cfg: cfg, eng: eng, backend: backend}
-	c.l3 = cache.NewBytes(cfg.L3Bytes, cfg.L3Ways, cache.LRU)
+	c.l3 = newSRAM(cfg.L3Bytes, cfg.L3Ways)
 	for i := 0; i < cfg.Cores; i++ {
 		co := &core{
 			cpu: c, id: i,
-			l1: cache.NewBytes(cfg.L1Bytes, cfg.L1Ways, cache.LRU),
-			l2: cache.NewBytes(cfg.L2Bytes, cfg.L2Ways, cache.LRU),
+			l1: newSRAM(cfg.L1Bytes, cfg.L1Ways),
+			l2: newSRAM(cfg.L2Bytes, cfg.L2Ways),
 			pf: newStridePrefetcher(cfg.PFStreams, cfg.PFDegree, cfg.PFDistance),
 			// Pre-size the miss-tracking structures for their steady-state
 			// population (bounded by the ROB plus prefetch depth), so a
@@ -45,10 +44,6 @@ func New(cfg Config, eng *sim.Engine, backend Backend) *CPU {
 	}
 	return c
 }
-
-// L3 exposes the shared cache (the harness borrows ways for the SRAM tag
-// cache / DBC by constructing the CPU with fewer L3 ways instead).
-func (c *CPU) L3() *cache.Cache { return c.l3 }
 
 // SetStreams attaches one workload stream per core.
 func (c *CPU) SetStreams(streams []workload.Stream) {
@@ -194,7 +189,7 @@ type core struct {
 	cpu    *CPU
 	id     int
 	stream workload.Stream
-	l1, l2 *cache.Cache
+	l1, l2 *sram
 	pf     *stridePrefetcher
 
 	pend    workload.Access
@@ -464,11 +459,7 @@ func (co *core) execute(a workload.Access, pos uint64) {
 	eng := cpu.eng
 	addr := a.Addr
 
-	// L1
-	if l := co.l1.Lookup(addr); l.Ok() {
-		if a.Store {
-			l.MarkDirty()
-		}
+	if co.l1.lookup(addr, a.Store) {
 		return // L1 hits are free in this model
 	}
 
@@ -480,13 +471,15 @@ func (co *core) execute(a workload.Access, pos uint64) {
 
 	isLoad := !a.Store
 
+	// a miss above leaves the line absent from the levels it missed, so
+	// the installs below need no probe
 	switch {
-	case co.l2.Lookup(addr).Ok():
-		co.installL1(addr, a.Store)
+	case co.l2.lookup(addr, false):
+		co.installL1(addr, a.Store, false)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L2Lat)
-	case cpu.l3.Lookup(addr).Ok():
-		co.installL2(addr)
-		co.installL1(addr, a.Store)
+	case cpu.l3.lookup(addr, false):
+		co.installL2(addr, false)
+		co.installL1(addr, a.Store, false)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L3Lat)
 	default:
 		issued := eng.Now()
@@ -548,11 +541,19 @@ func (co *core) fillArrived(addr mem.Addr, t mem.Cycle) {
 	co.putMiss(e)
 }
 
-// fillFromMemory installs a returned line into L3, L2 and L1.
+// fillFromMemory installs a returned line into L3, L2 and L1. Unlike
+// execute's installs it runs in a later event than the lookups that
+// missed, so it probes each level first.
 func (co *core) fillFromMemory(addr mem.Addr, store bool) {
-	co.installL3(addr)
-	co.installL2(addr)
-	co.installL1(addr, store)
+	if !co.cpu.l3.probe(addr, false) {
+		co.installL3(addr, false)
+	}
+	if !co.l2.probe(addr, false) {
+		co.installL2(addr, false)
+	}
+	if !co.l1.probe(addr, store) {
+		co.installL1(addr, store, false)
+	}
 }
 
 func (co *core) issuePrefetches(cands []mem.Addr) {
@@ -565,7 +566,7 @@ func (co *core) issuePrefetches(cands []mem.Addr) {
 		if co.pfOut >= max {
 			return
 		}
-		if co.l2.Probe(p).Ok() || cpu.l3.Probe(p).Ok() {
+		if co.l2.probe(p, false) || cpu.l3.probe(p, false) {
 			continue
 		}
 		if _, dup := co.mshr[p]; dup {
@@ -577,78 +578,61 @@ func (co *core) issuePrefetches(cands []mem.Addr) {
 	}
 }
 
-// installL1 inserts into L1; a dirty victim marks the (inclusive) L2 copy.
-func (co *core) installL1(addr mem.Addr, dirty bool) {
-	if l := co.l1.Probe(addr); l.Ok() {
-		if dirty {
-			l.MarkDirty()
-		}
-		return
-	}
-	ev := co.l1.Insert(addr, dirty)
-	if ev.Valid && ev.Dirty {
-		si, _ := co.l1.Index(addr)
-		va := co.l1.LineAddr(si, ev.Tag)
-		if l := co.l2.Probe(va); l.Ok() {
-			l.MarkDirty()
-		} else if l3 := co.cpu.l3.Probe(va); l3.Ok() {
-			l3.MarkDirty()
-		} else {
-			co.cpu.backend.Writeback(va, co.id)
-		}
+// installL1 inserts a line absent from L1; a dirty victim marks the
+// (inclusive) L2 copy. warm selects the functional writeback path.
+func (co *core) installL1(addr mem.Addr, dirty, warm bool) {
+	va, ok, d := co.l1.insert(addr, dirty)
+	if ok && d && !co.l2.probe(va, true) && !co.cpu.l3.probe(va, true) {
+		co.cpu.writeback(va, co.id, warm)
 	}
 }
 
-// installL2 inserts into L2; victims invalidate L1 and dirty data settles in
-// the (inclusive) L3 copy.
-func (co *core) installL2(addr mem.Addr) {
-	if co.l2.Probe(addr).Ok() {
+// installL2 inserts a line absent from L2; victims invalidate L1 and dirty
+// data settles in the (inclusive) L3 copy.
+func (co *core) installL2(addr mem.Addr, warm bool) {
+	va, ok, d := co.l2.insert(addr, false)
+	if !ok {
 		return
 	}
-	ev := co.l2.Insert(addr, false)
-	if !ev.Valid {
-		return
-	}
-	si, _ := co.l2.Index(addr)
-	va := co.l2.LineAddr(si, ev.Tag)
-	d := ev.Dirty
-	if l1, ok := co.l1.Invalidate(va); ok && l1.Dirty {
+	if _, l1Dirty := co.l1.invalidate(va); l1Dirty {
 		d = true
 	}
-	if d {
-		if l3 := co.cpu.l3.Probe(va); l3.Ok() {
-			l3.MarkDirty()
-		} else {
-			co.cpu.backend.Writeback(va, co.id)
-		}
+	if d && !co.cpu.l3.probe(va, true) {
+		co.cpu.writeback(va, co.id, warm)
 	}
 }
 
-// installL3 inserts into the shared L3; victims back-invalidate the owning
-// core's private caches and dirty lines are written back below.
-func (co *core) installL3(addr mem.Addr) {
+// installL3 inserts a line absent from the shared L3; victims
+// back-invalidate the owning core's private caches and dirty lines are
+// written back below. L1 ⊆ L2 on every core (each L1 install follows an
+// L2 hit or install of its line, and each L2 eviction and this
+// back-invalidation remove the L1 copy), so the owner's L1 can hold the
+// victim only if its L2 did.
+func (co *core) installL3(addr mem.Addr, warm bool) {
 	cpu := co.cpu
-	if cpu.l3.Probe(addr).Ok() {
+	va, ok, dirty := cpu.l3.insert(addr, false)
+	if !ok {
 		return
 	}
-	ev := cpu.l3.Insert(addr, false)
-	if !ev.Valid {
-		return
-	}
-	si, _ := cpu.l3.Index(addr)
-	va := cpu.l3.LineAddr(si, ev.Tag)
-	dirty := ev.Dirty
 	if owner := ownerOf(va); owner >= 0 && owner < len(cpu.cores) {
 		oc := cpu.cores[owner]
-		if l1, ok := oc.l1.Invalidate(va); ok && l1.Dirty {
-			dirty = true
-		}
-		if l2, ok := oc.l2.Invalidate(va); ok && l2.Dirty {
-			dirty = true
+		if inL2, l2Dirty := oc.l2.invalidate(va); inL2 {
+			_, l1Dirty := oc.l1.invalidate(va)
+			dirty = dirty || l2Dirty || l1Dirty
 		}
 	}
 	if dirty {
-		cpu.backend.Writeback(va, co.id)
+		cpu.writeback(va, co.id, warm)
+	}
+}
+
+// writeback sends a dirty line below the L3: functionally during warmup,
+// as timed traffic otherwise.
+func (c *CPU) writeback(a mem.Addr, core int, warm bool) {
+	if warm {
+		c.backend.WarmWriteback(a, core)
+	} else {
+		c.backend.Writeback(a, core)
 	}
 }
 
@@ -658,82 +642,21 @@ func ownerOf(a mem.Addr) int { return int(a/workload.CoreSpacing) - 1 }
 // warmExecute is the functional (timing-free) twin of execute.
 func (co *core) warmExecute(a workload.Access) {
 	addr := a.Addr
-	if l := co.l1.Lookup(addr); l.Ok() {
-		if a.Store {
-			l.MarkDirty()
-		}
+	if co.l1.lookup(addr, a.Store) {
 		return
 	}
 	co.pfBuf = co.pf.observe(addr, co.pfBuf[:0]) // keep the prefetcher trained
-	if co.l2.Lookup(addr).Ok() {
-		co.installL1w(addr, a.Store)
+	if co.l2.lookup(addr, false) {
+		co.installL1(addr, a.Store, true)
 		return
 	}
-	if co.cpu.l3.Lookup(addr).Ok() {
-		co.installL2w(addr)
-		co.installL1w(addr, a.Store)
+	if co.cpu.l3.lookup(addr, false) {
+		co.installL2(addr, true)
+		co.installL1(addr, a.Store, true)
 		return
 	}
 	co.cpu.backend.WarmRead(addr, co.id)
-	co.installL3w(addr)
-	co.installL2w(addr)
-	co.installL1w(addr, a.Store)
-}
-
-func (co *core) installL1w(addr mem.Addr, dirty bool) {
-	ev := co.l1.Insert(addr, dirty)
-	if ev.Valid && ev.Dirty {
-		si, _ := co.l1.Index(addr)
-		va := co.l1.LineAddr(si, ev.Tag)
-		if l := co.l2.Probe(va); l.Ok() {
-			l.MarkDirty()
-		} else if l3 := co.cpu.l3.Probe(va); l3.Ok() {
-			l3.MarkDirty()
-		} else {
-			co.cpu.backend.WarmWriteback(va, co.id)
-		}
-	}
-}
-
-func (co *core) installL2w(addr mem.Addr) {
-	ev := co.l2.Insert(addr, false)
-	if !ev.Valid {
-		return
-	}
-	si, _ := co.l2.Index(addr)
-	va := co.l2.LineAddr(si, ev.Tag)
-	d := ev.Dirty
-	if l1, ok := co.l1.Invalidate(va); ok && l1.Dirty {
-		d = true
-	}
-	if d {
-		if l3 := co.cpu.l3.Probe(va); l3.Ok() {
-			l3.MarkDirty()
-		} else {
-			co.cpu.backend.WarmWriteback(va, co.id)
-		}
-	}
-}
-
-func (co *core) installL3w(addr mem.Addr) {
-	cpu := co.cpu
-	ev := cpu.l3.Insert(addr, false)
-	if !ev.Valid {
-		return
-	}
-	si, _ := cpu.l3.Index(addr)
-	va := cpu.l3.LineAddr(si, ev.Tag)
-	dirty := ev.Dirty
-	if owner := ownerOf(va); owner >= 0 && owner < len(cpu.cores) {
-		oc := cpu.cores[owner]
-		if l1, ok := oc.l1.Invalidate(va); ok && l1.Dirty {
-			dirty = true
-		}
-		if l2, ok := oc.l2.Invalidate(va); ok && l2.Dirty {
-			dirty = true
-		}
-	}
-	if dirty {
-		cpu.backend.WarmWriteback(va, co.id)
-	}
+	co.installL3(addr, true)
+	co.installL2(addr, true)
+	co.installL1(addr, a.Store, true)
 }

@@ -243,7 +243,7 @@ func TestWarmPopulatesCaches(t *testing.T) {
 	if be.reads != 0 {
 		t.Fatal("warmup must not generate timed traffic")
 	}
-	if c.L3().Occupancy() == 0 {
+	if len(c.l3.lines()) == 0 {
 		t.Fatal("warmup must populate the L3")
 	}
 }

@@ -23,7 +23,7 @@ import (
 // checkpointing.
 func (c *CPU) SaveState(e *ckpt.Enc) error {
 	e.U32(uint32(len(c.cores)))
-	c.l3.SaveState(e)
+	c.l3.saveState(e)
 	for _, co := range c.cores {
 		if len(co.inflight) != 0 || len(co.mshr) != 0 || co.pfOut != 0 || co.wakeSet {
 			return fmt.Errorf("cpu: core %d has timed state in flight; checkpoint must be taken before Start", co.id)
@@ -32,8 +32,8 @@ func (c *CPU) SaveState(e *ckpt.Enc) error {
 		if !ok {
 			return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", co.id, co.stream)
 		}
-		co.l1.SaveState(e)
-		co.l2.SaveState(e)
+		co.l1.saveState(e)
+		co.l2.saveState(e)
 		co.pf.saveState(e)
 		e.U64(uint64(co.pend.Addr))
 		e.Bool(co.pend.Store)
@@ -54,7 +54,7 @@ func (c *CPU) LoadState(d *ckpt.Dec) error {
 		}
 		return fmt.Errorf("cpu: checkpoint has %d cores, built %d", n, len(c.cores))
 	}
-	if err := c.l3.LoadState(d); err != nil {
+	if err := c.l3.loadState(d); err != nil {
 		return fmt.Errorf("cpu: l3: %w", err)
 	}
 	for _, co := range c.cores {
@@ -62,10 +62,10 @@ func (c *CPU) LoadState(d *ckpt.Dec) error {
 		if !ok {
 			return fmt.Errorf("cpu: core %d stream %T does not support checkpointing", co.id, co.stream)
 		}
-		if err := co.l1.LoadState(d); err != nil {
+		if err := co.l1.loadState(d); err != nil {
 			return fmt.Errorf("cpu: core %d l1: %w", co.id, err)
 		}
-		if err := co.l2.LoadState(d); err != nil {
+		if err := co.l2.loadState(d); err != nil {
 			return fmt.Errorf("cpu: core %d l2: %w", co.id, err)
 		}
 		if err := co.pf.loadState(d); err != nil {

@@ -227,6 +227,7 @@ func TestConfigValidation(t *testing.T) {
 
 	cfg := Quick()
 	cfg.CPU.Cores = 0                                 // nested CPU problem
+	cfg.CPU.L3Ways = 17                               // more ways than an SRAM set ranks
 	cfg.MainMemory.Channels = 0                       // nested DRAM problem
 	cfg.MeasureInstr = 0                              // harness-level problem
 	cfg.Arch = AlloyCache                             // SBD needs the sectored cache
@@ -240,10 +241,10 @@ func TestConfigValidation(t *testing.T) {
 	if !errors.As(err, &es) {
 		t.Fatalf("expected check.Errors, got %T: %v", err, err)
 	}
-	if len(es) < 7 {
-		t.Fatalf("expected at least 7 diagnostics, got %d:\n%v", len(es), err)
+	if len(es) < 8 {
+		t.Fatalf("expected at least 8 diagnostics, got %d:\n%v", len(es), err)
 	}
-	wantFields := []string{"CPU.Cores", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery", "SampleCI"}
+	wantFields := []string{"CPU.Cores", "CPU.L3Ways", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery", "SampleCI"}
 	for _, f := range wantFields {
 		found := false
 		for _, e := range es {

@@ -23,7 +23,7 @@ func newDMRef(sets int) *dmRef {
 
 func (r *dmRef) install(a mem.Addr, dirty bool) dmVictim {
 	set, _ := r.c.Index(a)
-	ev := r.c.Insert(a, dirty)
+	_, ev := r.c.Insert(a, dirty)
 	var v dmVictim
 	if ev.Valid {
 		v = dmVictim{addr: r.c.LineAddr(set, ev.Tag), valid: true, dirty: ev.Dirty, reused: r.reused[set]}

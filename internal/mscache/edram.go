@@ -183,11 +183,7 @@ func edramReadTag(ctx any, _ uint64, _ mem.Cycle) {
 func (e *EDRAM) handleFill(addr mem.Addr, line cache.Ref) {
 	bit := e.blockBit(addr)
 	if !line.Ok() {
-		ev := e.tags.Insert(addr, false)
-		if ev.Valid {
-			e.evictSector(addr, ev)
-		}
-		line = e.tags.Probe(addr)
+		line = e.allocSector(addr)
 	}
 	e.wc.AMSW++
 	if e.part.TakeFWB() {
@@ -200,11 +196,16 @@ func (e *EDRAM) handleFill(addr mem.Addr, line cache.Ref) {
 	e.wdev.Access(addr, mem.FillKind, nil)
 }
 
-// evictSector writes out a victim sector's dirty blocks (read channel to
-// fetch, main memory to store).
-func (e *EDRAM) evictSector(newAddr mem.Addr, ev cache.Line) {
+// allocSector installs addr's sector in the tag array and returns its
+// slot. A displaced sector has its dirty blocks written out (read channel
+// to fetch, main memory to store).
+func (e *EDRAM) allocSector(addr mem.Addr) cache.Ref {
+	line, ev := e.tags.Insert(addr, false)
+	if !ev.Valid {
+		return line
+	}
 	e.st.SectorEvicts++
-	si, _ := e.tags.Index(newAddr)
+	si, _ := e.tags.Index(addr)
 	base := e.tags.LineAddr(si, ev.Tag)
 	forEachBit(ev.DMask, func(i uint) {
 		a := blockAddr(base, e.sectorBlocks, i)
@@ -214,6 +215,7 @@ func (e *EDRAM) evictSector(newAddr mem.Addr, ev cache.Line) {
 		e.wc.AMM++
 		e.rdev.Access(a, mem.VictimRdKind, e.fwd.forward(a))
 	})
+	return line
 }
 
 // Writeback implements cpu.Backend.
@@ -248,11 +250,7 @@ func edramWBTag(ctx any, _ uint64, _ mem.Cycle) {
 	} else {
 		e.st.WriteMisses++
 		if !line.Ok() {
-			ev := e.tags.Insert(addr, false)
-			if ev.Valid {
-				e.evictSector(addr, ev)
-			}
-			line = e.tags.Probe(addr)
+			line = e.allocSector(addr)
 		}
 		line.OrVMask(bit)
 		line.OrDMask(bit)
@@ -261,25 +259,23 @@ func edramWBTag(ctx any, _ uint64, _ mem.Cycle) {
 }
 
 // WarmRead implements cpu.Backend's functional path.
-func (e *EDRAM) WarmRead(addr mem.Addr, coreID int) {
+func (e *EDRAM) WarmRead(addr mem.Addr, coreID int) { e.warmRead(addr) }
+
+// warmRead is WarmRead returning the sector's slot. A sector it displaces
+// is dropped, dirty blocks included, since warmup issues no DRAM traffic.
+func (e *EDRAM) warmRead(addr mem.Addr) cache.Ref {
 	addr = addr.LineAligned()
-	bit := e.blockBit(addr)
-	if line := e.tags.Probe(addr); line.Ok() {
-		e.tags.Lookup(addr)
-		line.OrVMask(bit)
-		return
+	line := e.tags.Lookup(addr)
+	if !line.Ok() {
+		line, _ = e.tags.Insert(addr, false)
 	}
-	e.tags.Insert(addr, false)
-	e.tags.Probe(addr).OrVMask(bit)
+	line.OrVMask(e.blockBit(addr))
+	return line
 }
 
 // WarmWriteback implements cpu.Backend's functional path.
 func (e *EDRAM) WarmWriteback(addr mem.Addr, coreID int) {
-	addr = addr.LineAligned()
-	e.WarmRead(addr, coreID)
-	if line := e.tags.Probe(addr); line.Ok() {
-		line.OrDMask(e.blockBit(addr))
-	}
+	e.warmRead(addr).OrDMask(e.blockBit(addr))
 }
 
 // SetPartitioner replaces the partitioning policy (used after construction

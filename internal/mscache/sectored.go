@@ -367,7 +367,7 @@ func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 // installTagEntry fills the SRAM tag cache; dirty victims update metadata in
 // the DRAM array.
 func (s *Sectored) installTagEntry(a mem.Addr) {
-	ev := s.tagCache.Insert(a, false)
+	_, ev := s.tagCache.Insert(a, false)
 	if ev.Valid && ev.Dirty {
 		si, _ := s.tagCache.Index(a)
 		va := s.tagCache.LineAddr(si, ev.Tag)
@@ -503,12 +503,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 		s.markMetaDirty(addr)
 		return
 	}
-	// allocate a sector
-	ev := s.tags.Insert(addr, false)
-	if ev.Valid {
-		s.evictSector(addr, ev)
-	}
-	nl := s.tags.Probe(addr)
+	nl := s.allocSector(addr)
 	s.markMetaDirty(addr)
 
 	// demanded block fill
@@ -540,11 +535,16 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 	})
 }
 
-// evictSector handles a victim sector: record its footprint and write out
-// its dirty blocks.
-func (s *Sectored) evictSector(newAddr mem.Addr, ev cache.Line) {
+// allocSector installs addr's sector in the tag array and returns its
+// slot. A displaced sector has its footprint recorded and its dirty blocks
+// written out.
+func (s *Sectored) allocSector(addr mem.Addr) cache.Ref {
+	line, ev := s.tags.Insert(addr, false)
+	if !ev.Valid {
+		return line
+	}
 	s.st.SectorEvicts++
-	si, _ := s.tags.Index(newAddr)
+	si, _ := s.tags.Index(addr)
 	base := s.tags.LineAddr(si, ev.Tag)
 	if s.fp != nil {
 		s.fp.record(s.sectorOf(base), ev.VMask)
@@ -556,6 +556,7 @@ func (s *Sectored) evictSector(newAddr mem.Addr, ev cache.Line) {
 	if s.tagCache != nil {
 		s.tagCache.Invalidate(base)
 	}
+	return line
 }
 
 // Writeback implements cpu.Backend: a dirty L3 eviction.
@@ -611,11 +612,7 @@ func (s *Sectored) wbTagKnown(addr mem.Addr, line cache.Ref) {
 	} else {
 		s.st.WriteMisses++
 		if !line.Ok() {
-			ev := s.tags.Insert(addr, false)
-			if ev.Valid {
-				s.evictSector(addr, ev)
-			}
-			line = s.tags.Probe(addr)
+			line = s.allocSector(addr)
 		}
 		line.OrVMask(bit)
 		line.OrDMask(bit)
@@ -642,11 +639,7 @@ func (s *Sectored) wtTagKnown(addr mem.Addr, line cache.Ref) {
 	} else {
 		s.st.WriteMisses++
 		if !line.Ok() {
-			ev := s.tags.Insert(addr, false)
-			if ev.Valid {
-				s.evictSector(addr, ev)
-			}
-			line = s.tags.Probe(addr)
+			line = s.allocSector(addr)
 		}
 		line.OrVMask(bit)
 	}
@@ -674,18 +667,22 @@ func (s *Sectored) cleanPage(page mem.Addr) {
 }
 
 // WarmRead implements cpu.Backend's functional warmup path.
-func (s *Sectored) WarmRead(addr mem.Addr, coreID int) {
+func (s *Sectored) WarmRead(addr mem.Addr, coreID int) { s.warmRead(addr) }
+
+// warmRead is WarmRead returning the sector's slot. A sector it displaces
+// has its footprint recorded and its dirty blocks dropped, since warmup
+// issues no DRAM traffic.
+func (s *Sectored) warmRead(addr mem.Addr) cache.Ref {
 	addr = addr.LineAligned()
 	if s.tagCache != nil && !s.tagCache.Lookup(addr).Ok() {
 		s.installTagEntry(addr)
 	}
 	bit := s.blockBit(addr)
-	if line := s.tags.Probe(addr); line.Ok() {
-		s.tags.Lookup(addr)
+	if line := s.tags.Lookup(addr); line.Ok() {
 		line.OrVMask(bit)
-		return
+		return line
 	}
-	ev := s.tags.Insert(addr, false)
+	nl, ev := s.tags.Insert(addr, false)
 	if ev.Valid {
 		si, _ := s.tags.Index(addr)
 		base := s.tags.LineAddr(si, ev.Tag)
@@ -696,20 +693,16 @@ func (s *Sectored) WarmRead(addr mem.Addr, coreID int) {
 			s.tagCache.Invalidate(base)
 		}
 	}
-	nl := s.tags.Probe(addr)
 	nl.OrVMask(bit)
 	if s.fp != nil {
 		nl.OrVMask(s.fp.predict(s.sectorOf(addr)))
 	}
+	return nl
 }
 
 // WarmWriteback implements cpu.Backend's functional warmup path.
 func (s *Sectored) WarmWriteback(addr mem.Addr, coreID int) {
-	addr = addr.LineAligned()
-	s.WarmRead(addr, coreID)
-	if line := s.tags.Probe(addr); line.Ok() {
-		line.OrDMask(s.blockBit(addr))
-	}
+	s.warmRead(addr).OrDMask(s.blockBit(addr))
 }
 
 // SetPartitioner replaces the partitioning policy (used after construction
