@@ -4,9 +4,9 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke runner-race obs-check obs-race telemetry-race queue-race ckpt-race serve-smoke crash-smoke trace-demo profile profile-policies fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke runner-race obs-check ckpt-race trace-demo profile profile-policies fuzz-smoke
 
-check: fmt vet build race runner-race obs-check obs-race telemetry-race queue-race ckpt-race serve-smoke crash-smoke fuzz-smoke bench-smoke
+check: fmt vet build race runner-race obs-check ckpt-race fuzz-smoke bench-smoke
 
 # fmt fails when any Go file is not gofmt-formatted, and lists the files.
 fmt:
@@ -26,38 +26,14 @@ test:
 race:
 	$(GO) test -race -timeout 90m ./...
 
+# obs-check vets the observer package and runs it under the race detector,
+# then the harness's observer bit-identity proofs (sampler, tracer,
+# decision recorder, flight recorder) and the flight recorder's stall
+# capture on full and sampled runs.
 obs-check:
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/... -run . -count=1
-	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestDecisionRecording|TestServe' -count=1
-
-# obs-race drives the service-grade observability surface under the race
-# detector: job-lifecycle tracing + flight recorder + context logging
-# (internal/obs), the latency histograms and request-log middleware
-# (internal/telemetry), the instrumented sweep service end to end
-# (internal/sweep), and the harness's flight-recorder stall capture and
-# bit-identity guarantees.
-obs-race:
-	$(GO) test -race -count=1 ./internal/telemetry/ \
-		-run 'TestHistogram|TestRequestLog|TestStatusWriter'
-	$(GO) test -race -count=1 ./internal/sweep/ -run 'TestServiceObservabilityEndToEnd'
-	$(GO) test -race -count=1 -short ./internal/harness/ \
-		-run 'TestObservabilityIsBitIdenticalWithFlight|TestFlightRecorder|TestSweepExecutor'
-
-# telemetry-race exercises the live telemetry service under the race
-# detector: 8 concurrent publishers against a scraping /metrics loop, the
-# SSE stream, run-registry lifecycle, and the Prometheus golden file.
-telemetry-race:
-	$(GO) vet ./internal/telemetry/...
-	$(GO) test -race ./internal/telemetry/... -count=1
-
-# queue-race runs the sweep-service packages — the sweep service and the
-# crash-consistent result store it keeps its progress in — under the race
-# detector: concurrent workers, HTTP handlers deriving job states, Close
-# and cancellation all race against each other by design.
-queue-race:
-	$(GO) vet ./internal/sweep/... ./internal/store/...
-	$(GO) test -race -count=1 ./internal/sweep/... ./internal/store/...
+	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestDecisionRecording|TestFlightRecorder' -count=1
 
 # ckpt-race drives the warmup-checkpoint cache under the race detector:
 # eight concurrent policy/DRAM variants of one figure point restore from a
@@ -65,23 +41,14 @@ queue-race:
 # variant stays bit-identical), a figure grid does the same through its
 # worker pool, the store-backed path recovers from flipped-byte and
 # torn-tail corruption, a restore that fails after its cpu section warms a
-# fresh system, and a footprint table past its budget round-trips.
+# fresh system, and a footprint table past its budget round-trips. The
+# result store the checkpoints persist through runs its own suite under
+# the detector: concurrent writers racing on shared keys, torn and
+# corrupt entries.
 ckpt-race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/harness/ \
 		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointStoreReuseAndCorruption|TestCheckpointFailedRestoreWarmsFresh|TestCheckpointFootprintOverBudget'
-
-# serve-smoke boots `dapsim -serve` on a random port (race detector on),
-# curls /healthz and /metrics, asserts the DAP credit and runner pool
-# families are exposed, and checks clean shutdown on SIGINT.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# crash-smoke SIGKILLs a running sweep service mid-sweep and verifies the
-# restarted process runs the persisted sweep to completion: all jobs done,
-# all results served, clean SIGINT exit. The in-process counterpart lives
-# in internal/harness/sweep_crash_test.go.
-crash-smoke:
-	./scripts/crash_smoke.sh
+	$(GO) test -race -count=1 ./internal/store/
 
 # runner-race exercises the worker pool and the parallel experiment drivers
 # under the race detector: the full runner suite (ordering, panic/error

@@ -12,19 +12,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
-	"time"
 
 	"dap"
 	"dap/internal/mem"
@@ -60,42 +55,8 @@ func main() {
 		metricsOut   = flag.String("metrics-out", "", "write the sampled metric series as CSV to this file (default stdout when sampling)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-		serveAddr    = flag.String("serve", "", "serve live telemetry (/metrics, /runs, dashboard) on this address (e.g. :8080, :0 = any free port); keeps serving after the run until interrupted")
-		sweepDir     = flag.String("sweep-dir", "", "run as a crash-safe sweep service: sweep specs + result store under this directory, API on the -serve address (requires -serve)")
-		sweepWorkers = flag.Int("sweep-workers", 0, "sweep service worker count (0 = GOMAXPROCS)")
-		logLevel     = flag.String("log-level", "info", "structured log level: debug | info | warn | error")
-		logFormat    = flag.String("log-format", "text", "structured log format: text | json")
 	)
 	flag.Parse()
-
-	// Structured logs go to stderr so stdout keeps carrying results and the
-	// service banner lines scripts grep for.
-	logger := dap.NewLogger(os.Stderr, *logLevel, *logFormat)
-
-	if *sweepDir != "" {
-		if *serveAddr == "" {
-			fatalf("-sweep-dir requires -serve (the API mounts on the telemetry address)")
-		}
-		runSweepService(*serveAddr, *sweepDir, *sweepWorkers, logger)
-		return
-	}
-
-	if *serveAddr != "" {
-		srv, bound, err := dap.ServeLogged(*serveAddr, logger)
-		fatalIf(err)
-		fmt.Printf("telemetry: serving on http://%s\n", bound)
-		defer func() {
-			fmt.Println("telemetry: run complete; serving until interrupt (Ctrl-C)")
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			<-ctx.Done()
-			stop()
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintf(os.Stderr, "dapsim: telemetry shutdown: %v\n", err)
-			}
-		}()
-	}
 
 	if *list {
 		fmt.Println("workloads (rate mode):")
@@ -144,6 +105,9 @@ func main() {
 	}
 	cfg.Observe.MetricsEvery = mem.Cycle(*metricsEvery)
 	cfg.Observe.Decisions = *decisionsOut != ""
+	// The flight recorder changes no result and no fingerprint (cfgKey
+	// ignores Observe); an aborted run prints its entries.
+	cfg.Observe.Flight = true
 	cfg.Sampled = *sampled
 
 	var ckpts *dap.WarmupCheckpoints
@@ -218,8 +182,16 @@ func main() {
 	r, err := dap.RunCheckpointedE(cfg, mix, *seed, ckpts)
 	if err != nil {
 		// A validation error prints one line per problem; an aborted run
-		// prints the stall/audit diagnostic with its state snapshot.
-		fatalf("%v", err)
+		// prints the stall/audit diagnostic with its state snapshot, then
+		// the flight recording that led up to it, oldest entry first.
+		fmt.Fprintf(os.Stderr, "dapsim: %v\n", err)
+		if n := r.Flight.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "flight recording (%d entries, %d older dropped):\n", n, r.Flight.Dropped())
+			for _, e := range r.Flight.Entries() {
+				fmt.Fprintf(os.Stderr, "%d: %s\n", e.Cycle, e.Note)
+			}
+		}
+		os.Exit(1)
 	}
 
 	if *memProfile != "" {
@@ -244,33 +216,6 @@ func main() {
 	report(r)
 	if r.Breakdown != nil && r.Breakdown.Spans() > 0 {
 		fmt.Print(r.Breakdown.String())
-	}
-}
-
-// runSweepService runs dapsim as the sweep service until interrupted:
-// telemetry + sweep API on addr, sweep specs and result store under dir.
-// Shutdown lets executing jobs finish and store their results, then exits
-// 0; a SIGKILLed process instead runs the persisted sweeps again on the
-// next start, skipping every job whose outcome is stored.
-func runSweepService(addr, dir string, workers int, logger *slog.Logger) {
-	srv, svc, bound, err := dap.ServeSweeps(addr, dir, workers, logger)
-	fatalIf(err)
-	fmt.Printf("sweep service: serving on http://%s (state in %s)\n", bound, dir)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	<-ctx.Done()
-	stop()
-
-	fmt.Println("sweep service: draining in-flight jobs")
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := svc.Close(dctx); err != nil {
-		fmt.Fprintf(os.Stderr, "dapsim: sweep service close: %v\n", err)
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		fmt.Fprintf(os.Stderr, "dapsim: telemetry shutdown: %v\n", err)
 	}
 }
 

@@ -11,13 +11,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"dap"
@@ -68,30 +65,11 @@ func main() {
 	useCkpt := flag.Bool("ckpt", false, "share warmup checkpoints across each figure's variants (bit-identical output, warmup runs once per mix)")
 	ckptDir := flag.String("ckpt-dir", "", "persist warmup checkpoints under this directory so reruns skip warmup entirely (implies -ckpt)")
 	sampled := flag.Bool("sampled", false, "SMARTS interval sampling: estimate each figure point from measured intervals with 95% CIs instead of the full timed region (fast, approximate)")
-	serveAddr := flag.String("serve", "", "serve live telemetry (/metrics, /runs, dashboard) on this address while the sweep runs; keeps serving after it until interrupted")
 	flag.Parse()
 	drivers, err := selectDrivers(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *serveAddr != "" {
-		srv, bound, err := dap.Serve(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: telemetry: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry: serving on http://%s\n", bound)
-		defer func() {
-			fmt.Println("telemetry: sweep complete; serving until interrupt (Ctrl-C)")
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			<-ctx.Done()
-			stop()
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(sctx)
-		}()
 	}
 
 	opts := dap.Options{Quick: *quick, Parallel: *jobs, Sampled: *sampled}

@@ -21,9 +21,7 @@ package dap
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
-	"path/filepath"
+	"runtime/debug"
 	"strings"
 
 	"dap/internal/core"
@@ -32,8 +30,6 @@ import (
 	"dap/internal/obs"
 	"dap/internal/sim"
 	"dap/internal/stats"
-	"dap/internal/sweep"
-	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
 
@@ -290,39 +286,6 @@ func OptimalFractions(bandwidths []float64) []float64 {
 // GeoMean aggregates normalized speedups the way the paper reports GMEAN.
 func GeoMean(vs []float64) float64 { return stats.GeoMean(vs) }
 
-// TelemetryServer is the live monitoring HTTP service behind `dapsim -serve`
-// and `figures -serve`: Prometheus-text /metrics, /runs JSON, a per-run SSE
-// stream, an embedded dashboard, /healthz and /debug/pprof.
-type TelemetryServer = telemetry.Server
-
-// Serve starts the process-wide telemetry service on addr (host:port; port 0
-// picks a free one) and returns the server plus the bound address. Every
-// simulation in the process registers itself automatically; publishing is
-// lock-free and read-only, so serving telemetry never perturbs results.
-func Serve(addr string) (*TelemetryServer, string, error) {
-	return ServeLogged(addr, nil)
-}
-
-// ServeLogged is Serve with structured request logging: every HTTP request
-// gets one slog record (method, path, status, duration) on logger. A nil
-// logger serves silently, exactly like Serve.
-func ServeLogged(addr string, logger *slog.Logger) (*TelemetryServer, string, error) {
-	srv := telemetry.NewServer(telemetry.Default, telemetry.Runs)
-	srv.Logger = logger
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
-}
-
-// NewLogger builds a structured logger writing to w. format is "text" or
-// "json"; level is "debug", "info", "warn" or "error" (default info). It is
-// the logger behind dapsim's -log-level/-log-format flags.
-func NewLogger(w io.Writer, level, format string) *slog.Logger {
-	return obs.NewLogger(w, level, format)
-}
-
 // ParseArchitecture resolves an architecture name ("sectored", "alloy",
 // "edram", "none") to its enum, with an error listing the valid names.
 func ParseArchitecture(name string) (Architecture, error) { return harness.ParseArch(name) }
@@ -331,57 +294,37 @@ func ParseArchitecture(name string) (Architecture, error) { return harness.Parse
 // "sbd", "sbd-wt", "batman") to its enum.
 func ParsePolicyName(name string) (Policy, error) { return harness.ParsePolicy(name) }
 
-// SweepService is the sweep execution service behind
-// `dapsim -serve -sweep-dir`: persisted sweep specs run against a
-// crash-consistent result store keyed by configuration fingerprint, which
-// is the service's only record of progress. See ServeSweeps.
-type SweepService = sweep.Service
-
-// SweepSpec is the client-facing sweep request: the cross product of
-// mixes × archs × policies × seeds (POST /jobs).
-type SweepSpec = sweep.SweepSpec
-
-// ServeSweeps starts the telemetry server on addr with the sweep service
-// mounted on it (POST/GET/DELETE /jobs, /jobs/{id}/results,
-// /jobs/{id}/flight, /trace). State lives under dir: "sweeps/" holds the
-// submitted specs, "results/" every job's result or failure record, and
-// "ckpt/" the warmup checkpoints policy variants of a sweep point share. A
-// process killed at any point reopens the same dir and runs the persisted
-// sweeps again; jobs whose outcome is stored are skipped, not re-simulated.
-// workers bounds concurrent simulations (0 = GOMAXPROCS). logger receives
-// every job edge, simulation record and HTTP request, stamped with the
-// job's correlation ID where one applies; nil serves silently. Stop with
-// svc.Close then srv.Shutdown.
-func ServeSweeps(addr, dir string, workers int, logger *slog.Logger) (*TelemetryServer, *SweepService, string, error) {
-	ck, err := harness.NewCheckpoints(filepath.Join(dir, "ckpt"))
-	if err != nil {
-		return nil, nil, "", err
-	}
-	svc, err := sweep.Open(dir, harness.SweepExecutorCkpt(ck), sweep.Config{
-		Workers: workers, Key: harness.SweepKey, Validate: harness.SweepValidate,
-		Logger: logger, Tracer: obs.NewJobTracer(0),
-	})
-	if err != nil {
-		return nil, nil, "", err
-	}
-	srv := telemetry.NewServer(telemetry.Default, telemetry.Runs)
-	srv.Logger = logger
-	svc.Attach(srv)
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	svc.Start()
-	return srv, svc, bound, nil
-}
-
 // ConfigFingerprint condenses a configuration into a short stable hex token
-// covering every behavior-affecting field. Telemetry stamps it on each
-// registered run and each metrics export: two artifacts carry the same
-// fingerprint if and only if their configurations were identical.
+// covering every behavior-affecting field. dapsim stamps it on each
+// metrics and decision export: two artifacts carry the same fingerprint if
+// and only if their configurations were identical.
 func ConfigFingerprint(cfg Config) string { return harness.Fingerprint(cfg) }
 
 // BuildVersion reports the git revision this binary was built from (a short
-// hash, "+dirty" when the tree was modified, or "dev" without VCS info); it
-// is stamped on metrics exports and the /healthz endpoint.
-func BuildVersion() string { return telemetry.Version() }
+// hash, "+dirty" when the tree was modified, or "dev" without VCS info);
+// dapsim stamps it on metrics and decision exports.
+func BuildVersion() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "dev"
+	}
+	rev, dirty := "", false
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return "dev"
+	}
+	if len(rev) > 12 {
+		rev = rev[:12]
+	}
+	if dirty {
+		rev += "+dirty"
+	}
+	return rev
+}

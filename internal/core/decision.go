@@ -92,8 +92,7 @@ type DecisionRecorder struct {
 	recs   obs.Ring[DecisionRecord]
 	events obs.Ring[PolicyEvent]
 
-	sources  []string
-	onRecord func(DecisionRecord)
+	sources []string
 }
 
 // NewDecisionRecorder builds a recorder retaining the newest 65,536
@@ -104,15 +103,6 @@ func NewDecisionRecorder() *DecisionRecorder {
 		recs:   obs.NewRing[DecisionRecord](1 << 16),
 		events: obs.NewRing[PolicyEvent](4096),
 	}
-}
-
-// OnRecord installs a callback invoked for every recorded decision (the
-// telemetry publication hook). Install before the run starts.
-func (r *DecisionRecorder) OnRecord(fn func(DecisionRecord)) {
-	if r == nil {
-		return
-	}
-	r.onRecord = fn
 }
 
 // setSources names the bandwidth sources the records' fraction vectors are
@@ -138,9 +128,6 @@ func (r *DecisionRecorder) Add(rec DecisionRecord) {
 		return
 	}
 	r.recs.Push(rec)
-	if r.onRecord != nil {
-		r.onRecord(rec)
-	}
 }
 
 // AddPolicyEvent records one baseline-policy event, evicting the oldest

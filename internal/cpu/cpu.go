@@ -475,11 +475,11 @@ func (co *core) execute(a workload.Access, pos uint64) {
 	// the installs below need no probe
 	switch {
 	case co.l2.lookup(addr, false):
-		co.installL1(addr, a.Store, false)
+		co.installL1(addr, a.Store)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L2Lat)
 	case cpu.l3.lookup(addr, false):
 		co.installL2(addr, false)
-		co.installL1(addr, a.Store, false)
+		co.installL1(addr, a.Store)
 		co.trackLoad(isLoad, a.Dependent, pos, cpu.cfg.L3Lat)
 	default:
 		issued := eng.Now()
@@ -552,7 +552,7 @@ func (co *core) fillFromMemory(addr mem.Addr, store bool) {
 		co.installL2(addr, false)
 	}
 	if !co.l1.probe(addr, store) {
-		co.installL1(addr, store, false)
+		co.installL1(addr, store)
 	}
 }
 
@@ -578,12 +578,12 @@ func (co *core) issuePrefetches(cands []mem.Addr) {
 	}
 }
 
-// installL1 inserts a line absent from L1; a dirty victim marks the
-// (inclusive) L2 copy. warm selects the functional writeback path.
-func (co *core) installL1(addr mem.Addr, dirty, warm bool) {
-	va, ok, d := co.l1.insert(addr, dirty)
-	if ok && d && !co.l2.probe(va, true) && !co.cpu.l3.probe(va, true) {
-		co.cpu.writeback(va, co.id, warm)
+// installL1 inserts a line absent from L1; a dirty victim marks its L2
+// copy, which L1 ⊆ L2 guarantees is present (TestHierarchyInclusive), so
+// nothing below the L2 ever sees an L1 eviction.
+func (co *core) installL1(addr mem.Addr, dirty bool) {
+	if va, ok, d := co.l1.insert(addr, dirty); ok && d {
+		co.l2.probe(va, true)
 	}
 }
 
@@ -647,16 +647,16 @@ func (co *core) warmExecute(a workload.Access) {
 	}
 	co.pfBuf = co.pf.observe(addr, co.pfBuf[:0]) // keep the prefetcher trained
 	if co.l2.lookup(addr, false) {
-		co.installL1(addr, a.Store, true)
+		co.installL1(addr, a.Store)
 		return
 	}
 	if co.cpu.l3.lookup(addr, false) {
 		co.installL2(addr, true)
-		co.installL1(addr, a.Store, true)
+		co.installL1(addr, a.Store)
 		return
 	}
 	co.cpu.backend.WarmRead(addr, co.id)
 	co.installL3(addr, true)
 	co.installL2(addr, true)
-	co.installL1(addr, a.Store, true)
+	co.installL1(addr, a.Store)
 }

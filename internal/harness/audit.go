@@ -7,15 +7,6 @@ import (
 	"dap/internal/mscache"
 	"dap/internal/sim"
 	"dap/internal/stats"
-	"dap/internal/telemetry"
-)
-
-// Auditor counters on the process-wide telemetry registry: total sweeps
-// performed and invariant violations found. Published via lock-free
-// handles, so audit mode stays a strict observer of the simulation.
-var (
-	auditChecks     = telemetry.Default.Counter("harness_audit_checks_total", "Invariant audit sweeps completed across all runs.")
-	auditViolations = telemetry.Default.Counter("harness_audit_violations_total", "Invariant violations detected by the runtime auditor.")
 )
 
 // AuditError reports the first runtime invariant violation the auditor
@@ -117,12 +108,10 @@ func (s *System) startAudit() {
 	lastCycle := s.Eng.Now()
 
 	fail := func(checkName string, err error) {
-		auditViolations.Inc()
 		s.Eng.Fail(&AuditError{Cycle: s.Eng.Now(), Check: checkName, Err: err})
 	}
 	var tick func()
 	tick = func() {
-		auditChecks.Inc()
 		if s.dap != nil {
 			if err := s.dap.AuditCredits(); err != nil {
 				fail("dap-credits", err)

@@ -3,30 +3,8 @@ package harness
 import (
 	"io"
 
-	"dap/internal/core"
 	"dap/internal/stats"
-	"dap/internal/telemetry"
 )
-
-// telemetryDecision converts a core decision record into the telemetry
-// wire form (telemetry stays import-free of the simulator packages).
-func telemetryDecision(rec core.DecisionRecord) telemetry.Decision {
-	return telemetry.Decision{
-		Cycle:       uint64(rec.Cycle),
-		Window:      rec.Window,
-		Gap:         rec.Gap,
-		Delivered:   rec.DeliveredGBps,
-		Optimal:     rec.OptimalGBps,
-		Fractions:   rec.Fractions,
-		OptimalFrac: rec.Optimal,
-		FWB:         rec.FWB,
-		WB:          rec.WB,
-		IFRM:        rec.IFRM,
-		SFRM:        rec.SFRM,
-		WT:          rec.WT,
-		Partitioned: rec.Partitioned,
-	}
-}
 
 // WriteTrace writes the run's Chrome trace, merging the decision recorder's
 // counter tracks (optimality gap, delivered bandwidth, access fractions)

@@ -5,21 +5,16 @@ import (
 	"testing"
 
 	"dap/internal/core"
-	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
 
-// simsStarted counts the simulations f starts: every one registers with
-// the process-wide run registry, which numbers runs consecutively.
+// simsStarted counts the simulations f starts: every one goes through
+// simulate, which counts it. Tests that run in parallel with f would be
+// counted too; none in this package calls t.Parallel.
 func simsStarted(f func()) int64 {
-	probe := func() int64 {
-		r := telemetry.Runs.Start(telemetry.RunInfo{Mix: "probe"})
-		r.Finish(nil, nil)
-		return r.ID
-	}
-	before := probe()
+	before := simulations.Load()
 	f()
-	return probe() - before - 1
+	return simulations.Load() - before
 }
 
 // TestGridRunsEachDistinctConfigOnce: configurations with equal cfgKey and

@@ -12,6 +12,27 @@ func quickMix() workload.Mix {
 	return workload.RateMix(spec, 8)
 }
 
+func TestParseArchPolicyRoundTrip(t *testing.T) {
+	for _, a := range []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM, NoMSCache} {
+		got, err := ParseArch(a.String())
+		if err != nil || got != a {
+			t.Fatalf("ParseArch(%q) = %v, %v", a.String(), got, err)
+		}
+	}
+	for _, p := range []Policy{Baseline, DAP, DAPFWBWB, SBD, SBDWT, BATMAN} {
+		got, err := ParsePolicy(p.String())
+		if err != nil || got != p {
+			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParseArch("bogus"); err == nil {
+		t.Fatal("ParseArch accepted bogus")
+	}
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Fatal("ParsePolicy accepted bogus")
+	}
+}
+
 func TestRunProducesSaneResult(t *testing.T) {
 	r := RunMix(Quick(), quickMix())
 	if r.Cycles == 0 {

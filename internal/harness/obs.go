@@ -1,51 +1,21 @@
 package harness
 
 import (
-	"dap/internal/core"
 	"dap/internal/mem"
 	"dap/internal/obs"
 	"dap/internal/stats"
-	"dap/internal/telemetry"
 	"dap/internal/workload"
 )
 
 // arm begins a timed region's observation and guards, right after its
-// first CPU.Start: it registers the run with the process-wide telemetry
-// layer, subscribes the sampler and the decision recorder to it, starts the
-// sampler and the flight recorder, then arms the watchdog, the auditor
-// (Config.Audit) and any planned credit corruption, in that order, so the
-// events they schedule keep one sequence. Full and sampled runs both call
-// it once and end with finishObservers. Registration, publication and
-// Finish are strict observers: they copy already-computed values behind
-// lock-free handles, so a scraped run stays bit-identical to an unobserved
-// one (TestObservabilityIsBitIdenticalWithServe).
-func (s *System) arm(start, limit mem.Cycle) *telemetry.Run {
+// first CPU.Start: it starts the sampler and the flight recorder, then arms
+// the watchdog, the auditor (Config.Audit) and any planned credit
+// corruption, in that order, so the events they schedule keep one
+// sequence. Full and sampled runs both call it once and end with
+// finishObservers.
+func (s *System) arm(limit mem.Cycle) {
 	cfg := s.Cfg
-	run := telemetry.Runs.Start(telemetry.RunInfo{
-		Mix:         s.mix.Name,
-		Arch:        cfg.Arch.String(),
-		Policy:      cfg.Policy.String(),
-		Fingerprint: Fingerprint(cfg),
-		Seed:        s.seed,
-		Horizon:     uint64(limit),
-	})
-	if s.decRec != nil {
-		run.SetDecisionSources(s.decRec.SourceNames())
-		// Replay the warmup-phase backlog before subscribing so the served
-		// series covers the same windows the recorder holds.
-		for _, rec := range s.decRec.Records() {
-			run.PublishDecision(telemetryDecision(rec))
-		}
-		s.decRec.OnRecord(func(rec core.DecisionRecord) {
-			run.PublishDecision(telemetryDecision(rec))
-		})
-	}
 	if s.metrics != nil {
-		run.SetColumns(s.metrics.Names())
-		s.metrics.OnWindow(func(w obs.Window) {
-			run.Progress(uint64(w.Cycle - start))
-			run.Publish(uint64(w.Cycle), w.Values)
-		})
 		s.metrics.Start()
 	}
 	if s.flight != nil {
@@ -66,13 +36,12 @@ func (s *System) arm(start, limit mem.Cycle) *telemetry.Run {
 	if s.inj != nil && s.dap != nil {
 		s.inj.ArmCreditFault(s.Eng.After, s.dap)
 	}
-	return run
 }
 
 // finishObservers ends a timed region's observation once r holds its
-// statistics and abort: it stops the sampler, closes the flight recording,
-// hands every observer to r and finishes the telemetry run.
-func (s *System) finishObservers(run *telemetry.Run, r *Result) {
+// statistics and abort: it stops the sampler, closes the flight recording
+// and hands every observer to r.
+func (s *System) finishObservers(r *Result) {
 	if s.metrics != nil {
 		s.metrics.Stop()
 	}
@@ -85,13 +54,6 @@ func (s *System) finishObservers(run *telemetry.Run, r *Result) {
 	}
 	r.Metrics, r.Trace, r.Flight, r.Decisions = s.metrics, s.trace, s.flight, s.decRec
 	r.Breakdown = s.trace.Breakdown()
-
-	run.Progress(uint64(r.Cycles))
-	run.Finish(r.Abort, map[string]float64{
-		"ipc":            r.AggregateIPC(),
-		"cycles":         float64(r.Cycles),
-		"delivered_gbps": r.DeliveredGBps,
-	})
 }
 
 // registerMetrics wires every observable subsystem into the sampler. All

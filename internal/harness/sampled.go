@@ -6,7 +6,6 @@ import (
 
 	"dap/internal/mem"
 	"dap/internal/stats"
-	"dap/internal/telemetry"
 )
 
 // SMARTS-style interval sampling: the timed region is replaced by a train
@@ -150,7 +149,6 @@ func (s *System) sampleIntervals() (Result, bool) {
 	start, limit := s.startTimed()
 
 	rep := &SamplingReport{IntervalInstr: interval, FFAccesses: sampleFF}
-	var run *telemetry.Run
 	var ipcs, bws, hrs []float64
 	var coreAgg []stats.CoreStats
 	var totalCycles mem.Cycle
@@ -164,8 +162,8 @@ func (s *System) sampleIntervals() (Result, bool) {
 		}
 		c0 := s.Eng.Now()
 		s.CPU.Start(interval)
-		if run == nil {
-			run = s.arm(start, limit)
+		if n == 0 {
+			s.arm(limit)
 		}
 		s.Eng.RunWhile(func() bool {
 			return !s.CPU.Done() && s.Eng.Now()-start < limit
@@ -208,7 +206,6 @@ func (s *System) sampleIntervals() (Result, bool) {
 		hrs = append(hrs, deltaHitRatio(&ms0, &ms1))
 		ms0, cas0 = ms1, cas1
 		totalCycles += intervalCycles
-		run.Progress(uint64(totalCycles))
 
 		if len(ipcs) >= 4 {
 			ci := metricCI(ipcs)
@@ -250,7 +247,7 @@ func (s *System) sampleIntervals() (Result, bool) {
 	r.Sampling = rep
 	r.Abort = abort
 	s.collect(&r, totalCycles, coreAgg)
-	s.finishObservers(run, &r)
+	s.finishObservers(&r)
 	return r, abort != nil || rep.Converged
 }
 

@@ -11,6 +11,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dap/internal/core"
 	"dap/internal/cpu"
@@ -80,6 +81,28 @@ func (p Policy) String() string {
 		return "batman"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// ParseArch resolves an architecture name ("sectored", "alloy", "edram",
+// "none") to its enum.
+func ParseArch(name string) (Arch, error) {
+	for _, a := range []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM, NoMSCache} {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown arch %q (want sectored|alloy|edram|none)", name)
+}
+
+// ParsePolicy resolves a policy name ("baseline", "dap", "dap-fwb-wb",
+// "sbd", "sbd-wt", "batman") to its enum.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range []Policy{Baseline, DAP, DAPFWBWB, SBD, SBDWT, BATMAN} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want baseline|dap|dap-fwb-wb|sbd|sbd-wt|batman)", name)
 }
 
 // Config is a full system configuration.
@@ -237,8 +260,8 @@ type Result struct {
 	// inside stats.Run so instrumented runs keep a bit-identical Run.
 	Breakdown *stats.LatencyBreakdown
 	// Flight holds the stall flight recording (nil unless
-	// Config.Observe.Flight). On an aborted run, freeze it with Flight.Dump
-	// for the postmortem.
+	// Config.Observe.Flight). On an aborted run its entries, oldest first,
+	// are the postmortem: dapsim prints them after the diagnostic.
 	Flight *obs.FlightRecorder
 	// Decisions holds the per-window partitioner decision records and
 	// baseline policy events (nil unless Config.Observe.Decisions). Export
@@ -496,7 +519,7 @@ func (s *System) Measure() Result {
 	cfg := s.Cfg
 	start, limit := s.startTimed()
 	s.CPU.Start(cfg.MeasureInstr)
-	run := s.arm(start, limit)
+	s.arm(limit)
 	s.Eng.RunWhile(func() bool {
 		return !s.CPU.Done() && s.Eng.Now()-start < limit
 	})
@@ -514,7 +537,7 @@ func (s *System) Measure() Result {
 		r.Abort = &sim.StallError{Cycle: s.Eng.Now(), Pending: 0, Snapshot: s.snapshot()}
 	}
 	s.collect(&r, s.Eng.Now()-start, s.CPU.CoreStats())
-	s.finishObservers(run, &r)
+	s.finishObservers(&r)
 	return r
 }
 
@@ -605,10 +628,15 @@ func (s *System) snapshot() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
+// simulations counts simulate calls in this process; tests read it to
+// count the simulations a driver starts.
+var simulations atomic.Int64
+
 // simulate is the one body behind every entry point that runs a
 // simulation: build the system, reseed its streams, restore it from ck or
 // warm it (ck may be nil), then run the timed region, sampled or full.
 func simulate(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) Result {
+	simulations.Add(1)
 	s := ck.restoreOrWarm(newSystem(cfg, mix, seed))
 	if cfg.Sampled {
 		return s.runSampled(ck)
@@ -720,10 +748,10 @@ func cfgKey(cfg Config) string {
 
 // Fingerprint condenses a configuration into a short stable hex token —
 // the same field coverage as the alone-run memo key, hashed down for
-// display. Telemetry stamps it on every registered run and every metrics
-// export so an artifact can be traced back to the exact configuration
-// that produced it: two files carry the same fingerprint if and only if
-// their configurations were identical, observers aside.
+// display. dapsim stamps it on every metrics and decision export so an
+// artifact can be traced back to the exact configuration that produced
+// it: two files carry the same fingerprint if and only if their
+// configurations were identical, observers aside.
 func Fingerprint(cfg Config) string {
 	h := fnv.New64a()
 	io.WriteString(h, cfgKey(cfg))

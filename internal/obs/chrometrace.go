@@ -6,12 +6,12 @@ import (
 	"io"
 )
 
-// ChromeTraceWriter is the shared encoder for Chrome trace-event JSON (the
+// ChromeTraceWriter is the encoder for Chrome trace-event JSON (the
 // {"displayTimeUnit":"ns","traceEvents":[...]} form loadable in Perfetto or
 // chrome://tracing). It handles the envelope and the comma discipline
 // between events; callers format each event object themselves via Emit.
-// Both the simulation-request tracer (WriteChromeTrace) and the
-// job-lifecycle tracer (JobTracer.WriteChromeTrace) render through it.
+// The request-lifecycle tracer (Tracer.WriteChromeTraceWith) renders its
+// spans and the decision recorder's counter tracks through it.
 type ChromeTraceWriter struct {
 	bw    *bufio.Writer
 	first bool

@@ -8,10 +8,10 @@ import (
 
 // FlightRecorder keeps a bounded ring of recent engine-state summaries for
 // one running simulation — the "black box" that turns a watchdog stall, an
-// exhausted job or a faultinject abort into a postmortem artifact. The
-// simulation samples into it periodically (see sim.Engine.SetFlightSampler)
-// and at lifecycle milestones; on a failure the harness freezes the ring
-// into a FlightDump.
+// audit violation or a faultinject abort into a postmortem. The simulation
+// samples into it periodically (see sim.Engine.SetFlightSampler) and at
+// lifecycle milestones; the finished run hands it to Result.Flight, and
+// dapsim prints its entries after an aborted run's diagnostic.
 //
 // Like every observer in this package the recorder is strictly read-only
 // with respect to simulated state: it stores strings the simulation already
@@ -76,9 +76,9 @@ func (fr *FlightRecorder) Entries() []FlightEntry {
 	return fr.ring.All()
 }
 
-// FlightDump is a frozen flight recording plus the failure context — what
-// the sweep service stores in a failed job's record and serves from
-// /jobs/{id}/flight when a run aborts.
+// FlightDump is a frozen flight recording plus the failure context.
+// Nothing builds one (dapsim prints a recorder's entries directly); the
+// type awaits deletion.
 type FlightDump struct {
 	Corr     string        `json:"corr,omitempty"`     // job correlation ID
 	Key      string        `json:"key,omitempty"`      // config fingerprint / store key
@@ -104,8 +104,8 @@ func (fr *FlightRecorder) Dump(reason, snapshot string) *FlightDump {
 }
 
 // FlightError attaches a flight recording to the error that aborted a run,
-// so layers above the harness (the sweep service) can store and serve the
-// dump without importing harness types. It unwraps to the underlying error.
+// so a layer above the harness can carry the dump without importing
+// harness types. It unwraps to the underlying error.
 type FlightError struct {
 	Dump *FlightDump
 	Err  error

@@ -1,13 +1,12 @@
 package obs
 
 // Ring keeps the newest values pushed into it, up to a fixed bound, and
-// counts the older ones it evicted. It is the one bounded buffer under
-// every observer: the sampler's rows, the flight recorder, the decision
-// recorder, the job tracer and the telemetry run history. Storage grows on
-// demand up to the bound, so a large bound costs nothing until it is used.
+// counts the older ones it evicted. It is the bounded buffer under
+// the observers that keep their newest entries: the sampler's rows, the
+// flight recorder and the decision recorder. Storage grows on demand up to
+// the bound, so a large bound costs nothing until it is used.
 //
-// A Ring is built with NewRing and is not safe for concurrent use; owners
-// that share one across goroutines guard it with their own mutex.
+// A Ring is built with NewRing and is not safe for concurrent use.
 type Ring[T any] struct {
 	buf     []T
 	max     int

@@ -48,12 +48,6 @@ type Sampler struct {
 
 	probes []probe
 
-	// Window subscribers (OnWindow). The previous tick's raw readings are
-	// kept so each closed window's exported values (deltas/rates applied)
-	// can be handed out as they happen, not just at end of run.
-	subs []func(Window)
-	last sample
-
 	// Sampled rows. base holds the raw readings taken just before the
 	// oldest retained row (the Start snapshot initially, then each evicted
 	// row), so CounterKind/UtilKind deltas survive eviction.
@@ -125,31 +119,6 @@ func (s *Sampler) UtilScaled(name string, scale float64, fn func() uint64) {
 	s.register(name, UtilKind, scale, func() float64 { return float64(fn()) })
 }
 
-// Window is one closed sampling window as delivered to OnWindow
-// subscribers: the cycle the window closed at and the exported per-probe
-// values in registration order, with counter deltas and per-cycle rates
-// already applied (the same values WriteCSV/WriteJSONL would emit for the
-// window). The Values slice is freshly allocated per window; subscribers
-// own it.
-type Window struct {
-	Cycle  mem.Cycle
-	Values []float64
-}
-
-// OnWindow registers fn to be called at the close of every sampling window,
-// on the simulation goroutine, with that window's exported values. It is
-// the live fan-out path behind the telemetry layer: fn must be a strict
-// observer — it may copy values out (e.g. atomically publish them to an
-// HTTP scrape path or push them to subscribers) but must never mutate
-// simulated state or block. Like probes, subscribers must be registered
-// before Start.
-func (s *Sampler) OnWindow(fn func(Window)) {
-	if s.started {
-		panic("obs: OnWindow registered after Sampler.Start")
-	}
-	s.subs = append(s.subs, fn)
-}
-
 // Names returns the registered probe names in registration (column) order.
 func (s *Sampler) Names() []string {
 	out := make([]string, len(s.probes))
@@ -168,7 +137,6 @@ func (s *Sampler) Start() {
 	}
 	s.started = true
 	s.base = sample{s.now(), s.read()}
-	s.last = s.base
 	s.after(s.every, s.tick)
 }
 
@@ -200,49 +168,34 @@ func (s *Sampler) tick() {
 		return
 	}
 	s.after(s.every, s.tick)
-	cur := sample{s.now(), s.read()}
-	if len(s.subs) > 0 {
-		vals := make([]float64, len(s.probes))
-		s.exportRow(s.last, cur, vals)
-		w := Window{Cycle: cur.t, Values: vals}
-		for _, fn := range s.subs {
-			fn(w)
-		}
-		s.last = cur
-	}
-	if old, evicted := s.rows.Push(cur); evicted {
+	if old, evicted := s.rows.Push(sample{s.now(), s.read()}); evicted {
 		s.base = old
 	}
 }
 
-// exportRow computes one window's exported values from consecutive raw
-// readings: counter deltas, per-cycle rates, or raw gauges per probe kind.
-func (s *Sampler) exportRow(prev, cur sample, vals []float64) {
-	dt := float64(cur.t - prev.t)
-	for j := range s.probes {
-		switch s.probes[j].kind {
-		case CounterKind:
-			vals[j] = (cur.row[j] - prev.row[j]) * s.probes[j].scale
-		case UtilKind:
-			if dt > 0 {
-				vals[j] = (cur.row[j] - prev.row[j]) / dt * s.probes[j].scale
-			} else {
-				vals[j] = 0
-			}
-		default:
-			vals[j] = cur.row[j] * s.probes[j].scale
-		}
-	}
-}
-
 // export walks the retained rows oldest-first, yielding the sample time and
-// the per-probe exported values (deltas/rates already applied).
+// the per-probe exported values: counter deltas, per-cycle rates, or raw
+// gauges per probe kind.
 func (s *Sampler) export(emit func(t mem.Cycle, vals []float64)) {
 	prev := s.base
 	vals := make([]float64, len(s.probes))
 	for i := 0; i < s.rows.Len(); i++ {
 		cur := s.rows.At(i)
-		s.exportRow(prev, cur, vals)
+		dt := float64(cur.t - prev.t)
+		for j := range s.probes {
+			switch s.probes[j].kind {
+			case CounterKind:
+				vals[j] = (cur.row[j] - prev.row[j]) * s.probes[j].scale
+			case UtilKind:
+				if dt > 0 {
+					vals[j] = (cur.row[j] - prev.row[j]) / dt * s.probes[j].scale
+				} else {
+					vals[j] = 0
+				}
+			default:
+				vals[j] = cur.row[j] * s.probes[j].scale
+			}
+		}
 		emit(cur.t, vals)
 		prev = cur
 	}

@@ -36,8 +36,6 @@ func TestSamplerIdleStopUnderWatchdog(t *testing.T) {
 
 	s := NewSampler(eng.Clock(), eng.After, eng.Pending, 100, 0)
 	s.Gauge("progress", func() float64 { return float64(progress) })
-	var windows int
-	s.OnWindow(func(Window) { windows++ })
 	s.Start()
 
 	eng.Drain()
@@ -53,8 +51,8 @@ func TestSamplerIdleStopUnderWatchdog(t *testing.T) {
 	if now := eng.Now(); now > 1000+s.Every() {
 		t.Fatalf("engine ran to cycle %d; sampler kept an idle loop alive past %d", now, 1000+s.Every())
 	}
-	if s.Samples() == 0 || windows == 0 {
-		t.Fatalf("sampler recorded no windows (samples=%d, callbacks=%d)", s.Samples(), windows)
+	if s.Samples() == 0 {
+		t.Fatal("sampler recorded no windows")
 	}
 }
 

@@ -15,21 +15,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"dap/internal/telemetry"
-)
-
-// Pool gauges published to the process-wide telemetry registry: how much
-// work has been submitted/finished and how many workers are busy right now.
-// Publishing is one atomic op per transition on whole-simulation-sized
-// jobs — unmeasurable against the work itself — and keeps `-serve`
-// dashboards live during cmd/figures sweeps.
-var (
-	jobsTotal   = telemetry.Default.Counter("runner_jobs_total", "Jobs submitted to the worker pool since process start.")
-	jobsDone    = telemetry.Default.Counter("runner_jobs_done", "Jobs completed by the worker pool (including panicked jobs).")
-	jobsRunning = telemetry.Default.Gauge("runner_jobs_running", "Jobs currently executing.")
-	workersBusy = telemetry.Default.Gauge("runner_workers_busy", "Pool workers currently alive (serial callers count as one).")
-	poolsActive = telemetry.Default.Gauge("runner_pools_active", "ForEach invocations currently in flight.")
 )
 
 // Parallelism normalizes a parallelism knob: values <= 0 select
@@ -66,22 +51,9 @@ func ForEach(parallel, n int, fn func(int)) {
 	if parallel > n {
 		parallel = n
 	}
-	jobsTotal.Add(float64(n))
-	poolsActive.Add(1)
-	defer poolsActive.Add(-1)
-	run := func(i int) {
-		jobsRunning.Add(1)
-		defer func() {
-			jobsRunning.Add(-1)
-			jobsDone.Inc()
-		}()
-		fn(i)
-	}
 	if parallel <= 1 {
-		workersBusy.Add(1)
-		defer workersBusy.Add(-1)
 		for i := 0; i < n; i++ {
-			run(i)
+			fn(i)
 		}
 		return
 	}
@@ -92,7 +64,6 @@ func ForEach(parallel, n int, fn func(int)) {
 	)
 	work := func(w int) {
 		defer wg.Done()
-		defer workersBusy.Add(-1)
 		defer func() {
 			if r := recover(); r != nil {
 				panics[w] = &WorkerPanic{Value: r, Stack: debug.Stack()}
@@ -103,12 +74,11 @@ func ForEach(parallel, n int, fn func(int)) {
 			if i >= n {
 				return
 			}
-			run(i)
+			fn(i)
 		}
 	}
 	wg.Add(parallel)
 	for w := 0; w < parallel; w++ {
-		workersBusy.Add(1)
 		go work(w)
 	}
 	wg.Wait()

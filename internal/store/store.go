@@ -1,21 +1,20 @@
 // Package store is a crash-consistent on-disk result store keyed by
-// arbitrary strings (the sweep service keys results by config fingerprint
-// × workload × seed, and persists its sweep specs in a second store).
+// arbitrary strings. Warmup checkpoints persist through it (see
+// harness.NewCheckpoints), keyed by WarmKey.
 //
 // Every entry is one file written with a torn-write-safe discipline (see
 // writeFileAtomic): payload bytes behind a checksummed envelope, staged in
-// a temp file, fsynced, and atomically renamed into place. A reader therefore observes either the previous
-// complete entry or the new complete entry, never a mixture; a crash at any
-// instruction leaves at most an ignorable temp file. Corrupt or truncated
-// entries — a torn envelope, a checksum mismatch, a short payload — are
-// detected on open, counted, quarantined (deleted) and reported as misses,
-// so one bad block can never poison a resumed sweep: the job is simply
-// re-executed and the entry rewritten.
+// a temp file, fsynced, and atomically renamed into place. A reader
+// therefore observes either the previous complete entry or the new complete
+// entry, never a mixture; a crash at any instruction leaves at most an
+// ignorable temp file. Corrupt or truncated entries — a torn envelope, a
+// checksum mismatch, a short payload — are detected on read, counted,
+// quarantined (deleted) and reported as misses, so one bad block can never
+// poison a later run: the entry is simply rebuilt and rewritten.
 //
 // Determinism makes the store safe to share: a key is only ever associated
 // with one byte-exact payload, so concurrent writers racing on the same key
-// are idempotent and a hit is always interchangeable with re-running the
-// job.
+// are idempotent and a hit is always interchangeable with recomputing it.
 package store
 
 import (
@@ -26,23 +25,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"dap/internal/telemetry"
 )
-
-// Process-wide counters so `-serve` dashboards show cache effectiveness.
-var (
-	mHits    = telemetry.Default.Counter("store_hits_total", "Result-store lookups served from disk.")
-	mMisses  = telemetry.Default.Counter("store_misses_total", "Result-store lookups that found no entry.")
-	mCorrupt = telemetry.Default.Counter("store_corrupt_total", "Result-store entries rejected as torn or corrupt and quarantined.")
-	mPuts    = telemetry.Default.Counter("store_puts_total", "Result-store entries written.")
-)
-
-// hPut is the end-to-end Put latency: staging write + fsync + atomic rename.
-var hPut = telemetry.Default.Histogram("store_put_seconds",
-	"Result-store Put latency (staging write + fsync + atomic rename).",
-	telemetry.DurationBuckets())
 
 // Store is a directory of checksummed result files. All methods are safe
 // for concurrent use from any number of goroutines (and, because writes are
@@ -92,29 +75,21 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	switch {
 	case err == nil && gotKey == key:
 		s.hits.Add(1)
-		mHits.Inc()
 		return payload, true
-	case os.IsNotExist(err):
+	case os.IsNotExist(err), err == nil: // absent, or a different key owns the file (hash collision)
 		s.misses.Add(1)
-		mMisses.Inc()
-		return nil, false
-	case err == nil: // hash collision: a different key owns the file
-		s.misses.Add(1)
-		mMisses.Inc()
 		return nil, false
 	default:
 		// torn or corrupt: quarantine so the slot can be rewritten cleanly
 		s.corrupt.Add(1)
 		s.misses.Add(1)
-		mCorrupt.Inc()
-		mMisses.Inc()
 		os.Remove(path)
 		return nil, false
 	}
 }
 
 // Has reports whether key resolves to a valid entry without counting a
-// hit/miss (the sweep service derives job states with it).
+// hit/miss.
 func (s *Store) Has(key string) bool {
 	payload, gotKey, err := readFileVerified(s.path(key))
 	return err == nil && gotKey == key && payload != nil
@@ -124,14 +99,11 @@ func (s *Store) Has(key string) bool {
 // fsynced and atomically renamed, so a crash mid-Put never leaves a partial
 // entry visible.
 func (s *Store) Put(key string, payload []byte) error {
-	t0 := time.Now()
 	tmp := fmt.Sprintf("%s.tmp.%d.%d", s.path(key), os.Getpid(), s.tmpSeq.Add(1))
 	if err := writeFileAtomic(tmp, s.path(key), key, payload); err != nil {
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
 	s.puts.Add(1)
-	mPuts.Inc()
-	hPut.ObserveSince(t0)
 	return nil
 }
 

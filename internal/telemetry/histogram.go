@@ -11,8 +11,8 @@ import (
 // Prometheus text format as the classic `_bucket`/`_sum`/`_count` triplet.
 // Like Series, its hot path is lock-cheap: Observe is one binary search over
 // the (immutable) bucket bounds plus two atomic adds — no locks, no
-// allocation — so service threads (workers, the WAL appender, HTTP
-// middleware) can observe on every operation without perturbing each other.
+// allocation — so concurrent goroutines can observe on every operation
+// without perturbing each other.
 //
 // Bucket counts are stored non-cumulatively and summed into the cumulative
 // exposition at scrape time, which keeps Observe O(1) in atomics; `_count`
@@ -86,9 +86,9 @@ func (h *Histogram) snapshot() (cum []uint64, sum float64) {
 }
 
 // DurationBuckets returns the default latency bucket bounds, in seconds:
-// 25µs to 2min in a coarse exponential ladder that covers everything the
-// sweep service measures (WAL fsyncs around a millisecond, store writes,
-// quick-config executions around a second, queue waits up to minutes).
+// 25µs to 2min in a coarse exponential ladder (an fsync around a
+// millisecond, a quick-config simulation around a second, queue waits up
+// to minutes).
 func DurationBuckets() []float64 {
 	return []float64{
 		0.000025, 0.0001, 0.00025, 0.001, 0.0025, 0.01,

@@ -1,17 +1,11 @@
-// Package telemetry turns the simulator into a monitorable service: a
-// thread-safe Prometheus-text metrics Registry that simulation threads
-// publish into through lock-free handles, a RunRegistry tracking the
-// lifecycle and live window series of every simulation in the process, and
-// an embedded HTTP server exposing /metrics, /runs JSON, an SSE stream per
-// run, /healthz and /debug/pprof plus a small embedded dashboard.
+// Package telemetry is a thread-safe metrics Registry of counters, gauges
+// and fixed-bucket histograms, rendered in the Prometheus text exposition
+// format. Publishing goes through pre-acquired handles whose hot path is a
+// single atomic operation (no locks, no channels, no allocation), so any
+// number of goroutines can publish while the registry is rendered.
 //
-// The design constraint inherited from internal/obs is strict
-// non-perturbation: a simulation publishes values it has already computed,
-// through pre-acquired handles whose hot path is a single atomic store (no
-// locks, no channels, no allocation), and nothing on the scrape side can
-// ever feed back into simulated state. Runs with telemetry enabled stay
-// bit-identical to runs without — the same bar as the sampler and auditor,
-// and enforced by the same determinism tests.
+// Nothing in the simulator publishes into it or renders it; the package
+// awaits deletion.
 package telemetry
 
 import (
@@ -105,8 +99,7 @@ type family struct {
 type Emit func(name, help string, kind Kind, labels []Label, v float64)
 
 // Collector produces series at scrape time — used for values that live in
-// another structure (e.g. each registered run's latest sampler window)
-// rather than being pushed continuously.
+// another structure rather than being pushed continuously.
 type Collector func(emit Emit)
 
 // Registry is a thread-safe collection of metric families rendered in the
@@ -122,10 +115,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
-
-// Default is the process-wide registry the runner pool, the harness auditor
-// and the run registry publish into; the -serve HTTP endpoint scrapes it.
-var Default = NewRegistry()
 
 // Counter returns (creating on first use) the counter series name{labels}.
 // The name must be a valid Prometheus metric name (see Sanitize); labels
