@@ -44,11 +44,14 @@ obs-check:
 # fresh system, and a footprint table past its budget round-trips. The
 # result store the checkpoints persist through runs its own suite under
 # the detector: concurrent writers racing on shared keys, torn and
-# corrupt entries.
+# corrupt entries. The cpu suite runs the functional warmup's three-stage
+# pipeline (stream draw, SRAM walk, memory-side replay goroutines) under
+# the detector, including its split-warm and panic-propagation tests.
 ckpt-race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/harness/ \
 		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointStoreReuseAndCorruption|TestCheckpointFailedRestoreWarmsFresh|TestCheckpointFootprintOverBudget'
 	$(GO) test -race -count=1 ./internal/store/
+	$(GO) test -race -count=1 ./internal/cpu/
 
 # runner-race exercises the worker pool and the parallel experiment drivers
 # under the race detector: the full runner suite (ordering, panic/error

@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 
 	"dap"
 	"dap/internal/mem"
+	"dap/internal/obs"
 	"dap/internal/stats"
 )
 
@@ -140,7 +142,16 @@ func main() {
 		// workers. Per-seed values are seed-ordered and identical at any -j.
 		aggIPC := func(r dap.Result) float64 { return r.AggregateIPC() }
 		vals, mean, std, err := dap.Replicate(*jobs, cfg, mix, *replic, aggIPC)
-		fatalIf(err)
+		if err != nil {
+			// An aborted replica prints its diagnostic, then its flight
+			// recording, as a single run does below.
+			fmt.Fprintf(os.Stderr, "dapsim: %v\n", err)
+			var fe *obs.FlightError
+			if errors.As(err, &fe) {
+				printFlight(fe.Dump.Entries, fe.Dump.Dropped)
+			}
+			os.Exit(1)
+		}
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -185,12 +196,7 @@ func main() {
 		// prints the stall/audit diagnostic with its state snapshot, then
 		// the flight recording that led up to it, oldest entry first.
 		fmt.Fprintf(os.Stderr, "dapsim: %v\n", err)
-		if n := r.Flight.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "flight recording (%d entries, %d older dropped):\n", n, r.Flight.Dropped())
-			for _, e := range r.Flight.Entries() {
-				fmt.Fprintf(os.Stderr, "%d: %s\n", e.Cycle, e.Note)
-			}
-		}
+		printFlight(r.Flight.Entries(), r.Flight.Dropped())
 		os.Exit(1)
 	}
 
@@ -391,6 +397,18 @@ func setCacheBW(cfg *dap.Config, gbps float64) error {
 		return fmt.Errorf("unsupported cache bandwidth %.1f (use 102.4, 128 or 204.8)", gbps)
 	}
 	return nil
+}
+
+// printFlight prints an aborted run's flight recording on stderr, oldest
+// entry first; an empty recording prints nothing.
+func printFlight(entries []obs.FlightEntry, dropped uint64) {
+	if len(entries) == 0 {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "flight recording (%d entries, %d older dropped):\n", len(entries), dropped)
+	for _, e := range entries {
+		fmt.Fprintf(os.Stderr, "%d: %s\n", e.Cycle, e.Note)
+	}
 }
 
 func fatalf(format string, args ...any) {

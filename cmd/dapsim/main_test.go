@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain runs dapsim's main when the test binary is invoked as
+// `<test binary> -test.run=^$ -- dapsim <flags>`, so a test can check the
+// command's output and exit status in a child process.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if args := flag.Args(); len(args) > 0 && args[0] == "dapsim" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet("dapsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// dapsim runs the command with args and returns its stderr and exit status.
+func dapsim(t *testing.T, args ...string) (stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--", "dapsim"}, args...)...)
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return errBuf.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestAbortPrintsFlightRecording: a run the watchdog aborts exits 1 and
+// prints its diagnostic, then its flight recording, on stderr; so does a
+// replicated run when one replica aborts.
+func TestAbortPrintsFlightRecording(t *testing.T) {
+	wedged := []string{"-quick", "-workload", "mcf", "-policy", "dap", "-instr", "20000", "-watchdog", "1"}
+	for _, tc := range []struct {
+		name, diag string
+		args       []string
+	}{
+		{"single", "dapsim: sim: stalled", wedged},
+		{"replicate", "dapsim: runner: job 0: sim: stalled", append([]string{"-replicate", "2"}, wedged...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stderr, code := dapsim(t, tc.args...)
+			if code != 1 {
+				t.Fatalf("exit status %d, want 1; stderr:\n%s", code, stderr)
+			}
+			diag := strings.Index(stderr, tc.diag)
+			flight := strings.Index(stderr, "flight recording (")
+			if diag < 0 || flight < diag || !strings.Contains(stderr[flight:], "run-aborted") {
+				t.Fatalf("stderr lacks %q followed by a flight recording ending in run-aborted:\n%s", tc.diag, stderr)
+			}
+		})
+	}
+}

@@ -21,6 +21,9 @@ type CPU struct {
 	startAt   mem.Cycle
 	remaining int
 	halted    bool
+
+	blocks []warmBlock // Warm's pipeline blocks
+	batch  []warmOp    // the backend calls of the block Warm is walking
 }
 
 // New builds the processor complex. Streams are attached with SetStreams.
@@ -53,22 +56,6 @@ func (c *CPU) SetStreams(streams []workload.Stream) {
 	for i, s := range streams {
 		c.cores[i].stream = s
 		c.cores[i].loadFirst()
-	}
-}
-
-// Warm replays n accesses per core through the cache hierarchy and backend
-// functionally (no timing) to pre-populate all state. Cores are interleaved
-// in small chunks so shared structures (L3, memory-side cache) end up in a
-// realistic steady-state mix rather than dominated by the last core warmed.
-func (c *CPU) Warm(n int) {
-	const chunk = 64
-	for done := 0; done < n; done += chunk {
-		for _, co := range c.cores {
-			for i := 0; i < chunk && done+i < n; i++ {
-				co.warmExecute(co.pend)
-				co.loadNext()
-			}
-		}
 	}
 }
 
@@ -626,11 +613,13 @@ func (co *core) installL3(addr mem.Addr, warm bool) {
 	}
 }
 
-// writeback sends a dirty line below the L3: functionally during warmup,
-// as timed traffic otherwise.
+// writeback sends a dirty line below the L3: during warmup into the batch
+// the memory-side replay makes functionally, as timed traffic otherwise.
+// During warmup core is the walked core, which the replay recovers from
+// the block's chunk ends.
 func (c *CPU) writeback(a mem.Addr, core int, warm bool) {
 	if warm {
-		c.backend.WarmWriteback(a, core)
+		c.batch = append(c.batch, warmOp(a)|warmWB)
 	} else {
 		c.backend.Writeback(a, core)
 	}
@@ -639,7 +628,8 @@ func (c *CPU) writeback(a mem.Addr, core int, warm bool) {
 // ownerOf maps a core-private address back to its core index.
 func ownerOf(a mem.Addr) int { return int(a/workload.CoreSpacing) - 1 }
 
-// warmExecute is the functional (timing-free) twin of execute.
+// warmExecute is the functional (timing-free) twin of execute. Its backend
+// calls go into the batch the memory-side replay stage makes (warm.go).
 func (co *core) warmExecute(a workload.Access) {
 	addr := a.Addr
 	if co.l1.lookup(addr, a.Store) {
@@ -655,7 +645,7 @@ func (co *core) warmExecute(a workload.Access) {
 		co.installL1(addr, a.Store)
 		return
 	}
-	co.cpu.backend.WarmRead(addr, co.id)
+	co.cpu.batch = append(co.cpu.batch, warmOp(addr))
 	co.installL3(addr, true)
 	co.installL2(addr, true)
 	co.installL1(addr, a.Store)

@@ -6,21 +6,27 @@ import "dap/internal/mem"
 // tracks up to Streams independent access streams keyed by 4 KB region,
 // detects a repeated line stride, and once confident emits Degree prefetch
 // candidates up to Distance lines ahead of the demand stream.
+//
+// The table is split by use: the region tags and the LRU stamps, which
+// every lookup and victim choice scans, sit in arrays of their own, and the
+// training fields, which only the stream an access lands in touches, in a
+// third. A lookup first checks the stream the previous one used.
 type stridePrefetcher struct {
-	streams  []pfStream
+	tags     []mem.Addr // region|1 per stream (regions are 4 KB aligned), 0 when invalid
+	stamps   []uint64   // value of issued at the stream's last use
+	train    []pfTrain
+	last     int // the stream the previous observe used
 	degree   int
 	distance int64
 	issued   uint64
 }
 
-type pfStream struct {
-	valid     bool
-	region    mem.Addr // 4 KB-aligned region tag
+// pfTrain is one stream's training state.
+type pfTrain struct {
 	lastLine  int64
 	stride    int64
-	confident bool
 	ahead     int64 // lines already prefetched ahead of lastLine
-	lastUse   uint64
+	confident bool
 }
 
 func newStridePrefetcher(streams, degree, distance int) *stridePrefetcher {
@@ -28,7 +34,9 @@ func newStridePrefetcher(streams, degree, distance int) *stridePrefetcher {
 		streams = 1
 	}
 	return &stridePrefetcher{
-		streams:  make([]pfStream, streams),
+		tags:     make([]mem.Addr, streams),
+		stamps:   make([]uint64, streams),
+		train:    make([]pfTrain, streams),
 		degree:   degree,
 		distance: int64(distance),
 	}
@@ -41,28 +49,35 @@ func (p *stridePrefetcher) observe(addr mem.Addr, out []mem.Addr) []mem.Addr {
 		return out
 	}
 	line := int64(addr.Line())
-	region := addr &^ (4096 - 1)
+	tag := addr&^(4096-1) | 1
 	p.issued++
 
-	// find or allocate the stream for this region (LRU victim)
-	var s *pfStream
-	victim, oldest := 0, ^uint64(0)
-	for i := range p.streams {
-		st := &p.streams[i]
-		if st.valid && st.region == region {
-			s = st
-			break
+	// find the stream for this region, or allocate the LRU victim: the
+	// first stream with the smallest stamp
+	i := p.last
+	if p.tags[i] != tag {
+		i = -1
+		for j, t := range p.tags {
+			if t == tag {
+				i = j
+				break
+			}
 		}
-		if st.lastUse < oldest {
-			victim, oldest = i, st.lastUse
+		if i < 0 {
+			i = 0
+			for j, st := range p.stamps {
+				if st < p.stamps[i] {
+					i = j
+				}
+			}
+			p.last = i
+			p.tags[i], p.stamps[i], p.train[i] = tag, p.issued, pfTrain{lastLine: line}
+			return out
 		}
+		p.last = i
 	}
-	if s == nil {
-		s = &p.streams[victim]
-		*s = pfStream{valid: true, region: region, lastLine: line, lastUse: p.issued}
-		return out
-	}
-	s.lastUse = p.issued
+	p.stamps[i] = p.issued
+	s := &p.train[i]
 	d := line - s.lastLine
 	if d == 0 {
 		return out

@@ -83,40 +83,44 @@ func (c *CPU) LoadState(d *ckpt.Dec) error {
 	return d.Err()
 }
 
-// saveState serializes the prefetcher's training state.
+// saveState serializes the prefetcher's training state, one record per
+// stream: valid, region, lastLine, stride, confident, ahead, last use.
 func (p *stridePrefetcher) saveState(e *ckpt.Enc) {
-	e.U32(uint32(len(p.streams)))
+	e.U32(uint32(len(p.tags)))
 	e.U64(p.issued)
-	for i := range p.streams {
-		s := &p.streams[i]
-		e.Bool(s.valid)
-		e.U64(uint64(s.region))
+	for i, tag := range p.tags {
+		s := &p.train[i]
+		e.Bool(tag != 0)
+		e.U64(uint64(tag &^ 1))
 		e.I64(s.lastLine)
 		e.I64(s.stride)
 		e.Bool(s.confident)
 		e.I64(s.ahead)
-		e.U64(s.lastUse)
+		e.U64(p.stamps[i])
 	}
 }
 
 // loadState restores prefetcher training state saved by saveState.
 func (p *stridePrefetcher) loadState(d *ckpt.Dec) error {
-	if n := int(d.U32()); n != len(p.streams) {
+	if n := int(d.U32()); n != len(p.tags) {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		return fmt.Errorf("prefetcher has %d streams, checkpoint %d", len(p.streams), n)
+		return fmt.Errorf("prefetcher has %d streams, checkpoint %d", len(p.tags), n)
 	}
 	p.issued = d.U64()
-	for i := range p.streams {
-		s := &p.streams[i]
-		s.valid = d.Bool()
-		s.region = mem.Addr(d.U64())
+	for i := range p.tags {
+		s := &p.train[i]
+		valid, region := d.Bool(), mem.Addr(d.U64())
+		p.tags[i] = 0
+		if valid {
+			p.tags[i] = region | 1
+		}
 		s.lastLine = d.I64()
 		s.stride = d.I64()
 		s.confident = d.Bool()
 		s.ahead = d.I64()
-		s.lastUse = d.U64()
+		p.stamps[i] = d.U64()
 	}
 	return d.Err()
 }

@@ -678,11 +678,16 @@ func RunSeeded(cfg Config, mix workload.Mix, seed uint64) Result {
 // system, so the per-seed values — and therefore mean and std — are
 // bit-identical to the serial run. An invalid configuration or an aborted
 // replica returns its error (the lowest seed's, if several fail) instead
-// of statistics over incomplete runs.
+// of statistics over incomplete runs. With Config.Observe.Flight set, an
+// aborted replica's error is an *obs.FlightError carrying its flight
+// recording.
 func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric func(Result) float64) (vals []float64, mean, std float64, err error) {
 	vals, err = runner.MapE(parallel, n, func(seed int) (float64, error) {
 		r, err := RunSeededCkptE(cfg, mix, uint64(seed), nil)
 		if err != nil {
+			if r.Flight.Len() > 0 {
+				err = &obs.FlightError{Dump: r.Flight.Dump("run-error", ""), Err: err}
+			}
 			return 0, err
 		}
 		return metric(r), nil

@@ -76,9 +76,10 @@ func (fr *FlightRecorder) Entries() []FlightEntry {
 	return fr.ring.All()
 }
 
-// FlightDump is a frozen flight recording plus the failure context.
-// Nothing builds one (dapsim prints a recorder's entries directly); the
-// type awaits deletion.
+// FlightDump is a frozen flight recording plus the failure context. An
+// aborted replica of harness.ReplicateParallel carries one in a
+// FlightError, which `dapsim -replicate` prints; a single dapsim run
+// prints its recorder's entries directly.
 type FlightDump struct {
 	Corr     string        `json:"corr,omitempty"`     // job correlation ID
 	Key      string        `json:"key,omitempty"`      // config fingerprint / store key
