@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"dap"
+	"dap/internal/dram"
 	"dap/internal/mem"
 	"dap/internal/obs"
 	"dap/internal/stats"
@@ -40,7 +41,7 @@ func main() {
 		warm    = flag.Int("warm", 0, "functional warmup accesses per core (0 = config default: 400000, or 180000 with -quick)")
 		quick   = flag.Bool("quick", false, "use the shortened quick configuration")
 		capMB   = flag.Int("capacity", 0, "memory-side cache capacity in MiB (0 = default)")
-		bwPoint = flag.Float64("cachebw", 0, "cache bandwidth in GB/s: 102.4 | 128 | 204.8 (0 = default)")
+		bwPoint = flag.Float64("cachebw", 0, "HBM cache bandwidth in GB/s with -arch sectored or alloy: 102.4 | 128 | 204.8 (0 = default)")
 		asJSON  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
 		audit   = flag.Bool("audit", false, "enable the runtime invariant auditor (aborts on the first violation)")
 		wdog    = flag.Int("watchdog", 0, "forward-progress watchdog deadline in events (0 = default, -1 = off)")
@@ -148,7 +149,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dapsim: %v\n", err)
 			var fe *obs.FlightError
 			if errors.As(err, &fe) {
-				printFlight(fe.Dump.Entries, fe.Dump.Dropped)
+				printFlight(fe.Flight)
 			}
 			os.Exit(1)
 		}
@@ -196,7 +197,7 @@ func main() {
 		// prints the stall/audit diagnostic with its state snapshot, then
 		// the flight recording that led up to it, oldest entry first.
 		fmt.Fprintf(os.Stderr, "dapsim: %v\n", err)
-		printFlight(r.Flight.Entries(), r.Flight.Dropped())
+		printFlight(r.Flight)
 		os.Exit(1)
 	}
 
@@ -374,7 +375,7 @@ func report(r dap.Result) {
 	fmt.Printf("  sector evicts %d, dirty writeouts %d, metadata r/w %d/%d\n",
 		ms.SectorEvicts, ms.DirtyWriteouts, ms.MetaReads, ms.MetaWrites)
 	fmt.Printf("CAS: cache %d, main memory %d -> main-memory fraction %.3f (optimal %.3f)\n",
-		r.MSCacheCAS, r.MainMemCAS, r.MainMemCASFraction(), 38.4/(38.4+102.4))
+		r.MSCacheCAS, r.MainMemCAS, r.MainMemCASFraction(), r.OptimalMainMemFraction())
 	if t := r.DAP.Total(); t > 0 {
 		f, w, ifrm, sfrm := r.DAP.Fractions()
 		fmt.Printf("DAP decisions: %d (FWB %.0f%%, WB %.0f%%, IFRM %.0f%%, SFRM %.0f%%)\n",
@@ -383,29 +384,39 @@ func report(r dap.Result) {
 	fmt.Printf("delivered bandwidth: %.1f GB/s\n", r.DeliveredGBps)
 }
 
+// setCacheBW gives the selected HBM cache (sectored or Alloy) the paper's
+// 102.4, 128 or 204.8 GB/s stack.
 func setCacheBW(cfg *dap.Config, gbps float64) error {
+	var arr dram.Config
 	switch gbps {
 	case 102.4:
-		// default
+		arr = dram.HBM102()
 	case 128:
-		cfg.Sectored.Array.Name = "HBM-128"
-		cfg.Sectored.Array.FreqMHz = 1000
-		cfg.Sectored.Array.TCAS, cfg.Sectored.Array.TRCD, cfg.Sectored.Array.TRP, cfg.Sectored.Array.TRAS = 12, 12, 12, 32
+		arr = dram.HBM128()
 	case 204.8:
-		cfg.Sectored.Array.Channels = 8
+		arr = dram.HBM204()
 	default:
 		return fmt.Errorf("unsupported cache bandwidth %.1f (use 102.4, 128 or 204.8)", gbps)
+	}
+	switch cfg.Arch {
+	case dap.SectoredDRAMCache:
+		cfg.Sectored.Array = arr
+	case dap.AlloyCache:
+		cfg.Alloy.Array = arr
+	default:
+		return fmt.Errorf("-cachebw sets an HBM cache's bandwidth; -arch %s has no HBM cache", cfg.Arch)
 	}
 	return nil
 }
 
 // printFlight prints an aborted run's flight recording on stderr, oldest
-// entry first; an empty recording prints nothing.
-func printFlight(entries []obs.FlightEntry, dropped uint64) {
+// entry first; an empty or nil recording prints nothing.
+func printFlight(fr *obs.FlightRecorder) {
+	entries := fr.Entries()
 	if len(entries) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "flight recording (%d entries, %d older dropped):\n", len(entries), dropped)
+	fmt.Fprintf(os.Stderr, "flight recording (%d entries, %d older dropped):\n", len(entries), fr.Dropped())
 	for _, e := range entries {
 		fmt.Fprintf(os.Stderr, "%d: %s\n", e.Cycle, e.Note)
 	}

@@ -63,3 +63,13 @@ func TestAbortPrintsFlightRecording(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheBWNeedsHBMCache: -cachebw picks the HBM stack of the sectored
+// or Alloy cache, so with -arch edram it exits 1 naming the flag instead
+// of being ignored.
+func TestCacheBWNeedsHBMCache(t *testing.T) {
+	stderr, code := dapsim(t, "-quick", "-arch", "edram", "-cachebw", "128")
+	if code != 1 || !strings.Contains(stderr, "-cachebw") {
+		t.Fatalf("exit status %d, stderr %q; want 1 and a message naming -cachebw", code, stderr)
+	}
+}

@@ -174,6 +174,19 @@ func DefaultConfig(arch Arch, bmsGBps, bmmGBps float64) Config {
 	}
 }
 
+// SourceBandwidths returns the derated (Efficiency-scaled) per-source
+// bandwidths in GB/s that DAP solves over and the decision audit evaluates
+// Equation 2 over: the memory-side cache (its read and write channel sets
+// on eDRAM), then main memory, ordered like the records' fraction vectors.
+func (c Config) SourceBandwidths() []float64 {
+	bms := c.BMSGBps * c.Efficiency
+	bmm := c.BMMGBps * c.Efficiency
+	if c.Arch == EDRAMArch {
+		return []float64{bms, bms, bmm}
+	}
+	return []float64{bms, bmm}
+}
+
 // DAP is the dynamic access partitioner. It samples the demand profile every
 // Window cycles and refills the four credit counters by solving the
 // bandwidth-balance equations of Section IV; controllers then drain the

@@ -180,18 +180,6 @@ func (d *DAP) SetRecorder(r *DecisionRecorder) {
 	r.setSources(d.sourceNames())
 }
 
-// SourceBandwidths returns the derated (Efficiency-scaled) per-source
-// bandwidths in GB/s the decision audit evaluates Equation 2 over, ordered
-// like the records' fraction vectors.
-func (d *DAP) SourceBandwidths() []float64 {
-	bms := d.cfg.BMSGBps * d.cfg.Efficiency
-	bmm := d.cfg.BMMGBps * d.cfg.Efficiency
-	if d.cfg.Arch == EDRAMArch {
-		return []float64{bms, bms, bmm}
-	}
-	return []float64{bms, bmm}
-}
-
 func (d *DAP) sourceNames() []string {
 	if d.cfg.Arch == EDRAMArch {
 		return []string{"ms.rd", "ms.wr", "mm"}
@@ -223,7 +211,7 @@ func (d *DAP) recordDecision(w *WindowCounts) {
 	// grant smaller than one application unit still partitions the window.
 	rec.Partitioned = d.rawFWB > 0 || d.rawWB > 0 || d.rawIFRM > 0 || d.rawSFRM > 0 || d.rawWT > 0
 
-	bw := d.SourceBandwidths()
+	bw := d.cfg.SourceBandwidths()
 	rec.Optimal = OptimalFractions(bw)
 	rec.OptimalGBps = MaxDeliveredBandwidth(bw, 1)
 

@@ -534,7 +534,7 @@ func TestCheckpointTraceStreamCursor(t *testing.T) {
 	// Record one trace per core from the mix's own streams, then re-open a
 	// fresh cursor-at-zero copy for every system under test.
 	var traces [][]byte
-	for _, src := range mix.Streams() {
+	for _, src := range mix.StreamsSeeded(0) {
 		var buf bytes.Buffer
 		if err := workload.WriteTrace(&buf, src, 2048); err != nil {
 			t.Fatal(err)

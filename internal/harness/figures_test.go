@@ -6,19 +6,18 @@ import "testing"
 // exercised elsewhere. These are integration tests over the whole stack;
 // they are skipped in -short mode.
 
-// shapeCkpt is the warmup-checkpoint cache the four figure-shape tests
-// share. Their configurations differ only in runtime-only fields (policy,
-// DAP parameters, cache array), so each mix warms once for all four, and
-// a checkpointed figure is bit-identical to a straight one.
+// The four figure-shape tests pass quickCkpt (harness_test.go) as
+// Options.Ckpt. Their configurations differ only in runtime-only fields
+// (policy, DAP parameters, cache array), so each mix warms once for all
+// four, and a checkpointed figure is bit-identical to a straight one.
 // TestParallelFiguresBitIdentical runs without it: the straight parallel
 // path is what it checks.
-var shapeCkpt = MemCheckpoints()
 
 func TestFig08Relations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Fig08(Options{Quick: true, Ckpt: shapeCkpt})
+	f := Fig08(Options{Quick: true, Ckpt: quickCkpt})
 	if len(f.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(f.Series))
 	}
@@ -41,7 +40,7 @@ func TestTab01Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Tab01(Options{Quick: true, Ckpt: shapeCkpt})
+	f := Tab01(Options{Quick: true, Ckpt: quickCkpt})
 	if len(f.Series) != 6 {
 		t.Fatalf("series = %d, want 6 (3 windows + 3 efficiencies)", len(f.Series))
 	}
@@ -56,7 +55,7 @@ func TestFig04SensitiveVsInsensitive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := Fig04(Options{Quick: true, Ckpt: shapeCkpt})
+	f := Fig04(Options{Quick: true, Ckpt: quickCkpt})
 	speed := f.Series[0]
 	// mean speedup from doubling bandwidth over the 12 sensitive mixes must
 	// exceed that over the 5 insensitive ones (that is their definition)
@@ -86,7 +85,7 @@ func TestAblationTechniquesStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := AblationTechniques(Options{Quick: true, Ckpt: shapeCkpt})
+	f := AblationTechniques(Options{Quick: true, Ckpt: quickCkpt})
 	if len(f.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(f.Series))
 	}

@@ -206,7 +206,7 @@ func TestAuditedAlloyRuns(t *testing.T) {
 				cfg.Alloy.BEAR = bear
 				cfg.Policy = pol
 				cfg.Audit = true
-				if _, err := RunMixE(cfg, mix); err != nil {
+				if _, err := RunSeededCkptE(cfg, mix, 0, quickCkpt); err != nil {
 					t.Errorf("%s BEAR=%v %v: %v", name, bear, pol, err)
 				}
 			}

@@ -1,15 +1,30 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"dap/internal/dram"
 	"dap/internal/workload"
 )
 
 func quickMix() workload.Mix {
 	spec, _ := workload.ByName("libquantum")
 	return workload.RateMix(spec, 8)
+}
+
+// quickCkpt is the in-memory warmup-checkpoint cache that the Quick-scale
+// run tests and the figure-shape tests share. Their configurations differ
+// in runtime-only fields (policy, audit, BEAR, DAP parameters), so each
+// (mix, architecture, warmup) warms once for all of them, and a resumed
+// run is bit-identical to a straight one. TestCheckpointResumeBitIdentical
+// and TestGoldenTiny check the straight path.
+var quickCkpt = MemCheckpoints()
+
+// runQuick is RunMix resuming from quickCkpt.
+func runQuick(cfg Config, mix workload.Mix) Result {
+	return simulate(cfg, mix, 0, quickCkpt)
 }
 
 func TestParseArchPolicyRoundTrip(t *testing.T) {
@@ -34,7 +49,7 @@ func TestParseArchPolicyRoundTrip(t *testing.T) {
 }
 
 func TestRunProducesSaneResult(t *testing.T) {
-	r := RunMix(Quick(), quickMix())
+	r := runQuick(Quick(), quickMix())
 	if r.Cycles == 0 {
 		t.Fatal("no cycles simulated")
 	}
@@ -57,7 +72,7 @@ func TestRunProducesSaneResult(t *testing.T) {
 func TestDAPRunPartitionsUnderPressure(t *testing.T) {
 	cfg := Quick()
 	cfg.Policy = DAP
-	r := RunMix(cfg, quickMix())
+	r := runQuick(cfg, quickMix())
 	if r.DAP.Total() == 0 {
 		t.Fatal("DAP made no decisions on a bandwidth-saturated workload")
 	}
@@ -67,7 +82,7 @@ func TestDAPRunPartitionsUnderPressure(t *testing.T) {
 }
 
 func TestBaselineNeverPartitions(t *testing.T) {
-	r := RunMix(Quick(), quickMix())
+	r := runQuick(Quick(), quickMix())
 	if r.DAP.Total() != 0 {
 		t.Fatal("baseline must not record DAP decisions")
 	}
@@ -77,7 +92,7 @@ func TestArchitecturesRun(t *testing.T) {
 	for _, arch := range []Arch{SectoredDRAM, AlloyCache, SectoredEDRAM, NoMSCache} {
 		cfg := Quick()
 		cfg.Arch = arch
-		r := RunMix(cfg, quickMix())
+		r := runQuick(cfg, quickMix())
 		if r.Cycles == 0 || r.Cores[0].Instructions == 0 {
 			t.Fatalf("arch %d produced empty run", arch)
 		}
@@ -88,7 +103,7 @@ func TestPoliciesRun(t *testing.T) {
 	for _, p := range []Policy{Baseline, DAP, DAPFWBWB, SBD, SBDWT, BATMAN} {
 		cfg := Quick()
 		cfg.Policy = p
-		r := RunMix(cfg, quickMix())
+		r := runQuick(cfg, quickMix())
 		if r.Cycles == 0 {
 			t.Fatalf("policy %v produced empty run", p)
 		}
@@ -112,9 +127,38 @@ func TestDAPPoliciesOnAllArchitectures(t *testing.T) {
 		cfg.Arch = c.arch
 		cfg.Policy = DAP
 		spec, _ := workload.ByName(c.name)
-		r := RunMix(cfg, workload.RateMix(spec, cfg.CPU.Cores))
+		r := runQuick(cfg, workload.RateMix(spec, cfg.CPU.Cores))
 		if r.DAP.Total() == 0 {
 			t.Errorf("arch %d (%s): DAP idle under saturation", c.arch, c.name)
+		}
+	}
+}
+
+// TestOptimalMainMemFraction: the optimal share printed beside a run's
+// main-memory CAS fraction follows its system's source bandwidths
+// (Equations 3 and 4), not the default sectored cache's.
+func TestOptimalMainMemFraction(t *testing.T) {
+	at := func(arch Arch) Config {
+		cfg := Quick()
+		cfg.Arch = arch
+		return cfg
+	}
+	hbm204 := Quick()
+	hbm204.Sectored.Array = dram.HBM204()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"sectored", at(SectoredDRAM), "0.273"},
+		{"alloy", at(AlloyCache), "0.360"},
+		{"edram", at(SectoredEDRAM), "0.273"},
+		{"none", at(NoMSCache), "1.000"},
+		{"sectored-hbm204", hbm204, "0.158"},
+	} {
+		r := Result{Config: tc.cfg}
+		if got := fmt.Sprintf("%.3f", r.OptimalMainMemFraction()); got != tc.want {
+			t.Errorf("%s: optimal main-memory fraction %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -276,6 +276,20 @@ type Result struct {
 	Sampling *SamplingReport
 }
 
+// OptimalMainMemFraction is the main-memory share of accesses that
+// Equations 3 and 4 call optimal for the run's system, the counterpart of
+// MainMemCASFraction: main memory's share of the source bandwidths DAP
+// solves over. Without a memory-side cache every access goes to main
+// memory.
+func (r *Result) OptimalMainMemFraction() float64 {
+	if r.Config.Arch == NoMSCache {
+		return 1
+	}
+	dc := dapConfigFor(&r.Config)
+	f := core.OptimalFractions(dc.SourceBandwidths())
+	return f[len(f)-1]
+}
+
 // dapConfigFor derives the DAP parameters for the configured architecture.
 func dapConfigFor(cfg *Config) core.Config {
 	if cfg.DAPOverride != nil {
@@ -410,7 +424,7 @@ func Build(cfg Config, mix workload.Mix) *System {
 		backend = s.counts
 	}
 	s.CPU = cpu.New(cfg.CPU, s.Eng, backend)
-	s.CPU.SetStreams(mix.Streams())
+	s.CPU.SetStreams(mix.StreamsSeeded(0))
 
 	if o := cfg.Observe; o.TraceEvery > 0 {
 		s.trace = obs.NewTracer(s.Eng.Clock(), o.TraceEvery, 0)
@@ -686,7 +700,7 @@ func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric
 		r, err := RunSeededCkptE(cfg, mix, uint64(seed), nil)
 		if err != nil {
 			if r.Flight.Len() > 0 {
-				err = &obs.FlightError{Dump: r.Flight.Dump("run-error", ""), Err: err}
+				err = &obs.FlightError{Flight: r.Flight, Err: err}
 			}
 			return 0, err
 		}

@@ -23,8 +23,8 @@ type FlightRecorder struct {
 
 // FlightEntry is one recorded state summary.
 type FlightEntry struct {
-	Cycle uint64 `json:"cycle"`
-	Note  string `json:"note"`
+	Cycle uint64
+	Note  string
 }
 
 // NewFlightRecorder builds a recorder retaining the last capacity entries
@@ -76,40 +76,14 @@ func (fr *FlightRecorder) Entries() []FlightEntry {
 	return fr.ring.All()
 }
 
-// FlightDump is a frozen flight recording plus the failure context. An
-// aborted replica of harness.ReplicateParallel carries one in a
-// FlightError, which `dapsim -replicate` prints; a single dapsim run
-// prints its recorder's entries directly.
-type FlightDump struct {
-	Corr     string        `json:"corr,omitempty"`     // job correlation ID
-	Key      string        `json:"key,omitempty"`      // config fingerprint / store key
-	Reason   string        `json:"reason"`             // "watchdog-stall", "audit-violation", "run-error"
-	Error    string        `json:"error,omitempty"`    // the triggering error's text
-	Snapshot string        `json:"snapshot,omitempty"` // engine state at failure
-	Entries  []FlightEntry `json:"entries"`
-	Dropped  uint64        `json:"dropped,omitempty"` // ring evictions before the dump
-}
-
-// Dump freezes the recorder into a FlightDump with the given failure
-// context. Returns nil for a nil recorder.
-func (fr *FlightRecorder) Dump(reason, snapshot string) *FlightDump {
-	if fr == nil {
-		return nil
-	}
-	return &FlightDump{
-		Reason:   reason,
-		Snapshot: snapshot,
-		Entries:  fr.Entries(),
-		Dropped:  fr.Dropped(),
-	}
-}
-
-// FlightError attaches a flight recording to the error that aborted a run,
-// so a layer above the harness can carry the dump without importing
-// harness types. It unwraps to the underlying error.
+// FlightError attaches a run's flight recorder to the error that aborted
+// it, so a layer above the harness can carry the recording without
+// importing harness types: an aborted replica of
+// harness.ReplicateParallel returns one, and `dapsim -replicate` prints
+// its entries. It unwraps to the underlying error.
 type FlightError struct {
-	Dump *FlightDump
-	Err  error
+	Flight *FlightRecorder
+	Err    error
 }
 
 func (e *FlightError) Error() string { return e.Err.Error() }

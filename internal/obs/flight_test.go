@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"dap/internal/mem"
@@ -26,30 +26,28 @@ func TestFlightRecorderRing(t *testing.T) {
 		}
 	}
 
-	d := fr.Dump("watchdog-stall", "cycle=600 pending=3")
-	if d.Reason != "watchdog-stall" || len(d.Entries) != 4 || d.Dropped != 2 {
-		t.Fatalf("dump = %+v", d)
-	}
-	if _, err := json.Marshal(d); err != nil {
-		t.Fatalf("dump not JSON-serializable: %v", err)
-	}
-
 	var nilFR *FlightRecorder
 	nilFR.Add(1, "x")
 	nilFR.Addf(1, "y")
-	if nilFR.Len() != 0 || nilFR.Entries() != nil || nilFR.Dump("r", "s") != nil {
+	if nilFR.Len() != 0 || nilFR.Dropped() != 0 || nilFR.Entries() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 }
 
 func TestFlightErrorUnwrap(t *testing.T) {
 	base := errors.New("engine stalled")
-	fe := &FlightError{Dump: &FlightDump{Reason: "watchdog-stall"}, Err: base}
+	fr := NewFlightRecorder(4)
+	fr.Add(600, "run-aborted")
+	fe := &FlightError{Flight: fr, Err: base}
 	if !errors.Is(fe, base) {
 		t.Fatal("FlightError does not unwrap to its cause")
 	}
+	if fe.Error() != base.Error() {
+		t.Fatalf("Error() = %q, want the cause's %q", fe.Error(), base.Error())
+	}
 	var got *FlightError
-	if !errors.As(error(fe), &got) || got.Dump.Reason != "watchdog-stall" {
-		t.Fatal("errors.As failed to recover the FlightError")
+	wrapped := fmt.Errorf("runner: job 0: %w", error(fe))
+	if !errors.As(wrapped, &got) || got.Flight != fr || got.Flight.Entries()[0].Note != "run-aborted" {
+		t.Fatal("errors.As failed to recover the FlightError and its recorder")
 	}
 }

@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -247,13 +246,4 @@ func Quantile(vs []float64, q float64) float64 {
 		return s[lo]
 	}
 	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// Row formats a labelled metric line for harness tables.
-func Row(label string, vals ...float64) string {
-	s := fmt.Sprintf("%-22s", label)
-	for _, v := range vals {
-		s += fmt.Sprintf(" %8.3f", v)
-	}
-	return s
 }

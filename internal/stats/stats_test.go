@@ -2,11 +2,8 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"dap/internal/mem"
 )
 
 func TestCoreStatsDerived(t *testing.T) {
@@ -138,12 +135,4 @@ func TestMeanAndSorted(t *testing.T) {
 	if in[0] != 3 {
 		t.Fatal("input must not be mutated")
 	}
-}
-
-func TestRow(t *testing.T) {
-	s := Row("label", 1.5, 2.25)
-	if !strings.Contains(s, "label") || !strings.Contains(s, "1.500") {
-		t.Fatalf("row = %q", s)
-	}
-	_ = mem.Cycle(0)
 }

@@ -21,9 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -37,8 +35,6 @@ type Store struct {
 
 	// tmpSeq disambiguates concurrent stagings of the same key.
 	tmpSeq atomic.Uint64
-
-	mu sync.Mutex // serializes directory listings only
 }
 
 // Stats is a snapshot of the store's lookup counters.
@@ -88,13 +84,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 }
 
-// Has reports whether key resolves to a valid entry without counting a
-// hit/miss.
-func (s *Store) Has(key string) bool {
-	payload, gotKey, err := readFileVerified(s.path(key))
-	return err == nil && gotKey == key && payload != nil
-}
-
 // Put durably stores payload under key: staged to a temp file, checksummed,
 // fsynced and atomically renamed, so a crash mid-Put never leaves a partial
 // entry visible.
@@ -106,31 +95,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.puts.Add(1)
 	return nil
 }
-
-// Keys lists every valid entry's key, sorted. Corrupt files are skipped
-// (and left for Get to quarantine).
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".res") {
-			continue
-		}
-		if _, key, err := readFileVerified(filepath.Join(s.dir, e.Name())); err == nil {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Len returns the number of valid entries.
-func (s *Store) Len() int { return len(s.Keys()) }
 
 // Stats returns the store's counter snapshot.
 func (s *Store) Stats() Stats {

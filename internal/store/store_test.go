@@ -53,25 +53,35 @@ func TestOverwriteIsAtomicAndLastWins(t *testing.T) {
 	if !ok || string(got) != "v9" {
 		t.Fatalf("Get = %q, %v; want v9", got, ok)
 	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("Len = %d; want 1 (overwrites share a file)", n)
+	if n := len(entryFiles(t, s)); n != 1 {
+		t.Fatalf("%d entry files; want 1 (overwrites share a file)", n)
 	}
 }
 
-// entryFile finds the single .res file of a one-entry store.
-func entryFile(t *testing.T, s *Store) string {
+// entryFiles lists the store's .res entry files.
+func entryFiles(t *testing.T, s *Store) []string {
 	t.Helper()
 	ents, err := os.ReadDir(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var files []string
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), ".res") {
-			return filepath.Join(s.Dir(), e.Name())
+			files = append(files, filepath.Join(s.Dir(), e.Name()))
 		}
 	}
-	t.Fatal("no .res entry found")
-	return ""
+	return files
+}
+
+// entryFile finds the single .res file of a one-entry store.
+func entryFile(t *testing.T, s *Store) string {
+	t.Helper()
+	files := entryFiles(t, s)
+	if len(files) == 0 {
+		t.Fatal("no .res entry found")
+	}
+	return files[0]
 }
 
 func TestTornEntryIsMissAndQuarantined(t *testing.T) {
@@ -133,36 +143,6 @@ func TestCorruptHeaderIsMiss(t *testing.T) {
 	}
 }
 
-func TestHasDoesNotCount(t *testing.T) {
-	s := openT(t)
-	if s.Has("k") {
-		t.Fatal("Has on empty store")
-	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has("k") {
-		t.Fatal("Has missed a valid entry")
-	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Has counted lookups: %+v", st)
-	}
-}
-
-func TestKeysSortedAndSkipCorrupt(t *testing.T) {
-	s := openT(t)
-	for _, k := range []string{"b", "a", "c"} {
-		if err := s.Put(k, []byte("v-"+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := s.Keys()
-	want := []string{"a", "b", "c"}
-	if len(keys) != 3 || keys[0] != want[0] || keys[1] != want[1] || keys[2] != want[2] {
-		t.Fatalf("Keys = %v; want %v", keys, want)
-	}
-}
-
 func TestKeyRecordedExactlyNotJustFilename(t *testing.T) {
 	s := openT(t)
 	// Two keys that sanitize to the same filename prefix must not collide.
@@ -203,8 +183,8 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n := s.Len(); n != 8 {
-		t.Fatalf("Len = %d; want 8", n)
+	if n := len(entryFiles(t, s)); n != 8 {
+		t.Fatalf("%d entry files; want 8", n)
 	}
 }
 

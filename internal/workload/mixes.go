@@ -72,11 +72,10 @@ func AllMixes(cores int) []Mix {
 	return out
 }
 
-// Streams instantiates the per-core streams of a mix.
-func (m Mix) Streams() []Stream { return MixStreams(m.Specs) }
-
-// StreamsSeeded instantiates the mix with a run-level seed so experiments
-// can be replicated over independent random draws (seed 0 matches Streams).
+// StreamsSeeded instantiates the per-core streams of a mix, each in its
+// core's private region, with a run-level seed so experiments can be
+// replicated over independent random draws (seed 0 gives the default
+// streams).
 func (m Mix) StreamsSeeded(seed uint64) []Stream {
 	out := make([]Stream, len(m.Specs))
 	for i, sp := range m.Specs {

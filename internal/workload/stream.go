@@ -200,22 +200,3 @@ const CoreSpacing = mem.Addr(1) << 36
 func CoreBase(i int) mem.Addr {
 	return CoreSpacing*mem.Addr(i+1) + mem.Addr(i)*4615*4096
 }
-
-// RateN builds n identical streams (the paper's rate-n mode), each in a
-// private address region with a distinct seed.
-func RateN(spec Spec, n int) []Stream {
-	out := make([]Stream, n)
-	for i := range out {
-		out[i] = NewStream(spec, CoreBase(i), uint64(i+1))
-	}
-	return out
-}
-
-// MixStreams builds one stream per spec, each core-private.
-func MixStreams(specs []Spec) []Stream {
-	out := make([]Stream, len(specs))
-	for i, sp := range specs {
-		out[i] = NewStream(sp, CoreBase(i), uint64(i+1)*7919)
-	}
-	return out
-}

@@ -85,7 +85,7 @@ func TestTraceRebase(t *testing.T) {
 }
 
 func TestTraceDrivesSimulation(t *testing.T) {
-	// a trace is a Stream: it must plug into RateN-style setups
+	// a trace is a Stream: it must plug in wherever a generated stream does
 	var buf bytes.Buffer
 	spec, _ := ByName("gcc.expr")
 	WriteTrace(&buf, NewStream(spec, 0, 1), 1000)

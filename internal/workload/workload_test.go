@@ -176,7 +176,7 @@ func TestDependentOnlyFromChase(t *testing.T) {
 
 func TestRateNPrivateRegions(t *testing.T) {
 	spec, _ := ByName("hpcg")
-	streams := RateN(spec, 8)
+	streams := RateMix(spec, 8).StreamsSeeded(0)
 	if len(streams) != 8 {
 		t.Fatal("want 8 streams")
 	}
