@@ -39,18 +39,17 @@ obs-check:
 # eight concurrent policy/DRAM variants of one figure point restore from a
 # single-flight snapshot (asserting it was built exactly once and every
 # variant stays bit-identical), a figure grid does the same through its
-# worker pool, the store-backed path recovers from flipped-byte and
-# torn-tail corruption, a restore that fails after its cpu section warms a
-# fresh system, and a footprint table past its budget round-trips. The
-# result store the checkpoints persist through runs its own suite under
-# the detector: concurrent writers racing on shared keys, torn and
-# corrupt entries. The cpu suite runs the functional warmup's three-stage
-# pipeline (stream draw, SRAM walk, memory-side replay goroutines) under
-# the detector, including its split-warm and panic-propagation tests.
+# worker pool, four caches on one checkpoint dir race to build, write and
+# read the same <WarmKey>.ckpt file as four processes would, the dir-backed
+# path recovers from flipped-byte, flipped-magic and torn-tail files, a
+# restore that fails after its cpu section warms a fresh system and drops
+# the file for rebuild, and a footprint table past its budget round-trips.
+# The cpu suite runs the functional warmup's three-stage pipeline (stream
+# draw, SRAM walk, memory-side replay goroutines) under the detector,
+# including its split-warm and panic-propagation tests.
 ckpt-race:
 	$(GO) test -race -count=1 -timeout 20m ./internal/harness/ \
-		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointStoreReuseAndCorruption|TestCheckpointFailedRestoreWarmsFresh|TestCheckpointFootprintOverBudget'
-	$(GO) test -race -count=1 ./internal/store/
+		-run 'TestCheckpointSharedParallelVariants|TestCheckpointFigureDriverSingleFlight|TestCheckpointDirConcurrentWriters|TestCheckpointStoreReuseAndCorruption|TestCheckpointFailedRestoreWarmsFresh|TestCheckpointFootprintOverBudget'
 	$(GO) test -race -count=1 ./internal/cpu/
 
 # runner-race exercises the worker pool and the parallel experiment drivers

@@ -76,7 +76,7 @@ func main() {
 	if *ckptDir != "" {
 		ck, err := dap.NewWarmupCheckpoints(*ckptDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: checkpoint store: %v\n", err)
+			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 			os.Exit(1)
 		}
 		opts.Ckpt = ck

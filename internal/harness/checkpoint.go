@@ -3,11 +3,11 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 
 	"dap/internal/ckpt"
-	"dap/internal/store"
 	"dap/internal/workload"
 )
 
@@ -140,94 +140,69 @@ func (s *System) LoadCheckpoint(blob []byte) error {
 
 // Checkpoints is the process-wide warmup-checkpoint cache: a single-flight
 // in-memory memo (concurrent variants of the same figure point build each
-// checkpoint exactly once; the rest wait and restore) optionally backed by
-// a crash-safe on-disk store so checkpoints survive across processes. A
-// damaged store file is quarantined by the store layer and counted as a
-// miss, a stored blob whose checkpoint envelope does not verify (another
-// format version) is rebuilt and overwritten, and a blob that fails
-// semantic restore is dropped and rebuilt. In the last case the affected
-// run discards the half-restored system and warms a fresh one.
+// checkpoint exactly once; the rest wait and restore), optionally backed by
+// a directory holding one file per checkpoint, <dir>/<WarmKey>.ckpt, so
+// checkpoints survive across processes. A file is served only if
+// ckpt.NewReader accepts it; a torn, tampered or other-version file is
+// rebuilt and overwritten. A blob that fails semantic restore is dropped
+// from the memo and the directory and rebuilt by the next run; the
+// affected run discards the half-restored system and warms a fresh one.
 type Checkpoints struct {
-	st *store.Store // nil = in-memory only
+	dir string // "" = in-memory only
 
-	mu sync.Mutex
-	m  map[string]*ckptEntry
+	blobs memo[[]byte]
 
 	builds    atomic.Uint64
 	storeHits atomic.Uint64
 	loadFails atomic.Uint64
 }
 
-type ckptEntry struct {
-	once sync.Once
-	blob []byte
-	err  error
-}
-
-// NewCheckpoints opens a checkpoint cache backed by a store under dir.
+// NewCheckpoints opens a checkpoint cache persisted under dir, creating
+// the directory if needed.
 func NewCheckpoints(dir string) (*Checkpoints, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("harness: checkpoint dir %s: %w", dir, err)
 	}
-	return &Checkpoints{st: st, m: map[string]*ckptEntry{}}, nil
+	return &Checkpoints{dir: dir}, nil
 }
 
-// MemCheckpoints returns an in-memory checkpoint cache (no disk store):
+// MemCheckpoints returns an in-memory checkpoint cache (no directory):
 // single-flight sharing within one process only.
-func MemCheckpoints() *Checkpoints {
-	return &Checkpoints{m: map[string]*ckptEntry{}}
-}
+func MemCheckpoints() *Checkpoints { return new(Checkpoints) }
 
 // CkptStats are the observable cache counters.
 type CkptStats struct {
 	// Builds counts warmups actually executed to build a checkpoint.
 	Builds uint64
-	// StoreHits counts checkpoints served from the on-disk store.
+	// StoreHits counts checkpoints served from a file in the directory.
 	StoreHits uint64
 	// LoadFailures counts blobs that failed to restore (the run fell back
 	// to a plain warmup and the blob was dropped for rebuild).
 	LoadFailures uint64
-	// Store carries the underlying store counters, including quarantined
-	// corrupt files (zero-valued when the cache is memory-only).
-	Store store.Stats
 }
 
 // Stats snapshots the cache counters.
 func (c *Checkpoints) Stats() CkptStats {
-	s := CkptStats{
+	return CkptStats{
 		Builds:       c.builds.Load(),
 		StoreHits:    c.storeHits.Load(),
 		LoadFailures: c.loadFails.Load(),
 	}
-	if c.st != nil {
-		s.Store = c.st.Stats()
-	}
-	return s
 }
 
-// Builds reports how many warmups were actually executed — the single-flight
-// assertion hook: N variants sharing one warm prefix must yield Builds()==1.
-func (c *Checkpoints) Builds() uint64 { return c.builds.Load() }
+func (c *Checkpoints) path(key string) string {
+	return filepath.Join(c.dir, key+".ckpt")
+}
 
 func (c *Checkpoints) get(key string, cfg Config, mix workload.Mix, seed uint64) ([]byte, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = new(ckptEntry)
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		if c.st != nil {
-			// A blob from another checkpoint format version passes the
-			// store's checksum but can never load: treat it as a miss, so
-			// it is rebuilt once and overwritten below.
-			if blob, ok := c.st.Get(key); ok {
+	return c.blobs.get(key, func() ([]byte, error) {
+		if c.dir != "" {
+			// A file the envelope rejects (torn, tampered, another format
+			// version) is a miss: it is rebuilt below and overwritten.
+			if blob, err := os.ReadFile(c.path(key)); err == nil {
 				if _, err := ckpt.NewReader(blob); err == nil {
 					c.storeHits.Add(1)
-					e.blob = blob
-					return
+					return blob, nil
 				}
 			}
 		}
@@ -235,24 +210,61 @@ func (c *Checkpoints) get(key string, cfg Config, mix workload.Mix, seed uint64)
 		sys.Warmup()
 		blob, err := sys.SaveCheckpoint()
 		if err != nil {
-			e.err = fmt.Errorf("harness: build checkpoint %s: %w", key, err)
-			return
+			return nil, fmt.Errorf("harness: build checkpoint %s: %w", key, err)
 		}
 		c.builds.Add(1)
-		if c.st != nil {
-			// Best-effort cache write: the blob is served from memory this
-			// process regardless, and a missing file is just a future miss.
-			_ = c.st.Put(key, blob)
+		if c.dir != "" {
+			// Best effort: the blob is served from memory this process
+			// regardless, and a missing file is just a future miss.
+			_ = writeFileAtomic(c.path(key), blob)
 		}
-		e.blob = blob
+		return blob, nil
 	})
-	return e.blob, e.err
 }
 
 func (c *Checkpoints) drop(key string) {
-	c.mu.Lock()
-	delete(c.m, key)
-	c.mu.Unlock()
+	c.blobs.drop(key)
+	if c.dir != "" {
+		// Best effort: a file that stays is served, fails and is dropped
+		// again by the next run.
+		_ = os.Remove(c.path(key))
+	}
+}
+
+// writeFileAtomic replaces path with blob: written to its own temp file in
+// the same directory, fsynced, renamed over path, then the directory is
+// fsynced. A reader, in any process, or a recovery after a crash sees the
+// old complete file or the new one, never a mix; a crash leaves at most an
+// ignored temp file.
+func writeFileAtomic(path string, blob []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(blob)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	// Best effort: some platforms refuse to sync a directory, and the
+	// rename already keeps readers consistent.
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // restoreOrWarm brings a freshly built, reseeded system to its post-warmup
@@ -272,8 +284,8 @@ func (c *Checkpoints) restoreOrWarm(s *System) *System {
 			return s
 		}
 	}
-	// Version skew or semantic damage behind a valid store envelope: drop
-	// the blob so the next run rebuilds it. LoadCheckpoint may have applied
+	// Semantic damage behind a valid envelope: drop the blob, in memory and
+	// on disk, so the next run rebuilds it. LoadCheckpoint may have applied
 	// the sections before the one that failed, so warm a fresh system
 	// rather than s.
 	c.loadFails.Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -15,7 +16,6 @@ import (
 	"dap/internal/dram"
 	"dap/internal/faultinject"
 	"dap/internal/mem"
-	"dap/internal/store"
 	"dap/internal/workload"
 )
 
@@ -66,7 +66,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("resumed run diverged from straight run:\nstraight %+v\nresumed  %+v",
 					straight.Run, resumed.Run)
 			}
-			if got := ck.Builds(); got != 1 {
+			if got := ck.Stats().Builds; got != 1 {
 				t.Fatalf("builds = %d, want 1", got)
 			}
 			blob, err := ck.get(WarmKey(cfg, mix, 7), cfg, mix, 7)
@@ -147,7 +147,7 @@ func TestCheckpointSharedParallelVariants(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := ck.Builds(); got != 1 {
+	if got := ck.Stats().Builds; got != 1 {
 		t.Fatalf("builds = %d, want 1 (single-flight across 8 variants)", got)
 	}
 	for i := range variants {
@@ -321,87 +321,129 @@ func TestCheckpointFigureDriverSingleFlight(t *testing.T) {
 	if !reflect.DeepEqual(plain, ckpt) {
 		t.Fatalf("figure series diverged:\nplain %+v\nckpt  %+v", plain, ckpt)
 	}
-	if got, want := ck.Builds(), uint64(len(mixes)); got != want {
+	if got, want := ck.Stats().Builds, uint64(len(mixes)); got != want {
 		t.Fatalf("builds = %d, want %d (one per mix across %d variants)",
 			got, want, len(cfgs)*len(mixes))
 	}
 }
 
+// onlyCkptFile asserts that dir holds exactly one file, a .ckpt file, and
+// no temp file, and returns its path.
+func onlyCkptFile(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || filepath.Ext(ents[0].Name()) != ".ckpt" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("%s holds %q, want one .ckpt file", dir, names)
+	}
+	return filepath.Join(dir, ents[0].Name())
+}
+
 // TestCheckpointStoreReuseAndCorruption covers the disk-backed cache: a
 // second process (fresh Checkpoints on the same dir) restores from disk
-// without rebuilding, and a damaged file — one flipped byte inside the
-// trailing checksum, then a torn tail — is quarantined as a miss, the warmup
-// re-runs, and the result is still bit-identical.
+// without rebuilding, and a damaged file (one flipped byte inside the
+// trailing checksum, then a flipped magic byte, then a torn tail) is a
+// miss: the warmup re-runs once, the rewritten file verifies, and the
+// result is still bit-identical. After every stage the dir holds exactly
+// <WarmKey>.ckpt and no temp file, so a rebuild overwrites in place.
 func TestCheckpointStoreReuseAndCorruption(t *testing.T) {
 	cfg := tinyCkptCfg(SectoredDRAM, DAP)
 	mix := quickMix()
 	straight := RunMix(cfg, mix)
 	dir := t.TempDir()
+	file := filepath.Join(dir, WarmKey(cfg, mix, 0)+".ckpt")
 
-	check := func(stage string, ck *Checkpoints, wantBuilds, wantHits uint64) {
+	// check runs the point on a fresh cache over dir, as a new process would.
+	check := func(stage string, want CkptStats) {
 		t.Helper()
+		ck, err := NewCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := simulate(cfg, mix, 0, ck)
 		if !reflect.DeepEqual(straight.Run, r.Run) {
 			t.Fatalf("%s: run diverged from straight run", stage)
 		}
-		st := ck.Stats()
-		if st.Builds != wantBuilds || st.StoreHits != wantHits {
-			t.Fatalf("%s: builds=%d hits=%d, want builds=%d hits=%d (stats %+v)",
-				stage, st.Builds, st.StoreHits, wantBuilds, wantHits, st)
+		if got := ck.Stats(); got != want {
+			t.Fatalf("%s: stats %+v, want %+v", stage, got, want)
+		}
+		if got := onlyCkptFile(t, dir); got != file {
+			t.Fatalf("%s: checkpoint file %s, want %s", stage, got, file)
+		}
+		blob, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ckpt.NewReader(blob); err != nil {
+			t.Fatalf("%s: checkpoint file does not verify: %v", stage, err)
 		}
 	}
 
-	ck1, err := NewCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("cold cache", ck1, 1, 0)
-
-	ck2, err := NewCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("disk reuse", ck2, 0, 1)
-
-	ckptFile := func() string {
-		t.Helper()
-		files, err := filepath.Glob(filepath.Join(dir, "*.res"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("checkpoint files in %s: %v (err %v)", dir, files, err)
+	check("cold cache", CkptStats{Builds: 1})
+	check("disk reuse", CkptStats{StoreHits: 1})
+	for _, d := range []struct {
+		stage  string
+		damage func(path string) error
+	}{
+		{"flipped checksum byte", func(p string) error { return faultinject.FlipByte(p, -3) }},
+		{"flipped magic byte", func(p string) error { return faultinject.FlipByte(p, 0) }},
+		{"torn tail", func(p string) error { return faultinject.TruncateTail(p, 16) }},
+	} {
+		if err := d.damage(file); err != nil {
+			t.Fatal(err)
 		}
-		return files[0]
-	}
-
-	if err := faultinject.FlipByte(ckptFile(), -3); err != nil {
-		t.Fatal(err)
-	}
-	ck3, err := NewCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("flipped byte", ck3, 1, 0)
-	if st := ck3.Stats(); st.Store.Corrupt == 0 {
-		t.Fatalf("flipped byte not quarantined: store stats %+v", st.Store)
-	}
-
-	// The rebuild re-put the blob; tear its tail off and recover again.
-	if err := faultinject.TruncateTail(ckptFile(), 16); err != nil {
-		t.Fatal(err)
-	}
-	ck4, err := NewCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("torn tail", ck4, 1, 0)
-	if st := ck4.Stats(); st.Store.Corrupt == 0 {
-		t.Fatalf("torn tail not quarantined: store stats %+v", st.Store)
+		check(d.stage, CkptStats{Builds: 1})
 	}
 }
 
-// TestCheckpointStoreRebuildsStaleVersion: a store entry whose envelope is
-// intact but whose checkpoint has another format version, as every entry
-// has after a version bump, is rebuilt once and overwritten. It must not be
-// served, fail to load and re-warm on every run.
+// TestCheckpointDirConcurrentWriters: four caches on one dir, as four
+// processes sharing -ckpt-dir would be, run the same point at once. Each
+// builds the checkpoint or reads it on its own, and one may rename its
+// file over the file another is reading. Every run must equal the straight
+// run, and the dir must end with one checkpoint file and no temp file.
+func TestCheckpointDirConcurrentWriters(t *testing.T) {
+	cfg := tinyCkptCfg(SectoredDRAM, DAP)
+	mix := quickMix()
+	straight := RunMix(cfg, mix)
+	dir := t.TempDir()
+
+	cks := make([]*Checkpoints, 4)
+	runs := make([]Result, len(cks))
+	var wg sync.WaitGroup
+	for i := range cks {
+		ck, err := NewCheckpoints(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cks[i] = ck
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i] = simulate(cfg, mix, 0, ck)
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if !reflect.DeepEqual(straight.Run, r.Run) {
+			t.Fatalf("writer %d diverged from the straight run", i)
+		}
+		if st := cks[i].Stats(); st.Builds+st.StoreHits != 1 || st.LoadFailures != 0 {
+			t.Fatalf("writer %d: stats %+v, want one build or one disk hit and no load failure", i, st)
+		}
+	}
+	onlyCkptFile(t, dir)
+}
+
+// TestCheckpointStoreRebuildsStaleVersion: a checkpoint file of another
+// format version, as every file is after a version bump, is rebuilt once
+// and overwritten. It must not be served, fail to load and re-warm on
+// every run.
 func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 	cfg := tinyCkptCfg(AlloyCache, DAP)
 	mix := quickMix()
@@ -420,11 +462,7 @@ func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 	h := fnv.New64a()
 	h.Write(blob[:len(blob)-8])
 	binary.LittleEndian.PutUint64(blob[len(blob)-8:], h.Sum64())
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(WarmKey(cfg, mix, 0), blob); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, WarmKey(cfg, mix, 0)+".ckpt"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -438,19 +476,20 @@ func TestCheckpointStoreRebuildsStaleVersion(t *testing.T) {
 				t.Fatalf("process %d run %d diverged from the straight run", i, run)
 			}
 		}
-		if got := ck.Stats(); got.Builds != want.Builds || got.StoreHits != want.StoreHits || got.LoadFailures != 0 {
-			t.Fatalf("process %d: builds=%d hits=%d load failures=%d, want builds=%d hits=%d and no load failure",
-				i, got.Builds, got.StoreHits, got.LoadFailures, want.Builds, want.StoreHits)
+		if got := ck.Stats(); got != want {
+			t.Fatalf("process %d: stats %+v, want %+v", i, got, want)
 		}
 	}
 }
 
-// TestCheckpointFailedRestoreWarmsFresh: a store entry whose envelope
+// TestCheckpointFailedRestoreWarmsFresh: a checkpoint file whose envelope
 // verifies but whose controller section fails to load counts one load
 // failure, and the run still measures exactly the straight run. The cpu
 // section loads before the controller section fails, so warming the
 // half-restored system would run the warmup twice over its streams; the
-// run must warm a freshly built system instead.
+// run must warm a freshly built system instead. The damaged file is
+// removed with the memo entry, so the next run rebuilds and rewrites it,
+// and a new process restores the rewritten file.
 func TestCheckpointFailedRestoreWarmsFresh(t *testing.T) {
 	cfg := tinyCkptCfg(SectoredDRAM, DAP)
 	mix := quickMix()
@@ -464,11 +503,7 @@ func TestCheckpointFailedRestoreWarmsFresh(t *testing.T) {
 	}
 	w.Section("ctrl.sectored").U32(1) // far too short for the sector tags
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(WarmKey(cfg, mix, 0), w.Bytes()); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, WarmKey(cfg, mix, 0)+".ckpt"), w.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -476,18 +511,28 @@ func TestCheckpointFailedRestoreWarmsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunSeededCkptE(cfg, mix, 0, ck)
+	run := func(what string, ck *Checkpoints, want CkptStats) {
+		t.Helper()
+		r, err := RunSeededCkptE(cfg, mix, 0, ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(straight.Run, r.Run) {
+			t.Fatalf("%s diverged from the straight run:\nstraight %+v\ngot      %+v",
+				what, straight.Run, r.Run)
+		}
+		if got := ck.Stats(); got != want {
+			t.Fatalf("%s: stats %+v, want %+v", what, got, want)
+		}
+	}
+	run("the run served the damaged file", ck, CkptStats{StoreHits: 1, LoadFailures: 1})
+	run("the run after it", ck, CkptStats{Builds: 1, StoreHits: 1, LoadFailures: 1})
+	run("the third run", ck, CkptStats{Builds: 1, StoreHits: 1, LoadFailures: 1})
+	fresh, err := NewCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ck.Stats(); got.StoreHits != 1 || got.LoadFailures != 1 {
-		t.Fatalf("store hits=%d load failures=%d, want the damaged entry served once and failed once",
-			got.StoreHits, got.LoadFailures)
-	}
-	if !reflect.DeepEqual(straight.Run, r.Run) {
-		t.Fatalf("run after a failed restore diverged from the straight run:\nstraight %+v\ngot      %+v",
-			straight.Run, r.Run)
-	}
+	run("a new process", fresh, CkptStats{StoreHits: 1})
 }
 
 // TestCheckpointFootprintOverBudget: a sectored cache whose footprint

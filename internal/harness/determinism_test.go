@@ -70,16 +70,16 @@ func TestAloneMemoSharing(t *testing.T) {
 	}
 	o := Options{Quick: true, Parallel: 4, tiny: true}
 	Fig06(o)
-	alone.mu.Lock()
-	n := len(alone.m)
-	alone.mu.Unlock()
+	alone.ipc.mu.Lock()
+	n := len(alone.ipc.m)
+	alone.ipc.mu.Unlock()
 	if n == 0 {
 		t.Fatal("alone memo empty after a weighted-speedup driver")
 	}
 	Fig06(o)
-	alone.mu.Lock()
-	n2 := len(alone.m)
-	alone.mu.Unlock()
+	alone.ipc.mu.Lock()
+	n2 := len(alone.ipc.m)
+	alone.ipc.mu.Unlock()
 	if n2 != n {
 		t.Fatalf("memo grew on an identical rerun: %d -> %d entries", n, n2)
 	}

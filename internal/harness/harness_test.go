@@ -67,6 +67,9 @@ func TestRunProducesSaneResult(t *testing.T) {
 	if f := r.MainMemCASFraction(); f < 0 || f > 1 {
 		t.Fatalf("CAS fraction = %v", f)
 	}
+	if r.DAP.Total() != 0 {
+		t.Fatal("baseline must not record DAP decisions")
+	}
 }
 
 func TestDAPRunPartitionsUnderPressure(t *testing.T) {
@@ -78,13 +81,6 @@ func TestDAPRunPartitionsUnderPressure(t *testing.T) {
 	}
 	if r.MainMemCASFraction() <= 0.01 {
 		t.Fatal("DAP must move traffic to main memory")
-	}
-}
-
-func TestBaselineNeverPartitions(t *testing.T) {
-	r := runQuick(Quick(), quickMix())
-	if r.DAP.Total() != 0 {
-		t.Fatal("baseline must not record DAP decisions")
 	}
 }
 

@@ -777,37 +777,58 @@ func Fingerprint(cfg Config) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// aloneMemo memoizes alone IPCs per (config fingerprint, workload) with
-// single-flight semantics: when two goroutines need the same alone IPC
-// concurrently, one simulates and the other blocks on the entry's Once, so
-// no simulation ever runs twice — neither within one figure nor across the
-// figures of a whole cmd/figures sweep.
-type aloneMemo struct {
+// memo is a single-flight memo: the first caller of a key runs build, and
+// every concurrent caller of the same key blocks on the entry's Once and
+// shares its result, so no value is ever built twice. The zero memo is
+// ready to use.
+type memo[V any] struct {
 	mu sync.Mutex
-	m  map[string]*aloneEntry
+	m  map[string]*memoEntry[V]
 }
 
-type aloneEntry struct {
+type memoEntry[V any] struct {
 	once sync.Once
-	v    float64
+	v    V
+	err  error
 }
+
+func (m *memo[V]) get(key string, build func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e := m.m[key]
+	if e == nil {
+		if m.m == nil {
+			m.m = make(map[string]*memoEntry[V])
+		}
+		e = new(memoEntry[V])
+		m.m[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}
+
+// drop forgets key, so the next get builds it again.
+func (m *memo[V]) drop(key string) {
+	m.mu.Lock()
+	delete(m.m, key)
+	m.mu.Unlock()
+}
+
+// aloneMemo memoizes alone IPCs per (config fingerprint, workload), so no
+// alone simulation ever runs twice — neither within one figure nor across
+// the figures of a whole cmd/figures sweep.
+type aloneMemo struct{ ipc memo[float64] }
 
 // alone is the process-wide memo. Sharing is safe because AloneIPC is a
 // pure function of (configuration, spec): the memoized value is identical
 // no matter which figure — or which worker goroutine — computes it first.
-var alone = &aloneMemo{m: make(map[string]*aloneEntry)}
+var alone = new(aloneMemo)
 
 func (a *aloneMemo) get(cfg Config, spec workload.Spec) float64 {
-	key := spec.Name + "\x00" + aloneFingerprint(cfg)
-	a.mu.Lock()
-	e := a.m[key]
-	if e == nil {
-		e = &aloneEntry{}
-		a.m[key] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() { e.v = AloneIPC(cfg, spec) })
-	return e.v
+	v, _ := a.ipc.get(spec.Name+"\x00"+aloneFingerprint(cfg), func() (float64, error) {
+		return AloneIPC(cfg, spec), nil
+	})
+	return v
 }
 
 // weightedSpeedup computes a run's weighted speedup using alone IPCs from
