@@ -46,10 +46,11 @@ import (
 // predictors or the SRAM caches' hit and miss counters; 6 = the cpu
 // section's L1/L2/L3 are the cpu package's LRU store (tag words plus a
 // recency-order and a valid/dirty word per set) instead of cache.Cache
-// sections.
+// sections; 7 = the eDRAM cache's section is the sectored cache's, so its
+// tags are followed by the absent tag-cache and footprint-table flags.
 const (
 	Magic   = "DAPCKPT1"
-	Version = 6
+	Version = 7
 )
 
 // ErrCorrupt is returned (wrapped) for any structural damage: bad magic,

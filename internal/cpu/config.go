@@ -61,7 +61,11 @@ func (c *Config) Validate() error {
 	errs.NonNegative("PFStreams", c.PFStreams)
 	errs.NonNegative("PFDegree", c.PFDegree)
 	errs.NonNegative("PFDistance", c.PFDistance)
-	errs.NonNegative("PFOutstanding", c.PFOutstanding)
+	if c.PFDegree > 0 {
+		errs.Positive("PFOutstanding", c.PFOutstanding)
+	} else {
+		errs.NonNegative("PFOutstanding", c.PFOutstanding)
+	}
 	return errs.Err()
 }
 

@@ -138,10 +138,6 @@ func (c *CPU) Snapshot() string {
 // pending access, and the prefetch buffer accounting stays in bounds. It
 // returns a description of the first violation, or nil.
 func (c *CPU) AuditInvariants() error {
-	pfMax := c.cfg.PFOutstanding
-	if pfMax <= 0 {
-		pfMax = 32
-	}
 	for _, co := range c.cores {
 		if len(co.inflight) > c.cfg.ROB+1 {
 			return fmt.Errorf("core %d: %d in-flight loads exceed the %d-entry ROB", co.id, len(co.inflight), c.cfg.ROB)
@@ -149,8 +145,8 @@ func (c *CPU) AuditInvariants() error {
 		if co.fetched > co.pendPos+1 {
 			return fmt.Errorf("core %d: fetched %d passed the pending access at %d", co.id, co.fetched, co.pendPos)
 		}
-		if co.pfOut < 0 || co.pfOut > pfMax {
-			return fmt.Errorf("core %d: outstanding prefetches %d out of [0, %d]", co.id, co.pfOut, pfMax)
+		if co.pfOut < 0 || co.pfOut > c.cfg.PFOutstanding {
+			return fmt.Errorf("core %d: outstanding prefetches %d out of [0, %d]", co.id, co.pfOut, c.cfg.PFOutstanding)
 		}
 	}
 	return nil
@@ -546,9 +542,6 @@ func (co *core) fillFromMemory(addr mem.Addr, store bool) {
 func (co *core) issuePrefetches(cands []mem.Addr) {
 	cpu := co.cpu
 	max := cpu.cfg.PFOutstanding
-	if max <= 0 {
-		max = 32
-	}
 	for _, p := range cands {
 		if co.pfOut >= max {
 			return

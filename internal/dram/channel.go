@@ -90,11 +90,11 @@ type ChannelStats struct {
 // CAS returns the total column accesses performed.
 func (s ChannelStats) CAS() uint64 { return s.Reads + s.Writes }
 
-// horizon is how far ahead of real time data-bus slots may be reserved, in
+// Horizon is how far ahead of real time data-bus slots may be reserved, in
 // CPU cycles. It lets row activations and precharges on different banks
 // proceed under an ongoing transfer, which is what gives DRAM its bank-level
 // parallelism.
-const horizon mem.Cycle = 240
+const Horizon mem.Cycle = 240
 
 // channel is a single DRAM channel with a private data bus and banks.
 type channel struct {
@@ -263,8 +263,8 @@ func (ch *channel) schedule() {
 		if q == nil {
 			return // idle; next enqueue kicks
 		}
-		if ch.busFree >= now+horizon {
-			ch.kick(maxCycle(now+1, ch.busFree-horizon))
+		if ch.busFree >= now+Horizon {
+			ch.kick(maxCycle(now+1, ch.busFree-Horizon))
 			return
 		}
 		e := q.remove(ch.pick(q.live(), now))

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dap/internal/dram"
 	"dap/internal/mem"
 	"dap/internal/mscache"
 	"dap/internal/sim"
@@ -72,12 +73,6 @@ func (rc *reqCounter) MSStats() *stats.MemSideStats    { return rc.inner.MSStats
 func (rc *reqCounter) CacheCAS() uint64                { return rc.inner.CacheCAS() }
 func (rc *reqCounter) ResetStats()                     { rc.inner.ResetStats() }
 
-// reservationHorizon mirrors the DRAM channel's scheduling horizon: a CAS
-// may be reserved up to this many cycles ahead of now, so a window's CAS
-// count can legitimately exceed the elapsed-time allowance by one horizon's
-// worth of slack.
-const reservationHorizon = 256
-
 // startAudit arms the runtime invariant auditor: a periodic event that
 // checks, every cfg.AuditEvery cycles (default 4096):
 //
@@ -128,7 +123,9 @@ func (s *System) startAudit() {
 			fail("cpu-structure", err)
 			return
 		}
-		dt := float64(s.Eng.Now()-lastCycle) + reservationHorizon
+		// a CAS may be reserved up to one dram.Horizon ahead of now, so a
+		// window's count may exceed its elapsed-time allowance by that much
+		dt := float64(s.Eng.Now() - lastCycle + dram.Horizon)
 		for i, d := range devs {
 			cas := d.Stats().CAS()
 			delta := float64(cas - lastCAS[i])

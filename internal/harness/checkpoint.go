@@ -96,15 +96,11 @@ type warmCtrl interface {
 }
 
 // ctrlSection returns the memory-side controller and the name of its
-// checkpoint section; ctrl is nil for a system without a memory-side cache.
+// checkpoint section, ctrl.<arch>; ctrl is nil for a system without a
+// memory-side cache.
 func (s *System) ctrlSection() (name string, ctrl warmCtrl) {
-	switch {
-	case s.sectored != nil:
-		return "ctrl.sectored", s.sectored
-	case s.alloy != nil:
-		return "ctrl.alloy", s.alloy
-	case s.edram != nil:
-		return "ctrl.edram", s.edram
+	if c, ok := s.Ctrl.(warmCtrl); ok {
+		return "ctrl." + s.Cfg.Arch.String(), c
 	}
 	return "", nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"dap/internal/ckpt"
 	"dap/internal/workload"
 )
 
@@ -71,13 +72,15 @@ func goldenRuns() []goldenRun {
 	return runs
 }
 
-// goldenTiny renders the golden file: one line per run (fingerprint, digest
-// of stats.Run, aggregate IPC, memory-side hit rate), then one line per
-// distinct warmup with the digest of its checkpoint blob.
+// goldenTiny renders the golden file: a header naming the checkpoint format
+// version, one line per run (fingerprint, digest of stats.Run, aggregate
+// IPC, memory-side hit rate), then one line per distinct warmup with the
+// digest of its checkpoint blob.
 func goldenTiny(t *testing.T) string {
 	var b strings.Builder
 	b.WriteString("# Tiny-scale golden results, written by `go test ./internal/harness -run TestGoldenTiny -update`.\n")
 	b.WriteString("# Generated on GOARCH=amd64, which never fuses x*y+z; other GOARCHes may round differently.\n")
+	fmt.Fprintf(&b, "# Warm lines digest checkpoint blobs of format version %d.\n", ckpt.Version)
 	warmed := map[string]string{}
 	var keys []string
 	for _, g := range goldenRuns() {

@@ -264,6 +264,28 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunMixE(cfg, quickMix()); err == nil {
 		t.Fatal("RunMixE accepted an invalid config")
 	}
+
+	// SRAM arrays whose entries do not divide into whole sets, and zero
+	// sizes of structures that are on: each is one diagnostic on its own
+	// field.
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Alloy.DBCWays", func(c *Config) { c.Arch, c.Alloy.DBCEntries, c.Alloy.DBCWays = AlloyCache, 0, 0 }},
+		{"Alloy.DBCEntries", func(c *Config) { c.Arch, c.Alloy.DBCEntries = AlloyCache, 0 }},
+		{"Alloy.DBCEntries", func(c *Config) { c.Arch, c.Alloy.DBCEntries, c.Alloy.DBCWays = AlloyCache, 6, 4 }},
+		{"Sectored.TagCacheEntries", func(c *Config) { c.Sectored.TagCacheEntries, c.Sectored.TagCacheWays = 6, 4 }},
+		{"Sectored.FootprintEntries", func(c *Config) { c.Sectored.FootprintEntries = 0 }},
+		{"CPU.PFOutstanding", func(c *Config) { c.CPU.PFOutstanding = 0 }},
+	} {
+		c := Quick()
+		tc.mutate(&c)
+		var es check.Errors
+		if err := c.Validate(); !errors.As(err, &es) || len(es) != 1 || es[0].Field != tc.field {
+			t.Errorf("want one diagnostic for %s, got %v", tc.field, err)
+		}
+	}
 }
 
 // TestReplicateReportsFailedReplicas: replicated runs pass the same checks

@@ -70,14 +70,12 @@ func (s *System) registerMetrics() {
 		})
 	}
 	s.MM.RegisterMetrics(m, "mm")
-	switch {
-	case s.sectored != nil:
-		s.sectored.Device().RegisterMetrics(m, "ms")
-	case s.alloy != nil:
-		s.alloy.Device().RegisterMetrics(m, "ms")
-	case s.edram != nil:
-		s.edram.ReadDevice().RegisterMetrics(m, "ms.rd")
-		s.edram.WriteDevice().RegisterMetrics(m, "ms.wr")
+	switch cache := s.devices()[1:]; len(cache) {
+	case 1:
+		cache[0].RegisterMetrics(m, "ms")
+	case 2: // separate read and write channel sets
+		cache[0].RegisterMetrics(m, "ms.rd")
+		cache[1].RegisterMetrics(m, "ms.wr")
 	}
 	st := s.Ctrl.MSStats()
 	m.Gauge("ms.hit_ratio", obs.WindowedRatio(

@@ -242,7 +242,6 @@ func Quick() Config {
 type Result struct {
 	stats.Run
 	Config Config
-	Mix    workload.Mix
 	// Abort is non-nil when the run ended abnormally: a *sim.StallError from
 	// the forward-progress watchdog or deadlock detector, or an *AuditError
 	// from the runtime invariant auditor. Figures built from an aborted run
@@ -347,9 +346,8 @@ type System struct {
 	decRec  *core.DecisionRecorder
 
 	dap      *core.DAP
-	sectored *mscache.Sectored
+	sectored *mscache.Sectored // the sectored DRAM or eDRAM cache
 	alloy    *mscache.Alloy
-	edram    *mscache.EDRAM
 	inj      *faultinject.Injector
 	counts   *reqCounter
 
@@ -378,8 +376,8 @@ func Build(cfg Config, mix workload.Mix) *System {
 		s.alloy = mscache.NewAlloy(ac, s.Eng, s.MM, s.Part)
 		s.Ctrl = s.alloy
 	case SectoredEDRAM:
-		s.edram = mscache.NewEDRAM(cfg.EDRAM, s.Eng, s.MM, s.Part)
-		s.Ctrl = s.edram
+		s.sectored = mscache.NewEDRAM(cfg.EDRAM, s.Eng, s.MM, s.Part)
+		s.Ctrl = s.sectored
 	default:
 		sc := mscache.NewSectored(cfg.Sectored, s.Eng, s.MM, s.Part)
 		s.sectored = sc
@@ -485,11 +483,9 @@ func (s *System) devices() []*dram.Device {
 	devs := []*dram.Device{s.MM}
 	switch {
 	case s.sectored != nil:
-		devs = append(devs, s.sectored.Device())
+		devs = append(devs, s.sectored.Devices()...)
 	case s.alloy != nil:
 		devs = append(devs, s.alloy.Device())
-	case s.edram != nil:
-		devs = append(devs, s.edram.ReadDevice(), s.edram.WriteDevice())
 	}
 	return devs
 }

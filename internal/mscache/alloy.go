@@ -63,17 +63,9 @@ type dbc struct {
 }
 
 func newDBC(entries, ways int) *dbc {
-	if ways <= 0 {
-		ways = 4
-	}
-	sets := entries / ways
-	if sets <= 0 {
-		sets = 1
-	}
-	n := sets * ways
 	return &dbc{
-		sets: sets, ways: ways,
-		gv: make([]uint64, n), bits: make([]uint64, n), lru: make([]uint64, n),
+		sets: entries / ways, ways: ways,
+		gv: make([]uint64, entries), bits: make([]uint64, entries), lru: make([]uint64, entries),
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"dap/internal/sim"
 )
 
-func testEDRAM(t *testing.T, part core.Partitioner) (*EDRAM, *dram.Device, *sim.Engine) {
+func testEDRAM(t *testing.T, part core.Partitioner) (*Sectored, *dram.Device, *sim.Engine) {
 	t.Helper()
 	eng := sim.New()
 	mm := dram.NewDevice(dram.DDR4_2400(), eng)
@@ -19,7 +19,7 @@ func testEDRAM(t *testing.T, part core.Partitioner) (*EDRAM, *dram.Device, *sim.
 	return e, mm, eng
 }
 
-func eread(e *EDRAM, eng *sim.Engine, a mem.Addr) {
+func eread(e *Sectored, eng *sim.Engine, a mem.Addr) {
 	e.Read(a, 0, mem.ReadKind, nil)
 	eng.Drain()
 }
@@ -34,10 +34,10 @@ func TestEDRAMMissFillsViaWriteChannels(t *testing.T) {
 	if mm.Stats().Reads == 0 {
 		t.Fatal("miss must read main memory")
 	}
-	if e.wdev.Stats().Writes != 1 {
+	if e.wr.Stats().Writes != 1 {
 		t.Fatal("fill must use the write channels")
 	}
-	if e.rdev.Stats().Reads != 0 {
+	if e.rd.Stats().Reads != 0 {
 		t.Fatal("fill must not consume read-channel bandwidth")
 	}
 }
@@ -50,7 +50,7 @@ func TestEDRAMHitUsesReadChannels(t *testing.T) {
 	if e.st.ReadHits != 1 {
 		t.Fatalf("hits = %d", e.st.ReadHits)
 	}
-	if e.rdev.Stats().Reads != 1 {
+	if e.rd.Stats().Reads != 1 {
 		t.Fatal("hit must use the read channels")
 	}
 }
@@ -77,7 +77,7 @@ func TestEDRAMWritebackDirty(t *testing.T) {
 	if !line.Ok() || line.DMask()&e.blockBit(a) == 0 {
 		t.Fatal("writeback must install dirty")
 	}
-	if e.wdev.Stats().Writes != 1 {
+	if e.wr.Stats().Writes != 1 {
 		t.Fatal("writeback must use the write channels")
 	}
 }
@@ -93,7 +93,7 @@ func TestEDRAMEvictionUsesReadChannelsAndMemory(t *testing.T) {
 	if e.st.SectorEvicts == 0 {
 		t.Fatal("17th sector must evict")
 	}
-	if e.st.VictimReads == 0 || e.rdev.Stats().Reads == 0 {
+	if e.st.VictimReads == 0 || e.rd.Stats().Reads == 0 {
 		t.Fatal("victim blocks are read out via the read channels")
 	}
 	if mm.Stats().Writes == 0 {
@@ -130,7 +130,7 @@ func TestEDRAMFWB(t *testing.T) {
 	if e.st.FillBypasses != 1 {
 		t.Fatal("fill must be bypassed")
 	}
-	if e.wdev.Stats().Writes != 0 {
+	if e.wr.Stats().Writes != 0 {
 		t.Fatal("bypassed fill must not touch the write channels")
 	}
 }
@@ -179,5 +179,29 @@ func TestEDRAMCacheCASCombinesChannels(t *testing.T) {
 	e.ResetStats()
 	if e.CacheCAS() != 0 {
 		t.Fatal("reset must clear")
+	}
+}
+
+// TestWritebackEntersWmWhenCounted: an eDRAM writeback adds to the
+// window's Wm once its on-die tag lookup resolves, TagLat cycles after it
+// arrives; a sectored DRAM cache writeback adds to Wm on arrival. A DAP
+// window that closes in between sees the two differently.
+func TestWritebackEntersWmWhenCounted(t *testing.T) {
+	e, _, eng := testEDRAM(t, core.Nop{})
+	lat := DefaultEDRAM().TagLat
+	e.Writeback(0x9000, 0)
+	eng.RunUntil(lat - 1)
+	if wm := e.Windows().Wm; wm != 0 {
+		t.Fatalf("eDRAM Wm = %d at cycle %d, before the %d-cycle tag lookup resolves", wm, eng.Now(), lat)
+	}
+	eng.RunUntil(lat)
+	if wm := e.Windows().Wm; wm != 1 {
+		t.Fatalf("eDRAM Wm = %d at cycle %d, want 1 once the tag lookup resolves", wm, eng.Now())
+	}
+
+	s, _, _ := testSectored(t, core.Nop{})
+	s.Writeback(0x9000, 0)
+	if wm := s.Windows().Wm; wm != 1 {
+		t.Fatalf("sectored Wm = %d on arrival, want 1", wm)
 	}
 }

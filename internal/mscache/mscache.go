@@ -1,10 +1,11 @@
 // Package mscache implements the three memory-side cache architectures the
 // paper evaluates DAP on: the die-stacked sectored DRAM cache (Section
 // VI-A), the Alloy cache (Section VI-B) and the sectored eDRAM cache
-// (Section VI-C). Each controller implements cpu.Backend, owns its DRAM
-// array device(s), shares the main-memory device, collects the per-window
-// demand counts DAP learns from, and consults a core.Partitioner at every
-// technique application point.
+// (Section VI-C), which is a configuration of the sectored controller.
+// Each controller implements cpu.Backend, owns its DRAM array device(s),
+// shares the main-memory device, collects the per-window demand counts DAP
+// learns from, and consults a core.Partitioner at every technique
+// application point.
 package mscache
 
 import (

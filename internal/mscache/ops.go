@@ -19,8 +19,7 @@ import (
 
 // fwdPool recycles victim-forwarders: the completion of a victim read from
 // the cache array that turns into a main-memory writeback of the same
-// block (the read→write chain all three controllers use to evict dirty
-// data).
+// block (the read→write chain both controllers use to evict dirty data).
 type fwdPool struct {
 	mm   *dram.Device
 	free []*fwdOp

@@ -14,7 +14,8 @@ import (
 // SectoredConfig describes a die-stacked sectored DRAM cache (the paper's
 // default memory-side cache: 4 KB sectors, four ways, NRU replacement,
 // metadata stored in the DRAM array with an SRAM tag cache in front, and a
-// footprint prefetcher).
+// footprint prefetcher). The eDRAM cache is built from the same controller
+// (see NewEDRAM).
 type SectoredConfig struct {
 	CapacityBytes int
 	SectorBytes   int
@@ -57,12 +58,21 @@ func DefaultSectored() SectoredConfig {
 	}
 }
 
-// Sectored is the sectored DRAM cache controller.
+// Sectored is the sectored cache controller: the DRAM cache, or the eDRAM
+// cache when built by NewEDRAM.
 type Sectored struct {
 	cfg SectoredConfig
 	eng *sim.Engine
-	dev *dram.Device // the HBM stack
-	mm  *dram.Device // shared main memory
+	// rd serves data, metadata and dirty-victim reads; wr takes fills,
+	// writebacks and metadata updates. Both are the HBM stack on the DRAM
+	// cache, and the separate channel sets on the eDRAM cache.
+	rd, wr *dram.Device
+	mm     *dram.Device // shared main memory
+
+	// onDie marks sector tags held in on-die SRAM (the eDRAM cache): a
+	// lookup is a fixed tagLat delay and costs no metadata read or write.
+	onDie  bool
+	tagLat mem.Cycle
 
 	tags     *cache.Cache // authoritative sector metadata (SetSkip = blocks/sector)
 	tagCache *cache.Cache // SRAM tag cache (nil when disabled)
@@ -83,8 +93,6 @@ type Sectored struct {
 	// Optional related-proposal policies (at most one non-nil).
 	SBD    *policy.SBD
 	BATMAN *policy.BATMAN
-	// BATMANEpoch is the set-adjustment period in cycles.
-	BATMANEpoch mem.Cycle
 
 	// decRec, when non-nil, receives PolicyEvents at the baseline
 	// policies' adjustment points (BATMAN epochs, SBD decays).
@@ -112,6 +120,9 @@ const (
 	opWriteback
 	opWriteThrough
 )
+
+// batmanEpoch is BATMAN's set-adjustment period in cycles.
+const batmanEpoch mem.Cycle = 50_000
 
 // tagOpChunk is how many pooled tagOps an empty free list allocates at
 // once, so a fresh controller ramps to its steady-state depth in one block
@@ -199,16 +210,22 @@ func (f *fpOp) fill(mem.Cycle) {
 	if cur := s.tags.Probe(ba); cur.Ok() {
 		s.st.Fills++
 		cur.OrVMask(b)
-		s.dev.Access(ba, mem.FillKind, nil)
+		s.wr.Access(ba, mem.FillKind, nil)
 	}
 }
 
-// NewSectored builds the controller. mm is the shared main-memory device;
-// part decides partitioning (core.Nop{} for the baseline).
+// NewSectored builds the DRAM cache controller. mm is the shared
+// main-memory device; part decides partitioning (core.Nop{} for the
+// baseline).
 func NewSectored(cfg SectoredConfig, eng *sim.Engine, mm *dram.Device, part core.Partitioner) *Sectored {
-	s := &Sectored{cfg: cfg, eng: eng, mm: mm, part: part}
+	dev := dram.NewDevice(cfg.Array, eng)
+	return newSectored(cfg, eng, mm, part, dev, dev)
+}
+
+// newSectored builds a controller reading from rd and writing to wr.
+func newSectored(cfg SectoredConfig, eng *sim.Engine, mm *dram.Device, part core.Partitioner, rd, wr *dram.Device) *Sectored {
+	s := &Sectored{cfg: cfg, eng: eng, rd: rd, wr: wr, mm: mm, part: part}
 	s.fwd.mm = mm
-	s.dev = dram.NewDevice(cfg.Array, eng)
 	s.sectorBlocks = uint64(cfg.SectorBytes / mem.LineBytes)
 	sets := cfg.CapacityBytes / cfg.SectorBytes / cfg.Ways
 	s.tags = cache.New(sets, cfg.Ways, cfg.Replacement, s.sectorBlocks)
@@ -216,11 +233,7 @@ func NewSectored(cfg SectoredConfig, eng *sim.Engine, mm *dram.Device, part core
 		s.tagCache = cache.New(cfg.TagCacheEntries/cfg.TagCacheWays, cfg.TagCacheWays, cache.LRU, s.sectorBlocks)
 	}
 	if cfg.Footprint {
-		n := cfg.FootprintEntries
-		if n == 0 {
-			n = 1 << 14
-		}
-		s.fp = newFootprintTable(n)
+		s.fp = newFootprintTable(cfg.FootprintEntries)
 	}
 	return s
 }
@@ -231,16 +244,29 @@ func (s *Sectored) Windows() *core.WindowCounts { return &s.wc }
 // MSStats implements Controller.
 func (s *Sectored) MSStats() *stats.MemSideStats { return &s.st }
 
-// CacheCAS implements Controller.
-func (s *Sectored) CacheCAS() uint64 { st := s.dev.Stats(); return st.CAS() }
+// Devices returns the cache's channel sets: the read set, then the write
+// set when it is a separate one.
+func (s *Sectored) Devices() []*dram.Device {
+	if s.wr == s.rd {
+		return []*dram.Device{s.rd}
+	}
+	return []*dram.Device{s.rd, s.wr}
+}
 
-// Device exposes the cache array (tests, bandwidth kernels).
-func (s *Sectored) Device() *dram.Device { return s.dev }
+// CacheCAS implements Controller (summed over the channel sets).
+func (s *Sectored) CacheCAS() (cas uint64) {
+	for _, d := range s.Devices() {
+		cas += d.Stats().CAS()
+	}
+	return cas
+}
 
 // ResetStats implements Controller.
 func (s *Sectored) ResetStats() {
 	s.st = stats.MemSideStats{}
-	s.dev.ResetStats()
+	for _, d := range s.Devices() {
+		d.ResetStats()
+	}
 }
 
 // SetDecisionRecorder attaches the introspection recorder to the baseline
@@ -271,9 +297,6 @@ func (s *Sectored) StartBATMAN() {
 	if s.BATMAN == nil {
 		return
 	}
-	if s.BATMANEpoch == 0 {
-		s.BATMANEpoch = 50000
-	}
 	var tick func()
 	tick = func() {
 		from, to := s.BATMAN.Epoch()
@@ -286,9 +309,9 @@ func (s *Sectored) StartBATMAN() {
 				Epoch: s.BATMAN.Epochs, DisabledSets: s.BATMAN.DisabledSets(),
 			})
 		}
-		s.eng.After(s.BATMANEpoch, tick)
+		s.eng.After(batmanEpoch, tick)
 	}
-	s.eng.After(s.BATMANEpoch, tick)
+	s.eng.After(batmanEpoch, tick)
 }
 
 // disableSet cleans and invalidates one cache set (BATMAN).
@@ -311,7 +334,7 @@ func (s *Sectored) writeoutDirtyBlock(a mem.Addr) {
 	s.st.VictimReads++
 	s.wc.AMSR++
 	s.wc.AMM++
-	s.dev.Access(a, mem.VictimRdKind, s.fwd.forward(a))
+	s.rd.Access(a, mem.VictimRdKind, s.fwd.forward(a))
 }
 
 // sectorOf returns the sector index of an address.
@@ -323,9 +346,12 @@ func (s *Sectored) blockBit(a mem.Addr) uint64 {
 	return 1 << (uint64(a.Line()) % s.sectorBlocks)
 }
 
-// markMetaDirty records a metadata mutation: absorbed by a present tag-cache
-// entry, else an immediate in-DRAM metadata update.
+// markMetaDirty records a metadata mutation: free in on-die tags, absorbed
+// by a present tag-cache entry, else an immediate in-DRAM metadata update.
 func (s *Sectored) markMetaDirty(a mem.Addr) {
+	if s.onDie {
+		return
+	}
 	if s.tagCache != nil {
 		if e := s.tagCache.Probe(a); e.Ok() {
 			e.MarkDirty()
@@ -334,21 +360,26 @@ func (s *Sectored) markMetaDirty(a mem.Addr) {
 	}
 	s.st.MetaWrites++
 	s.wc.AMSW++
-	s.dev.Access(a, mem.MetaWriteKind, nil)
+	s.wr.Access(a, mem.MetaWriteKind, nil)
 }
 
 // tagPath performs the metadata lookup and resumes op (via tagDone) when
-// the sector's state is known. op.sfrm records whether an SFRM read was
-// launched to main memory in parallel (the resumed operation must not
-// launch a second one).
+// the sector's state is known: after tagLat with on-die tags, else through
+// the SRAM tag cache or the DRAM array. op.sfrm records whether an SFRM
+// read was launched to main memory in parallel (the resumed operation must
+// not launch a second one).
 func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 	a := op.addr
+	if s.onDie {
+		s.eng.AfterArg(s.tagLat, tagOpRun, op, 0)
+		return
+	}
 	if s.tagCache == nil {
 		// no tag cache: every access fetches metadata from the DRAM array
 		s.st.MetaReads++
 		s.wc.AMSR++
 		op.sfrm = isRead && s.part.TakeSFRM()
-		s.dev.Access(a, mem.MetaReadKind, op.cb)
+		s.rd.Access(a, mem.MetaReadKind, op.cb)
 		return
 	}
 	if s.tagCache.Lookup(a).Ok() {
@@ -361,7 +392,7 @@ func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 	s.wc.AMSR++
 	op.sfrm = isRead && s.part.TakeSFRM()
 	op.inst = true
-	s.dev.Access(a, mem.MetaReadKind, op.cb)
+	s.rd.Access(a, mem.MetaReadKind, op.cb)
 }
 
 // installTagEntry fills the SRAM tag cache; dirty victims update metadata in
@@ -373,7 +404,7 @@ func (s *Sectored) installTagEntry(a mem.Addr) {
 		va := s.tagCache.LineAddr(si, ev.Tag)
 		s.st.MetaWrites++
 		s.wc.AMSW++
-		s.dev.Access(va, mem.MetaWriteKind, nil)
+		s.wr.Access(va, mem.MetaWriteKind, nil)
 	}
 }
 
@@ -449,7 +480,7 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 			s.st.SpecWasted++
 			sp.Decide(stats.BDTechSFRM)
 			sp.Serve(stats.BDSrcCache)
-			s.dev.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
+			s.rd.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		case sfrm:
 			// clean hit already being served by main memory
 			s.st.SpecForced++
@@ -464,7 +495,7 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 		default:
 			sp.Decide(stats.BDTechNone)
 			sp.Serve(stats.BDSrcCache)
-			s.dev.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
+			s.rd.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		}
 		return
 	}
@@ -481,7 +512,7 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 // steerMM applies SBD's expected-latency comparison using live queue depths.
 func (s *Sectored) steerMM() bool {
 	// service ~ burst occupancy per access; base ~ unloaded latencies
-	return s.SBD.SteerToMM(s.mm.QueueLen(), s.dev.QueueLen(), 14, 10, 96, 60)
+	return s.SBD.SteerToMM(s.mm.QueueLen(), s.rd.QueueLen(), 14, 10, 96, 60)
 }
 
 // handleFill performs read-miss fill handling: fill the block if the sector
@@ -499,7 +530,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 		s.st.Fills++
 		line.OrVMask(bit)
 		line.ClearDMask(bit)
-		s.dev.Access(addr, mem.FillKind, nil)
+		s.wr.Access(addr, mem.FillKind, nil)
 		s.markMetaDirty(addr)
 		return
 	}
@@ -513,7 +544,7 @@ func (s *Sectored) handleFill(addr mem.Addr, line cache.Ref) {
 	} else {
 		s.st.Fills++
 		nl.OrVMask(bit)
-		s.dev.Access(addr, mem.FillKind, nil)
+		s.wr.Access(addr, mem.FillKind, nil)
 	}
 
 	// footprint fetch for the rest of the predicted footprint
@@ -562,7 +593,9 @@ func (s *Sectored) allocSector(addr mem.Addr) cache.Ref {
 // Writeback implements cpu.Backend: a dirty L3 eviction.
 func (s *Sectored) Writeback(addr mem.Addr, coreID int) {
 	addr = addr.LineAligned()
-	s.wc.Wm++
+	if !s.onDie {
+		s.wc.Wm++ // on-die tags count it once the lookup resolves
+	}
 
 	if s.BATMAN != nil {
 		if set, _ := s.tags.Index(addr); s.BATMAN.Disabled(set) {
@@ -591,6 +624,9 @@ func (s *Sectored) Writeback(addr mem.Addr, coreID int) {
 // wbTagKnown finishes a dirty L3 eviction once the sector's metadata is
 // known (the opWriteback continuation of tagPath).
 func (s *Sectored) wbTagKnown(addr mem.Addr, line cache.Ref) {
+	if s.onDie {
+		s.wc.Wm++
+	}
 	bit := s.blockBit(addr)
 	present := line.Ok() && line.VMask()&bit != 0
 	s.wc.AMSW++ // the cache write this eviction demands
@@ -618,7 +654,7 @@ func (s *Sectored) wbTagKnown(addr mem.Addr, line cache.Ref) {
 		line.OrDMask(bit)
 	}
 	s.markMetaDirty(addr)
-	s.dev.Access(addr, mem.WritebackKind, nil)
+	s.wr.Access(addr, mem.WritebackKind, nil)
 }
 
 // writeThrough writes a block to both the cache and main memory, leaving the
@@ -646,7 +682,7 @@ func (s *Sectored) wtTagKnown(addr mem.Addr, line cache.Ref) {
 	line.ClearDMask(bit) // clean: main memory holds the latest copy
 	s.tags.Lookup(addr)
 	s.markMetaDirty(addr)
-	s.dev.Access(addr, mem.WritebackKind, nil)
+	s.wr.Access(addr, mem.WritebackKind, nil)
 }
 
 // cleanPage writes out all dirty blocks of a page falling out of SBD's

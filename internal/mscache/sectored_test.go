@@ -305,9 +305,9 @@ func TestIFRMServesCleanHitFromMemory(t *testing.T) {
 	}
 	// the block stays valid: a later read without credits hits the cache
 	s.part = core.Nop{}
-	devR := s.dev.Stats().Reads
+	devR := s.rd.Stats().Reads
 	read(s, eng, a)
-	if s.dev.Stats().Reads <= devR {
+	if s.rd.Stats().Reads <= devR {
 		t.Fatal("block must still be served by the cache afterwards")
 	}
 }
@@ -374,7 +374,7 @@ func TestWarmPathsPopulateState(t *testing.T) {
 	a := mem.Addr(0xc0000)
 	s.WarmRead(a, 0)
 	s.WarmWriteback(a+mem.LineBytes, 0)
-	if mm.Stats().CAS() != 0 || s.dev.Stats().CAS() != 0 {
+	if mm.Stats().CAS() != 0 || s.rd.Stats().CAS() != 0 {
 		t.Fatal("warm paths must not generate traffic")
 	}
 	line := s.tags.Probe(a)

@@ -6,7 +6,7 @@ import (
 	"dap/internal/ckpt"
 )
 
-// Checkpoint serialization for the three memory-side cache controllers.
+// Checkpoint serialization for the two memory-side cache controllers.
 // Functional warmup (WarmRead/WarmWriteback) mutates only the structures
 // serialized here: the sector/line tag arrays (including per-block
 // valid/dirty masks and replacement metadata), the SRAM tag cache, the
@@ -16,7 +16,9 @@ import (
 // before measurement on both the straight and the resumed path, so none of
 // them is serialized.
 
-// SaveState serializes the sectored DRAM cache's warmup-visible state.
+// SaveState serializes the sectored cache's warmup-visible state. The
+// eDRAM cache saves its tags and two absent flags, for the tag cache and
+// the footprint table.
 func (s *Sectored) SaveState(e *ckpt.Enc) {
 	s.tags.SaveState(e)
 	e.Bool(s.tagCache != nil)
@@ -74,19 +76,6 @@ func (a *Alloy) LoadState(d *ckpt.Dec) error {
 	d.U64s(a.dbc.bits)
 	d.U64s(a.dbc.lru)
 	return d.Err()
-}
-
-// SaveState serializes the eDRAM cache's warmup-visible state.
-func (e *EDRAM) SaveState(enc *ckpt.Enc) {
-	e.tags.SaveState(enc)
-}
-
-// LoadState restores state saved by SaveState.
-func (e *EDRAM) LoadState(d *ckpt.Dec) error {
-	if err := e.tags.LoadState(d); err != nil {
-		return fmt.Errorf("mscache: edram tags: %w", err)
-	}
-	return nil
 }
 
 // saveFootprint serializes the footprint history table slot for slot: the

@@ -42,15 +42,19 @@ func (c *SectoredConfig) Validate() error {
 	} else if c.TagCacheEntries > 0 {
 		if c.TagCacheWays <= 0 {
 			errs.Addf("TagCacheWays", c.TagCacheWays, "must be positive when the tag cache is enabled")
-		} else if sets := c.TagCacheEntries / c.TagCacheWays; sets <= 0 || sets&(sets-1) != 0 {
+		} else if sets := c.TagCacheEntries / c.TagCacheWays; c.TagCacheEntries%c.TagCacheWays != 0 || sets&(sets-1) != 0 {
 			errs.Addf("TagCacheEntries", c.TagCacheEntries,
-				"entries/ways = %d sets; must be a positive power of two", sets)
+				"must be %d ways times a power-of-two set count", c.TagCacheWays)
 		}
 	}
 	if c.Replacement > cache.Rand {
 		errs.Addf("Replacement", c.Replacement, "unknown replacement policy")
 	}
-	errs.NonNegative("FootprintEntries", c.FootprintEntries)
+	if c.Footprint {
+		errs.Positive("FootprintEntries", c.FootprintEntries)
+	} else {
+		errs.NonNegative("FootprintEntries", c.FootprintEntries)
+	}
 	errs.Sub("Array", c.Array.Validate())
 	return errs.Err()
 }
@@ -69,9 +73,10 @@ func (c *AlloyConfig) Validate() error {
 				"capacity/line = %d direct-mapped sets; must be a positive power of two", sets)
 		}
 	}
-	errs.NonNegative("DBCEntries", c.DBCEntries)
-	if c.DBCEntries > 0 && c.DBCWays <= 0 {
-		errs.Addf("DBCWays", c.DBCWays, "must be positive when the dirty-bit cache is enabled")
+	if c.DBCWays <= 0 {
+		errs.Addf("DBCWays", c.DBCWays, "must be positive")
+	} else if c.DBCEntries <= 0 || c.DBCEntries%c.DBCWays != 0 {
+		errs.Addf("DBCEntries", c.DBCEntries, "must be a positive multiple of the %d ways", c.DBCWays)
 	}
 	errs.Sub("Array", c.Array.Validate())
 	return errs.Err()
@@ -98,12 +103,6 @@ func (c *EDRAMConfig) Validate() error {
 // description of the first violated line, or nil.
 func (s *Sectored) AuditInvariants() error {
 	return auditSectorMasks(s.tags)
-}
-
-// AuditInvariants checks the eDRAM cache's structural invariants (same
-// dirty-within-valid rule as the sectored DRAM cache).
-func (e *EDRAM) AuditInvariants() error {
-	return auditSectorMasks(e.tags)
 }
 
 // AuditInvariants checks the Alloy cache's metadata over the groups its

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"fmt"
 	"io"
 	"strconv"
 
@@ -234,8 +236,8 @@ type CounterTrack struct {
 }
 
 // WriteChromeTrace writes the retained spans as Chrome trace-event JSON
-// (the {"traceEvents":[...]} form) loadable in Perfetto or
-// chrome://tracing. Each span becomes a top-level complete event on its
+// (the {"displayTimeUnit":"ns","traceEvents":[...]} form) loadable in
+// Perfetto or chrome://tracing. Each span becomes a top-level complete event on its
 // core's track plus child events for the metadata-probe, device-queue and
 // data-service phases; a metadata event names each track.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
@@ -248,8 +250,16 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // on a nil tracer (emits only the counter tracks) and with nil tracks
 // (equivalent to WriteChromeTrace).
 func (t *Tracer) WriteChromeTraceWith(w io.Writer, tracks []CounterTrack) error {
-	cw := NewChromeTraceWriter(w)
-	emit := cw.Emit
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
+	sep := ""
+	// emit appends one event object; format must produce a complete JSON
+	// object.
+	emit := func(format string, args ...any) {
+		bw.WriteString(sep)
+		sep = ","
+		fmt.Fprintf(bw, format, args...)
+	}
 
 	for _, tr := range tracks {
 		for _, p := range tr.Points {
@@ -291,5 +301,6 @@ func (t *Tracer) WriteChromeTraceWith(w io.Writer, tracks []CounterTrack) error 
 			}
 		}
 	}
-	return cw.Close()
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
