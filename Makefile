@@ -4,7 +4,7 @@
 # exercised even when the main suite is filtered.
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke runner-race obs-check ckpt-race trace-demo profile profile-policies fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke runner-race obs-check ckpt-race trace-demo profile profile-policies fuzz-smoke figures-full
 
 check: fmt vet build race runner-race obs-check ckpt-race fuzz-smoke bench-smoke
 
@@ -29,7 +29,7 @@ race:
 # obs-check vets the observer package and runs it under the race detector,
 # then the harness's observer bit-identity proofs (sampler, tracer,
 # decision recorder, flight recorder) and the flight recorder's stall
-# capture on full and sampled runs.
+# capture.
 obs-check:
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/... -run . -count=1
@@ -100,6 +100,15 @@ profile-policies:
 	$(GO) run ./cmd/dapsim -quick -mix hetero-sim-01 -policy sbd -cpuprofile out/cpu_sbd.prof
 	$(GO) run ./cmd/dapsim -quick -mix hetero-sim-01 -policy batman -cpuprofile out/cpu_batman.prof
 	$(GO) tool pprof -top -nodecount=15 out/cpu_sbd.prof out/cpu_batman.prof
+
+# figures-full regenerates every figures key at full length, sharing
+# warmup checkpoints in memory, into figures_full.txt: about 15 minutes
+# on two CPUs. The binary is built with go build, not go run, so its
+# header line carries the commit; a (total in Ns) line follows the last key.
+figures-full:
+	mkdir -p out
+	$(GO) build -o out/figures ./cmd/figures
+	out/figures -ckpt > figures_full.txt
 
 # trace-demo produces a small end-to-end observability artifact set: a
 # Perfetto-loadable Chrome trace of L3-miss lifecycles and a per-window

@@ -47,8 +47,7 @@ func main() {
 		wdog    = flag.Int("watchdog", 0, "forward-progress watchdog deadline in events (0 = default, -1 = off)")
 		seed    = flag.Uint64("seed", 0, "workload address-stream seed (0 = default streams)")
 		ckptDir = flag.String("ckpt-dir", "", "reuse warmup checkpoints under this directory: the post-warmup state is snapshotted once per (workload, arch, warmup, seed, SRAM, prefetcher and memory-side tag geometry) and later runs — any policy — resume from it bit-identically")
-		sampled = flag.Bool("sampled", false, "SMARTS-style interval sampling: alternate functional fast-forward with short measured intervals and report means with 95% confidence intervals (falls back to the full run if they do not converge)")
-		replic  = flag.Int("replicate", 0, "run N replicas over seeds 0..N-1 and report mean/std aggregate IPC")
+		replic  = flag.Int("replicate", 0, "run N replicas over seeds 0..N-1 and report mean/std aggregate IPC (takes none of -seed, -ckpt-dir or the artifact and profile flags)")
 		jobs    = flag.Int("j", 0, "max concurrent replica simulations (0 = GOMAXPROCS, 1 = serial)")
 
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of L3-miss lifecycles to this file (load in Perfetto); with -decisions, per-window gap/fraction counter tracks are merged in")
@@ -71,6 +70,12 @@ func main() {
 			fmt.Println("  " + m.Name)
 		}
 		return
+	}
+	if ignored := ignoredFlags(*replic > 0); len(ignored) > 0 {
+		if *replic > 0 {
+			fatalf("-replicate runs seeds 0..N-1 with no checkpoint cache, artifacts or profiles; drop %s", strings.Join(ignored, ", "))
+		}
+		fatalf("-j sets how many replicas run at once; it needs -replicate")
 	}
 
 	cfg := dap.DefaultConfig()
@@ -111,7 +116,6 @@ func main() {
 	// The flight recorder changes no result and no fingerprint (cfgKey
 	// ignores Observe); an aborted run prints its entries.
 	cfg.Observe.Flight = true
-	cfg.Sampled = *sampled
 
 	var ckpts *dap.WarmupCheckpoints
 	if *ckptDir != "" {
@@ -175,10 +179,10 @@ func main() {
 
 	// One-line effective configuration so a pasted log is self-describing.
 	header := fmt.Sprintf(
-		"dapsim %s: arch=%s policy=%s cores=%d instr=%d warm=%d seed=%d dap-window=%d trace=%v metrics-every=%d sampled=%v decisions=%v",
+		"dapsim %s: arch=%s policy=%s cores=%d instr=%d warm=%d seed=%d dap-window=%d trace=%v metrics-every=%d decisions=%v",
 		mix.Name, *arch, *policy, *cores, cfg.MeasureInstr, cfg.WarmAccesses,
 		*seed, dap.EffectiveDAPWindow(cfg), cfg.Observe.TraceEvery > 0, cfg.Observe.MetricsEvery,
-		cfg.Sampled, cfg.Observe.Decisions)
+		cfg.Observe.Decisions)
 	if !*asJSON {
 		fmt.Println(header)
 	}
@@ -228,14 +232,13 @@ func main() {
 
 // exportStamp renders the self-describing provenance header stamped onto
 // metrics and decision exports: workload, seed, configuration fingerprint,
-// build version, plus the run-acceleration knobs (warmup-checkpoint reuse
-// and interval sampling) that decide whether the rows are bit-exact full-run
-// values or checkpoint-resumed/sampled estimates. A file carrying this line
-// can always be reproduced from its header alone.
+// build version, and the warmup-checkpoint directory the run resumed from
+// (a resumed run's rows equal a straight run's bit for bit). A file
+// carrying this line can always be reproduced from its header alone.
 func exportStamp(cfg dap.Config, mixName string, seed uint64, ckptDir string) string {
-	return fmt.Sprintf("mix=%s seed=%d fingerprint=%s version=%s ckpt=%v ckpt-dir=%q sampled=%v",
+	return fmt.Sprintf("mix=%s seed=%d fingerprint=%s version=%s ckpt=%v ckpt-dir=%q",
 		mixName, seed, dap.ConfigFingerprint(cfg), dap.BuildVersion(),
-		ckptDir != "", ckptDir, cfg.Sampled)
+		ckptDir != "", ckptDir)
 }
 
 // writeArtifacts persists the observability outputs: the Chrome trace JSON
@@ -313,7 +316,6 @@ type jsonReport struct {
 	DAP        struct {
 		FWB, WB, IFRM, SFRM uint64
 	} `json:"dap_decisions"`
-	Sampling *dap.SamplingReport `json:"sampling,omitempty"`
 }
 
 func reportJSON(r dap.Result, mixName, arch, policy, header string) {
@@ -326,7 +328,6 @@ func reportJSON(r dap.Result, mixName, arch, policy, header string) {
 		MainMemCAS: r.MainMemCAS,
 		CASFrac:    r.MainMemCASFraction(),
 		Delivered:  r.DeliveredGBps,
-		Sampling:   r.Sampling,
 	}
 	for _, c := range r.Cores {
 		out.CoreIPC = append(out.CoreIPC, c.IPC())
@@ -342,17 +343,6 @@ func reportJSON(r dap.Result, mixName, arch, policy, header string) {
 }
 
 func report(r dap.Result) {
-	if sr := r.Sampling; sr != nil {
-		switch {
-		case sr.FellBack:
-			fmt.Printf("sampling: %d intervals did not converge; numbers below are the full-run fallback\n", sr.Intervals)
-		default:
-			fmt.Printf("sampling: %d intervals of %d instr (ff %d accesses), converged=%v\n",
-				sr.Intervals, sr.IntervalInstr, sr.FFAccesses, sr.Converged)
-			fmt.Printf("  aggregate IPC %s  delivered GB/s %s  hit ratio %s\n",
-				sr.IPC, sr.DeliveredGBps, sr.HitRatio)
-		}
-	}
 	fmt.Printf("cycles: %d\n", r.Cycles)
 	for i, c := range r.Cores {
 		fmt.Printf("  core %2d: IPC %.3f  L3 MPKI %6.2f  avg L3 read-miss latency %6.0f cycles\n",
@@ -382,6 +372,24 @@ func report(r dap.Result) {
 			t, f*100, w*100, ifrm*100, sfrm*100)
 	}
 	fmt.Printf("delivered bandwidth: %.1f GB/s\n", r.DeliveredGBps)
+}
+
+// ignoredFlags names, in the order the command line set them, the flags
+// the chosen mode would silently ignore: a replicated run measures seeds
+// 0..N-1 with no checkpoint cache, artifact or profile, and only a
+// replicated run reads -j.
+func ignoredFlags(replicate bool) []string {
+	singleOnly := map[string]bool{
+		"seed": true, "ckpt-dir": true, "trace": true, "trace-sample": true, "decisions": true,
+		"metrics-every": true, "metrics-out": true, "cpuprofile": true, "memprofile": true,
+	}
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if replicate && singleOnly[f.Name] || !replicate && f.Name == "j" {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
 }
 
 // setCacheBW gives the selected HBM cache (sectored or Alloy) the paper's

@@ -73,3 +73,42 @@ func TestCacheBWNeedsHBMCache(t *testing.T) {
 		t.Fatalf("exit status %d, stderr %q; want 1 and a message naming -cachebw", code, stderr)
 	}
 }
+
+// TestReplicateRejectsIgnoredFlags: a replicated run measures seeds
+// 0..N-1 with no checkpoint cache, artifact or profile, and a single run
+// has no replicas for -j to fan out. Each such combination exits 1 with
+// one line naming the flags, before -ckpt-dir creates its directory.
+func TestReplicateRejectsIgnoredFlags(t *testing.T) {
+	run := []string{"-quick", "-workload", "mcf", "-instr", "20000", "-warm", "5000"}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		named []string
+	}{
+		{"seed", []string{"-replicate", "2", "-seed", "9"}, []string{"-seed"}},
+		{"ckpt-dir", []string{"-replicate", "2", "-ckpt-dir", "DIR/ckpt"}, []string{"-ckpt-dir"}},
+		{"artifacts", []string{"-replicate", "2", "-j", "1", "-ckpt-dir", "DIR/ckpt", "-seed", "9", "-decisions", "DIR/d.csv"},
+			[]string{"-ckpt-dir", "-seed", "-decisions"}},
+		{"j-alone", []string{"-j", "2"}, []string{"-j"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string(nil), run...)
+			for _, a := range tc.args {
+				args = append(args, strings.ReplaceAll(a, "DIR", dir))
+			}
+			stderr, code := dapsim(t, args...)
+			if code != 1 || strings.Count(stderr, "\n") != 1 {
+				t.Fatalf("exit status %d, stderr %q; want 1 and one line", code, stderr)
+			}
+			for _, f := range tc.named {
+				if !strings.Contains(stderr, f) {
+					t.Errorf("stderr %q does not name %s", stderr, f)
+				}
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+				t.Errorf("the rejected run left %d entries in its directory (%v)", len(entries), err)
+			}
+		})
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -64,7 +65,6 @@ func main() {
 	jobs := flag.Int("j", 0, "max concurrent simulations per experiment (0 = GOMAXPROCS, 1 = serial)")
 	useCkpt := flag.Bool("ckpt", false, "share warmup checkpoints across each figure's variants (bit-identical output, warmup runs once per mix)")
 	ckptDir := flag.String("ckpt-dir", "", "persist warmup checkpoints under this directory so reruns skip warmup entirely (implies -ckpt)")
-	sampled := flag.Bool("sampled", false, "SMARTS interval sampling: estimate each figure point from measured intervals with 95% CIs instead of the full timed region (fast, approximate)")
 	flag.Parse()
 	drivers, err := selectDrivers(*only)
 	if err != nil {
@@ -72,7 +72,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := dap.Options{Quick: *quick, Parallel: *jobs, Sampled: *sampled}
+	opts := dap.Options{Quick: *quick, Parallel: *jobs}
 	if *ckptDir != "" {
 		ck, err := dap.NewWarmupCheckpoints(*ckptDir)
 		if err != nil {
@@ -83,6 +83,10 @@ func main() {
 	} else if *useCkpt {
 		opts.Ckpt = dap.InMemoryWarmupCheckpoints()
 	}
+	// The host line makes a saved run's timing lines comparable.
+	fmt.Printf("figures %s: %d CPUs, GOMAXPROCS %d, %s, GOARCH %s\n\n",
+		dap.BuildVersion(), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), runtime.GOARCH)
+	total := time.Now()
 	for _, d := range drivers {
 		start := time.Now()
 		fig := d.Run(opts)
@@ -92,6 +96,7 @@ func main() {
 		}
 		fmt.Printf("(%s in %.0fs)\n\n", d.Key, time.Since(start).Seconds())
 	}
+	fmt.Printf("(total in %.0fs)\n", time.Since(total).Seconds())
 	if opts.Ckpt != nil {
 		st := opts.Ckpt.Stats()
 		fmt.Printf("warmup checkpoints: built %d, disk hits %d, load failures %d\n",

@@ -200,14 +200,6 @@ func RunCheckpointedE(cfg Config, w Workload, seed uint64, ck *WarmupCheckpoints
 	return harness.RunSeededCkptE(cfg, w, seed, ck)
 }
 
-// SamplingReport is the interval-sampling estimator's account found on
-// Result.Sampling when Config.Sampled is set: interval count, convergence,
-// and 95% confidence intervals for the headline metrics.
-type SamplingReport = harness.SamplingReport
-
-// MetricCI is a sampled metric: mean, 95% confidence half-width, intervals.
-type MetricCI = harness.MetricCI
-
 // AloneIPCE measures the single-core IPC of a named snippet on cfg, the
 // denominator of the paper's weighted-speedup metric.
 func AloneIPCE(cfg Config, name string) (float64, error) {

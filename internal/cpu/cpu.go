@@ -20,7 +20,6 @@ type CPU struct {
 
 	startAt   mem.Cycle
 	remaining int
-	halted    bool
 
 	blocks []warmBlock // Warm's pipeline blocks
 	batch  []warmOp    // the backend calls of the block Warm is walking
@@ -64,10 +63,8 @@ func (c *CPU) SetStreams(streams []workload.Stream) {
 func (c *CPU) Start(target uint64) {
 	c.startAt = c.eng.Now()
 	c.remaining = len(c.cores)
-	c.halted = false
 	for _, co := range c.cores {
 		co.target = target
-		co.fetchedPrior += co.fetched
 		co.fetched = 0
 		co.fetchedAt = c.eng.Now()
 		co.pendPos = uint64(co.pend.Gap)
@@ -79,25 +76,6 @@ func (c *CPU) Start(target uint64) {
 
 // Done reports whether every core reached its target.
 func (c *CPU) Done() bool { return c.remaining == 0 }
-
-// Halt stops issuing new accesses on every core. Outstanding loads,
-// prefetches and wake events keep draining through the engine; once
-// Quiesced reports true the cores are idle and a new measured interval can
-// begin with Start (which clears the halt). Used by SMARTS-style interval
-// sampling to end a measured interval without running cores to a target.
-func (c *CPU) Halt() { c.halted = true }
-
-// Quiesced reports whether every core has fully drained: no in-flight
-// loads, no outstanding MSHR fills or prefetches, and no pending wake
-// events. Only meaningful after Halt.
-func (c *CPU) Quiesced() bool {
-	for _, co := range c.cores {
-		if len(co.inflight) != 0 || len(co.mshr) != 0 || co.pfOut != 0 || co.wakeSet {
-			return false
-		}
-	}
-	return true
-}
 
 // ProgressFingerprint returns a value that changes whenever the slowest
 // unfinished core fetches an instruction — the forward-progress signal the
@@ -184,11 +162,6 @@ type core struct {
 	depOut    bool     // a dependent (chase) load is outstanding
 	waitDep   bool     // issue stalled on the outstanding dependent load
 	wakeSet   bool     // a rate-limit wake event is scheduled
-
-	// fetchedPrior sums fetched over earlier timed regions (the intervals
-	// of a sampled run), so the IPC probe reads a counter that never
-	// resets. Observers only.
-	fetchedPrior uint64
 
 	target   uint64
 	finished bool
@@ -368,9 +341,6 @@ func (co *core) checkFinished() {
 // advance is the core's event handler: fetch toward the next access, issue
 // it when reached, repeat; otherwise arrange to be woken.
 func (co *core) advance() {
-	if co.cpu.halted {
-		return
-	}
 	eng := co.cpu.eng
 	for {
 		co.catchUp()

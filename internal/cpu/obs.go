@@ -15,6 +15,6 @@ import (
 func (c *CPU) RegisterMetrics(s *obs.Sampler) {
 	for i := range c.cores {
 		co := c.cores[i]
-		s.Util(fmt.Sprintf("core%d.ipc", i), func() uint64 { return co.fetchedPrior + co.fetched })
+		s.Util(fmt.Sprintf("core%d.ipc", i), func() uint64 { return co.fetched })
 	}
 }

@@ -87,11 +87,12 @@ func warmSplit(t *testing.T, steps ...int) ([]byte, []warmCall) {
 
 // TestWarmSplitEqualsWhole: Warm(a) then Warm(n-a) leaves the state and
 // makes the backend calls of Warm(n), so every Warm drains its pipeline
-// before it returns (the sampled path's fast-forwards rely on it). a is a
-// whole number of chunks, which keeps the serial interleaving of the cores
-// alike, but not of blocks, so the hand-offs fall elsewhere; n ends in a
-// partial chunk. The replay names each call's core from its chunk, so
-// every read must name the core whose line it reads.
+// before it returns (SaveCheckpoint, which reads the state Warmup leaves,
+// relies on it). a is a whole number of chunks, which keeps the serial
+// interleaving of the cores alike, but not of blocks, so the hand-offs
+// fall elsewhere; n ends in a partial chunk. The replay names each call's
+// core from its chunk, so every read must name the core whose line it
+// reads.
 func TestWarmSplitEqualsWhole(t *testing.T) {
 	n := 9*warmRounds*warmChunk + 3*warmChunk + 17
 	a := 2*warmRounds*warmChunk + warmChunk

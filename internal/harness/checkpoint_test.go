@@ -236,10 +236,6 @@ func TestWarmKeyClassifiesEveryConfigField(t *testing.T) {
 		"WatchdogEvents":  {runtime, func(c *Config) { c.WatchdogEvents++ }},
 		"Faults":          {runtime, func(c *Config) { c.Faults = &faultinject.Plan{DropReadEvery: 1} }},
 		"Observe":         {runtime, func(c *Config) { c.Observe.TraceEvery = 1 }},
-		"Sampled":         {runtime, func(c *Config) { c.Sampled = !c.Sampled }},
-		"SampleMin":       {runtime, func(c *Config) { c.SampleMin++ }},
-		"SampleMax":       {runtime, func(c *Config) { c.SampleMax++ }},
-		"SampleCI":        {runtime, func(c *Config) { c.SampleCI += 0.01 }},
 	}
 
 	// The leaves of Config: its own fields, with the cpu and memory-side
@@ -617,49 +613,5 @@ func TestCheckpointTraceStreamCursor(t *testing.T) {
 
 	if !reflect.DeepEqual(r1.Run, r2.Run) {
 		t.Fatal("trace-fed run diverged after checkpoint restore")
-	}
-}
-
-// TestSampledRunBracketsFullRun checks the estimator's contract on a quick
-// configuration: a converged sampled run's IPC confidence interval must
-// bracket the full run's aggregate IPC (with modest slack for the estimator's
-// systematic interval-boundary bias), and a fallback must return the full
-// run's numbers bit-identically with FellBack set.
-func TestSampledRunBracketsFullRun(t *testing.T) {
-	cfg := Quick()
-	cfg.Policy = DAP
-	mix := quickMix()
-	full := RunMix(cfg, mix)
-	var fullIPC float64
-	for i := range full.Cores {
-		fullIPC += full.Cores[i].IPC()
-	}
-
-	sc := cfg
-	sc.Sampled = true
-	r := RunMix(sc, mix)
-	rep := r.Sampling
-	if rep == nil {
-		t.Fatal("sampled run carries no sampling report")
-	}
-	t.Logf("full IPC %.4f; sampled %s over %d intervals (converged=%v fellback=%v)",
-		fullIPC, rep.IPC, rep.Intervals, rep.Converged, rep.FellBack)
-	if rep.FellBack {
-		if !reflect.DeepEqual(full.Run, r.Run) {
-			t.Fatal("fallback run diverged from the plain full run")
-		}
-		return
-	}
-	if !rep.Converged {
-		t.Fatalf("sampled run neither converged nor fell back: %+v", rep)
-	}
-	slack := 0.15 * rep.IPC.Mean
-	if fullIPC < rep.IPC.Lo()-slack || fullIPC > rep.IPC.Hi()+slack {
-		t.Fatalf("full-run IPC %.4f outside sampled CI %s (+%.4f slack)",
-			fullIPC, rep.IPC, slack)
-	}
-	if r.Cycles >= full.Cycles {
-		t.Fatalf("sampled run simulated %d detailed cycles, full run %d — no savings",
-			r.Cycles, full.Cycles)
 	}
 }

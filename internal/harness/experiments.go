@@ -30,14 +30,6 @@ type Options struct {
 	// running with Ckpt nil; only the wall clock changes.
 	Ckpt *Checkpoints
 
-	// Sampled switches every driver simulation to SMARTS interval sampling
-	// (Config.Sampled): the timed region shrinks to a train of measured
-	// intervals, so the figure becomes a confidence-interval-backed
-	// estimate produced in a fraction of the detailed-simulation time.
-	// Unlike Ckpt this trades exactness for speed; leave it off when the
-	// figure must be bit-exact.
-	Sampled bool
-
 	// tiny shrinks runs far below Quick so in-package tests can afford to
 	// execute whole drivers repeatedly (e.g. the parallel-vs-serial
 	// determinism sweep). Deliberately unexported: figures produced at this
@@ -57,7 +49,6 @@ func (o Options) base() Config {
 	default:
 		c = Default()
 	}
-	c.Sampled = o.Sampled
 	return c
 }
 

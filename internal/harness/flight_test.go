@@ -51,51 +51,47 @@ func TestObservabilityIsBitIdenticalWithFlight(t *testing.T) {
 // TestFlightRecorderCapturesStall faultinjects a DRAM-drop stall and
 // asserts the run keeps its postmortem: a bounded flight recording that
 // ends with the abort, periodic samples showing the frozen system, and a
-// watchdog StallError carrying the engine snapshot. Full and sampled runs
-// must both keep the recording.
+// watchdog StallError carrying the engine snapshot.
 func TestFlightRecorderCapturesStall(t *testing.T) {
-	for _, sampled := range []bool{false, true} {
-		t.Run(map[bool]string{false: "full", true: "sampled"}[sampled], func(t *testing.T) {
-			cfg := hardenConfig()
-			cfg.Policy = DAP
-			cfg.WatchdogEvents = 10_000
-			cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
-			cfg.Observe.Flight = true
-			cfg.Sampled = sampled
+	t.Run("full", func(t *testing.T) {
+		cfg := hardenConfig()
+		cfg.Policy = DAP
+		cfg.WatchdogEvents = 10_000
+		cfg.Faults = &faultinject.Plan{DropReadEvery: 1, DropReadAfter: 1000}
+		cfg.Observe.Flight = true
 
-			r, err := RunMixE(cfg, quickMix())
-			if err == nil {
-				t.Fatal("run with every read response dropped completed normally")
+		r, err := RunMixE(cfg, quickMix())
+		if err == nil {
+			t.Fatal("run with every read response dropped completed normally")
+		}
+		if r.Flight == nil {
+			t.Fatal("aborted run has no flight recording")
+		}
+		if n := r.Flight.Len(); n == 0 || n > 256 {
+			t.Fatalf("flight ring has %d entries, want 1..256", n)
+		}
+		entries := r.Flight.Entries()
+		if last := entries[len(entries)-1].Note; !strings.HasPrefix(last, "run-aborted") {
+			t.Errorf("last entry is %q, want run-aborted", last)
+		}
+		var periodic int
+		for _, e := range entries {
+			if strings.HasPrefix(e.Note, "pending=") {
+				periodic++
 			}
-			if r.Flight == nil {
-				t.Fatal("aborted run has no flight recording")
-			}
-			if n := r.Flight.Len(); n == 0 || n > 256 {
-				t.Fatalf("flight ring has %d entries, want 1..256", n)
-			}
-			entries := r.Flight.Entries()
-			if last := entries[len(entries)-1].Note; !strings.HasPrefix(last, "run-aborted") {
-				t.Errorf("last entry is %q, want run-aborted", last)
-			}
-			var periodic int
-			for _, e := range entries {
-				if strings.HasPrefix(e.Note, "pending=") {
-					periodic++
-				}
-			}
-			// The stride is a 64th of the watchdog deadline, so the stall
-			// alone leaves dozens of samples.
-			if periodic < 32 {
-				t.Errorf("%d periodic samples in the flight ring, want at least 32", periodic)
-			}
+		}
+		// The stride is a 64th of the watchdog deadline, so the stall
+		// alone leaves dozens of samples.
+		if periodic < 32 {
+			t.Errorf("%d periodic samples in the flight ring, want at least 32", periodic)
+		}
 
-			var stall *sim.StallError
-			if !errors.As(err, &stall) {
-				t.Fatalf("abort is %T (%v), want *sim.StallError", err, err)
-			}
-			if !strings.Contains(stall.Snapshot, "queued") {
-				t.Errorf("stall snapshot missing engine state: %q", stall.Snapshot)
-			}
-		})
-	}
+		var stall *sim.StallError
+		if !errors.As(err, &stall) {
+			t.Fatalf("abort is %T (%v), want *sim.StallError", err, err)
+		}
+		if !strings.Contains(stall.Snapshot, "queued") {
+			t.Errorf("stall snapshot missing engine state: %q", stall.Snapshot)
+		}
+	})
 }

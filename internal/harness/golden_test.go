@@ -31,6 +31,9 @@ type goldenRun struct {
 	name string
 	cfg  Config
 	mix  workload.Mix
+	// exercises, when set, checks that the run reaches the mechanism it is
+	// in the file for; goldenTiny fails, -update included, when it does not.
+	exercises func(Result) error
 }
 
 // goldenSeed is the stream seed of every golden run.
@@ -38,8 +41,9 @@ const goldenSeed = 7
 
 // goldenRuns are the benchmark's configurations at bench's tiny scale (5k
 // warmup accesses and 20k measured instructions per core): the three cold
-// and resumed workloads, the figure point's six policies, and one sampled
-// run whose measured intervals are separated by functional fast-forwards.
+// and resumed workloads, the figure point's six policies, and one sectored
+// DAP run warmed long enough (40k accesses per core) to hit in the cache
+// and take all four DAP techniques.
 func goldenRuns() []goldenRun {
 	base := Quick()
 	base.WarmAccesses = 5_000
@@ -57,19 +61,28 @@ func goldenRuns() []goldenRun {
 		return c
 	}
 	runs := []goldenRun{
-		{"libquantum/sectored/dap", with(SectoredDRAM, DAP), rate("libquantum")},
-		{"parboil-lbm/edram/dap", with(SectoredEDRAM, DAP), rate("parboil-lbm")},
-		{"mcf/alloy/dap", with(AlloyCache, DAP), rate("mcf")},
+		{"libquantum/sectored/dap", with(SectoredDRAM, DAP), rate("libquantum"), nil},
+		{"parboil-lbm/edram/dap", with(SectoredEDRAM, DAP), rate("parboil-lbm"), nil},
+		{"mcf/alloy/dap", with(AlloyCache, DAP), rate("mcf"), nil},
 	}
 	hetero := workload.HeterogeneousMixes(base.CPU.Cores)[0]
 	for _, p := range []Policy{Baseline, DAP, DAPFWBWB, SBD, SBDWT, BATMAN} {
-		runs = append(runs, goldenRun{hetero.Name + "/sectored/" + p.String(), with(SectoredDRAM, p), hetero})
+		runs = append(runs, goldenRun{hetero.Name + "/sectored/" + p.String(), with(SectoredDRAM, p), hetero, nil})
 	}
-	sampled := with(SectoredDRAM, DAP)
-	sampled.Sampled = true
-	sampled.SampleMin, sampled.SampleMax, sampled.SampleCI = 4, 4, 0.5
-	runs = append(runs, goldenRun{"mcf/sectored/dap/sampled", sampled, rate("mcf")})
+	warm := with(SectoredDRAM, DAP)
+	warm.WarmAccesses = 40_000
+	runs = append(runs, goldenRun{"mcf/sectored/dap/warm40k", warm, rate("mcf"), hitsAndTakesEveryTechnique})
 	return runs
+}
+
+// hitsAndTakesEveryTechnique requires read hits in the memory-side cache
+// and at least one decision of each DAP technique: FWB, WB, IFRM and SFRM.
+func hitsAndTakesEveryTechnique(r Result) error {
+	if d := r.DAP; r.MemSide.ReadHits == 0 || d.FWB == 0 || d.WB == 0 || d.IFRM == 0 || d.SFRM == 0 {
+		return fmt.Errorf("read hits %d, FWB %d, WB %d, IFRM %d, SFRM %d; want each non-zero",
+			r.MemSide.ReadHits, d.FWB, d.WB, d.IFRM, d.SFRM)
+	}
+	return nil
 }
 
 // goldenTiny renders the golden file: a header naming the checkpoint format
@@ -88,8 +101,10 @@ func goldenTiny(t *testing.T) string {
 		if r.Abort != nil {
 			t.Fatalf("%s: %v", g.name, r.Abort)
 		}
-		if g.cfg.Sampled && (r.Sampling == nil || r.Sampling.FellBack) {
-			t.Fatalf("%s: the sampled run fell back to a full run", g.name)
+		if g.exercises != nil {
+			if err := g.exercises(r); err != nil {
+				t.Fatalf("%s: %v", g.name, err)
+			}
 		}
 		fmt.Fprintf(&b, "run %s fingerprint=%s digest=%016x ipc=%.6f hit=%.6f\n",
 			g.name, Fingerprint(g.cfg), runDigest(r), r.AggregateIPC(), r.MemSide.HitRatio())

@@ -7,7 +7,6 @@ import (
 
 	"dap/internal/check"
 	"dap/internal/faultinject"
-	"dap/internal/mem"
 	"dap/internal/sim"
 	"dap/internal/workload"
 )
@@ -94,53 +93,6 @@ func TestAuditorDetectsCorruptedCredits(t *testing.T) {
 	}
 	if ae.Cycle < 100_001 || ae.Cycle > 100_001+64 {
 		t.Fatalf("violation cycle %d not within one window of the corruption at 100001", ae.Cycle)
-	}
-}
-
-// TestSampledRunsAreAudited: interval-sampled runs arm the auditor and the
-// credit-fault injector from the same start step as full runs. Clean
-// audited sampled runs finish on every architecture, so the functional
-// fast-forward between intervals trips no check (it moves no CAS past the
-// bandwidth check); a credit corruption planned for the last quarter of a
-// sampled DAP run, after at least one fast-forward, is caught as a
-// dap-credits violation within one window.
-func TestSampledRunsAreAudited(t *testing.T) {
-	mix := traceableMix(2)
-	sampled := func(arch Arch) Config {
-		cfg := decTestConfig(arch)
-		cfg.Sampled = true
-		cfg.SampleMin, cfg.SampleMax, cfg.SampleCI = 4, 4, 1
-		cfg.Audit = true
-		return cfg
-	}
-	var cycles mem.Cycle
-	for _, tc := range decArchs {
-		r, err := RunMixE(sampled(tc.arch), mix)
-		if err != nil {
-			t.Fatalf("%s: clean audited sampled run: %v", tc.name, err)
-		}
-		if r.Sampling == nil || r.Sampling.FellBack || r.Sampling.Intervals != 4 {
-			t.Fatalf("%s: sampling report %+v, want four sampled intervals", tc.name, r.Sampling)
-		}
-		if tc.arch == SectoredDRAM {
-			cycles = r.Cycles
-		}
-	}
-
-	cfg := sampled(SectoredDRAM)
-	cfg.AuditEvery = 16
-	at := cycles * 3 / 4
-	cfg.Faults = &faultinject.Plan{CorruptCreditsAt: at, CorruptCreditsBy: -(1 << 40)}
-	_, err := RunMixE(cfg, mix)
-	var ae *AuditError
-	if !errors.As(err, &ae) {
-		t.Fatalf("expected *AuditError from the sampled run, got %T: %v", err, err)
-	}
-	if ae.Check != "dap-credits" {
-		t.Fatalf("wrong check caught the corruption: %v", ae)
-	}
-	if ae.Cycle < at || ae.Cycle > at+64 {
-		t.Fatalf("violation cycle %d not within one window of the corruption at %d", ae.Cycle, at)
 	}
 }
 
@@ -234,17 +186,16 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Policy = SBD                                  //
 	cfg.Faults = &faultinject.Plan{DelayMetaEvery: 3} // half-configured fault
 	cfg.Observe.TraceEvery = -1                       // negative tracing stride
-	cfg.SampleCI = -0.05                              // a target no run can meet
 
 	err := cfg.Validate()
 	var es check.Errors
 	if !errors.As(err, &es) {
 		t.Fatalf("expected check.Errors, got %T: %v", err, err)
 	}
-	if len(es) < 8 {
-		t.Fatalf("expected at least 8 diagnostics, got %d:\n%v", len(es), err)
+	if len(es) < 7 {
+		t.Fatalf("expected at least 7 diagnostics, got %d:\n%v", len(es), err)
 	}
-	wantFields := []string{"CPU.Cores", "CPU.L3Ways", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery", "SampleCI"}
+	wantFields := []string{"CPU.Cores", "CPU.L3Ways", "MainMemory.Channels", "MeasureInstr", "Policy", "Faults", "Observe.TraceEvery"}
 	for _, f := range wantFields {
 		found := false
 		for _, e := range es {

@@ -7,12 +7,11 @@ import (
 	"dap/internal/workload"
 )
 
-// arm begins a timed region's observation and guards, right after its
-// first CPU.Start: it starts the sampler and the flight recorder, then arms
+// arm begins the timed region's observation and guards, right after
+// CPU.Start: it starts the sampler and the flight recorder, then arms
 // the watchdog, the auditor (Config.Audit) and any planned credit
 // corruption, in that order, so the events they schedule keep one
-// sequence. Full and sampled runs both call it once and end with
-// finishObservers.
+// sequence. Measure calls it once and ends with finishObservers.
 func (s *System) arm(limit mem.Cycle) {
 	cfg := s.Cfg
 	if s.metrics != nil {

@@ -80,66 +80,6 @@ func TestObservabilityIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestObservabilityIsBitIdenticalSampled extends the observer proofs to
-// interval-sampled runs: with all four observers on, a sampled run's
-// stats.Run and SamplingReport match the unobserved sampled run's on every
-// architecture, and the run hands back what each observer saw.
-func TestObservabilityIsBitIdenticalSampled(t *testing.T) {
-	for _, tc := range decArchs {
-		t.Run(tc.name, func(t *testing.T) {
-			mix := traceableMix(2)
-			base := decTestConfig(tc.arch)
-			base.Sampled = true
-			// A loose target converges after four intervals, so the
-			// sampled path (not its full-run fallback) is what is compared.
-			base.SampleMin, base.SampleMax, base.SampleCI = 4, 4, 1
-			inst := base
-			inst.Observe = Observe{MetricsEvery: 5_000, TraceEvery: 1, Flight: true, Decisions: true}
-
-			plain := RunMix(base, mix)
-			obsRun := RunMix(inst, mix)
-			if plain.Abort != nil || obsRun.Abort != nil {
-				t.Fatalf("aborted runs: plain=%v obs=%v", plain.Abort, obsRun.Abort)
-			}
-			if obsRun.Sampling == nil || obsRun.Sampling.FellBack {
-				t.Fatalf("sampling report %+v, want a converged sampled run", obsRun.Sampling)
-			}
-			if !reflect.DeepEqual(plain.Run, obsRun.Run) {
-				t.Errorf("observed sampled stats.Run differs from the unobserved sampled run")
-			}
-			if !reflect.DeepEqual(plain.Sampling, obsRun.Sampling) {
-				t.Errorf("sampling report differs: plain %+v, observed %+v", plain.Sampling, obsRun.Sampling)
-			}
-			switch {
-			case obsRun.Metrics == nil || obsRun.Metrics.Samples() == 0:
-				t.Fatal("sampler recorded no windows")
-			case obsRun.Trace == nil || len(obsRun.Trace.Spans()) == 0 || obsRun.Breakdown.Spans() == 0:
-				t.Fatal("tracer recorded no spans")
-			case len(obsRun.Decisions.Records()) == 0:
-				t.Fatal("decision recorder recorded nothing")
-			case obsRun.Flight == nil || obsRun.Flight.Len() == 0:
-				t.Fatal("flight recorder recorded nothing")
-			}
-
-			// Every interval restarts the cores' fetch counters; the IPC
-			// series must not dip below zero across those restarts.
-			var csv bytes.Buffer
-			if err := obsRun.Metrics.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-			cols := strings.Split(lines[0], ",")
-			for _, line := range lines[1:] {
-				for i, v := range strings.Split(line, ",") {
-					if strings.HasSuffix(cols[i], ".ipc") && strings.HasPrefix(v, "-") {
-						t.Fatalf("negative %s = %s in window %s", cols[i], v, line[:strings.IndexByte(line, ',')])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestObservabilityOnAllArchitectures smoke-checks that every controller
 // wires the tracer and sampler without aborting, including the
 // no-cache baseline (mmOnly) path.

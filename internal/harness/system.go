@@ -151,28 +151,13 @@ type Config struct {
 	// Observe selects the run's observers. None of them changes a result,
 	// so they stay out of every configuration key (see cfgKey).
 	Observe Observe
-
-	// Sampled enables SMARTS-style interval sampling: instead of one long
-	// timed region, the run alternates functional fast-forward (sampleFF
-	// accesses per core) with short measured intervals (MeasureInstr/50
-	// instructions per core, at least 25,000) and reports per-metric means
-	// with measured 95% confidence intervals (Result.Sampling). If the
-	// intervals have not converged to SampleCI after SampleMax of them, the
-	// harness falls back to the full timed run.
-	Sampled bool
-	// SampleMin and SampleMax bound the number of measured intervals
-	// (0 = 8 and 40 respectively).
-	SampleMin, SampleMax int
-	// SampleCI is the convergence target: the 95% confidence half-width of
-	// aggregate IPC as a fraction of its mean (0 = 0.05).
-	SampleCI float64
 }
 
 // Observe selects the observers of a run. Every observer is strictly
 // read-only: a run with any of them on yields a bit-identical stats.Run
 // (the TestObservabilityIsBitIdentical* and
-// TestDecisionRecordingIsBitIdentical proofs). Full and sampled runs keep
-// them alike, and every buffer they fill has a fixed size.
+// TestDecisionRecordingIsBitIdentical proofs), and every buffer they fill
+// has a fixed size.
 type Observe struct {
 	// MetricsEvery enables the windowed metrics sampler: every MetricsEvery
 	// cycles the run samples DAP credits, technique activations,
@@ -267,12 +252,6 @@ type Result struct {
 	// with Decisions.WriteCSV/WriteJSONL, or WriteTrace to merge its
 	// counter tracks into the Chrome trace.
 	Decisions *core.DecisionRecorder
-	// Sampling reports the interval-sampling estimator when the run executed
-	// in Sampled mode: interval count, convergence, and 95% confidence
-	// intervals for the headline metrics. It is nil for full runs; on a
-	// sampled run that failed to converge, the harness falls back to the
-	// full timed run and returns its numbers with Sampling.FellBack set.
-	Sampling *SamplingReport
 }
 
 // OptimalMainMemFraction is the main-memory share of accesses that
@@ -525,9 +504,20 @@ func (s *System) Warmup() {
 
 // Measure runs the timed region on an already-warm system and collects the
 // results. A run is Warmup (or LoadCheckpoint) then Measure; see simulate.
+// It resets the measured statistics, then runs until every core has
+// retired MeasureInstr instructions or MaxCycles have passed.
 func (s *System) Measure() Result {
 	cfg := s.Cfg
-	start, limit := s.startTimed()
+	s.Ctrl.ResetStats()
+	s.MM.ResetStats()
+	if s.sectored != nil {
+		s.sectored.StartBATMAN()
+	}
+	limit := cfg.MaxCycles
+	if limit == 0 {
+		limit = mem.Cycle(400 * cfg.MeasureInstr) // far beyond any plausible CPI
+	}
+	start := s.Eng.Now()
 	s.CPU.Start(cfg.MeasureInstr)
 	s.arm(limit)
 	s.Eng.RunWhile(func() bool {
@@ -549,21 +539,6 @@ func (s *System) Measure() Result {
 	s.collect(&r, s.Eng.Now()-start, s.CPU.CoreStats())
 	s.finishObservers(&r)
 	return r
-}
-
-// startTimed resets the measured statistics and resolves the timed
-// region's start cycle and cycle budget. Full and sampled runs begin here.
-func (s *System) startTimed() (start, limit mem.Cycle) {
-	s.Ctrl.ResetStats()
-	s.MM.ResetStats()
-	if s.sectored != nil {
-		s.sectored.StartBATMAN()
-	}
-	limit = s.Cfg.MaxCycles
-	if limit == 0 {
-		limit = mem.Cycle(400 * s.Cfg.MeasureInstr) // far beyond any plausible CPI
-	}
-	return s.Eng.Now(), limit
 }
 
 // collect fills r with the configuration and the statistics of a timed
@@ -644,14 +619,10 @@ var simulations atomic.Int64
 
 // simulate is the one body behind every entry point that runs a
 // simulation: build the system, reseed its streams, restore it from ck or
-// warm it (ck may be nil), then run the timed region, sampled or full.
+// warm it (ck may be nil), then measure the timed region.
 func simulate(cfg Config, mix workload.Mix, seed uint64, ck *Checkpoints) Result {
 	simulations.Add(1)
-	s := ck.restoreOrWarm(newSystem(cfg, mix, seed))
-	if cfg.Sampled {
-		return s.runSampled(ck)
-	}
-	return s.Measure()
+	return ck.restoreOrWarm(newSystem(cfg, mix, seed)).Measure()
 }
 
 // newSystem builds a system and seeds its streams with seed.
@@ -718,9 +689,6 @@ func ReplicateParallel(parallel int, cfg Config, mix workload.Mix, n int, metric
 // one copy of the spec running alone.
 func AloneIPC(cfg Config, spec workload.Spec) float64 {
 	cfg.CPU.Cores = 1
-	// Alone IPCs are normalization denominators shared by every figure in
-	// the process; they stay exact even when the figure itself is sampled.
-	cfg.Sampled = false
 	mix := workload.Mix{Name: spec.Name + "-alone", Specs: []workload.Spec{spec}}
 	return simulate(cfg, mix, 0, nil).Cores[0].IPC()
 }
@@ -729,14 +697,12 @@ func AloneIPC(cfg Config, spec workload.Spec) float64 {
 // field that can influence a single-core alone run. It must be exhaustive:
 // the memo it keys is shared by every figure across a whole process, so two
 // configurations may only collide when the alone simulation they describe
-// is genuinely identical. Cores and Sampled are normalized (AloneIPC
-// forces one exact core, so sampled and full figure runs share entries)
+// is genuinely identical. Cores is normalized (AloneIPC forces one core)
 // and the two pointer fields are dereferenced — with the DAPOverride's
 // Backlog hook excluded, since that is injected per-system at Build time —
 // so that equal configurations format to equal keys.
 func aloneFingerprint(cfg Config) string {
 	cfg.CPU.Cores = 1
-	cfg.Sampled = false
 	return cfgKey(cfg)
 }
 

@@ -64,9 +64,6 @@ func (c *Config) Validate() error {
 		errs.Sub("Faults", c.Faults.Validate())
 	}
 
-	if c.SampleCI < 0 {
-		errs.Addf("SampleCI", c.SampleCI, "must not be negative (a sampled run could never converge)")
-	}
 	errs.NonNegative("Observe.TraceEvery", c.Observe.TraceEvery)
 	return errs.Err()
 }

@@ -108,7 +108,7 @@ type tagOp struct {
 	addr   mem.Addr
 	coreID int
 	stage  uint8
-	sfrm   bool // an SFRM read was launched to main memory in parallel
+	sfrm   bool // an SFRM credit was taken at the metadata fetch
 	inst   bool // install the fetched metadata into the SRAM tag cache
 	sp     *obs.Span
 	done   func(mem.Cycle)
@@ -365,9 +365,12 @@ func (s *Sectored) markMetaDirty(a mem.Addr) {
 
 // tagPath performs the metadata lookup and resumes op (via tagDone) when
 // the sector's state is known: after tagLat with on-die tags, else through
-// the SRAM tag cache or the DRAM array. op.sfrm records whether an SFRM
-// read was launched to main memory in parallel (the resumed operation must
-// not launch a second one).
+// the SRAM tag cache or the DRAM array. A read whose metadata comes from
+// the DRAM array takes its SFRM credit here, at the metadata fetch, and
+// op.sfrm records it; no main-memory read is issued with it, and
+// readTagKnown decides what the credit buys once the metadata returns.
+// The paper launches that read in parallel with the fetch; doing so is
+// the open fix of ROADMAP.md item 16.
 func (s *Sectored) tagPath(op *tagOp, isRead bool) {
 	a := op.addr
 	if s.onDie {
@@ -474,15 +477,16 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 		}
 		switch {
 		case sfrm && dirty:
-			// speculative main-memory read was wasted; data must
-			// come from the cache array
+			// a dirty hit reads the cache and makes no main-memory
+			// access, though SpecWasted counts it (ROADMAP.md item 16)
 			s.st.SpecForced++
 			s.st.SpecWasted++
 			sp.Decide(stats.BDTechSFRM)
 			sp.Serve(stats.BDSrcCache)
 			s.rd.AccessTraced(addr, mem.ReadKind, obs.OnIssue(sp), done)
 		case sfrm:
-			// clean hit already being served by main memory
+			// a clean hit's main-memory read, issued only now that
+			// the metadata has returned
 			s.st.SpecForced++
 			sp.Decide(stats.BDTechSFRM)
 			sp.Serve(stats.BDSrcMain)
@@ -499,7 +503,8 @@ func (s *Sectored) readTagKnown(addr mem.Addr, coreID int, sfrm bool, sp *obs.Sp
 		}
 		return
 	}
-	// read miss
+	// read miss: the ordinary miss path, whether or not an SFRM credit
+	// was taken
 	s.st.ReadMisses++
 	s.wc.AMM++
 	s.wc.Rm++

@@ -96,8 +96,8 @@ type MemSideStats struct {
 	FillBypasses  uint64
 	WriteBypasses uint64
 	ForcedMisses  uint64 // IFRM applications
-	SpecForced    uint64 // SFRM issued
-	SpecWasted    uint64 // SFRM that turned out dirty-hit (wasted MM bandwidth)
+	SpecForced    uint64 // read hits that spent an SFRM credit taken at the metadata fetch
+	SpecWasted    uint64 // of those, dirty hits: served by the cache, no main-memory access
 
 	TagCacheHits   uint64
 	TagCacheMisses uint64
@@ -126,9 +126,12 @@ func (m *MemSideStats) ReadHitRatio() float64 {
 	return float64(m.ReadHits) / float64(t)
 }
 
-// SpecWastedRatio is the fraction of SFRM speculative main-memory reads
-// whose data was discarded because the access turned out to be a dirty hit
-// (wasted main-memory bandwidth, Section 4.4).
+// SpecWastedRatio is the fraction of SFRM-credited read hits that were
+// dirty. In the paper (Section 4.4) those are speculative main-memory reads
+// whose data is discarded, wasted main-memory bandwidth. Here the credit is
+// taken at the metadata fetch and no main-memory read goes with it, so a
+// dirty hit reads the cache only and the ratio counts a cost the model
+// never charges; launching the read is the open fix of ROADMAP.md item 16.
 func (m *MemSideStats) SpecWastedRatio() float64 {
 	if m.SpecForced == 0 {
 		return 0
