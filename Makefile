@@ -27,12 +27,13 @@ race:
 	$(GO) test -race -timeout 90m ./...
 
 # obs-check vets the observer package and runs it under the race detector,
-# then the harness's observer bit-identity proofs (sampler, tracer,
-# decision recorder, flight recorder) and the flight recorder's stall
-# capture.
+# then the decision CSV golden beside the obs goldens, then the harness's
+# observer bit-identity proofs (sampler, tracer, decision recorder, flight
+# recorder) and the flight recorder's stall capture.
 obs-check:
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/... -run . -count=1
+	$(GO) test -race ./internal/core/ -run TestDecisionCSVGolden -count=1
 	$(GO) test -race ./internal/harness/ -run 'TestObservability|TestDecisionRecording|TestFlightRecorder' -count=1
 
 # ckpt-race drives the warmup-checkpoint cache under the race detector:
@@ -111,10 +112,12 @@ figures-full:
 	out/figures -ckpt > figures_full.txt
 
 # trace-demo produces a small end-to-end observability artifact set: a
-# Perfetto-loadable Chrome trace of L3-miss lifecycles and a per-window
-# metrics CSV (DAP credits, per-source bandwidth, hit ratios, per-core IPC).
+# Perfetto-loadable Chrome trace of L3-miss lifecycles, a per-window
+# metrics CSV (DAP credits, per-source bandwidth, hit ratios, per-core IPC)
+# and the per-window DAP decision CSV (counts, grants, fractions, gap).
 trace-demo:
 	mkdir -p out
 	$(GO) run ./cmd/dapsim -quick -workload mcf -policy dap \
-		-trace out/trace.json -metrics-every 1000 -metrics-out out/metrics.csv
-	@echo "open out/trace.json in https://ui.perfetto.dev, plot out/metrics.csv"
+		-trace out/trace.json -metrics-every 1000 -metrics-out out/metrics.csv \
+		-decisions out/decisions.csv
+	@echo "open out/trace.json in https://ui.perfetto.dev, plot out/metrics.csv and out/decisions.csv"

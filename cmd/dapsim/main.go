@@ -50,11 +50,11 @@ func main() {
 		replic  = flag.Int("replicate", 0, "run N replicas over seeds 0..N-1 and report mean/std aggregate IPC (takes none of -seed, -ckpt-dir or the artifact and profile flags)")
 		jobs    = flag.Int("j", 0, "max concurrent replica simulations (0 = GOMAXPROCS, 1 = serial)")
 
-		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of L3-miss lifecycles to this file (load in Perfetto); with -decisions, per-window gap/fraction counter tracks are merged in")
-		traceSample  = flag.Int("trace-sample", 0, "trace every Nth L3 miss (0 = tracer default of 1)")
-		decisionsOut = flag.String("decisions", "", "record per-window DAP decisions (window counts, K, credit refills, access fractions, optimality gap) and write them to this file (.jsonl/.json = JSON Lines, else CSV)")
+		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON of L3-miss lifecycles to this file (load in Perfetto)")
+		traceSample  = flag.Int("trace-sample", 0, "with -trace, trace every Nth L3 miss (0 = tracer default of 1)")
+		decisionsOut = flag.String("decisions", "", "with -policy dap or dap-fwb-wb, record per-window DAP decisions (window counts, K, credit refills, access fractions, optimality gap) and write them as CSV to this file")
 		metricsEvery = flag.Uint64("metrics-every", 0, "sample windowed metrics every N cycles (0 = off)")
-		metricsOut   = flag.String("metrics-out", "", "write the sampled metric series as CSV to this file (default stdout when sampling)")
+		metricsOut   = flag.String("metrics-out", "", "with -metrics-every, write the sampled metric series as CSV to this file (default stdout)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)
@@ -71,13 +71,6 @@ func main() {
 		}
 		return
 	}
-	if ignored := ignoredFlags(*replic > 0); len(ignored) > 0 {
-		if *replic > 0 {
-			fatalf("-replicate runs seeds 0..N-1 with no checkpoint cache, artifacts or profiles; drop %s", strings.Join(ignored, ", "))
-		}
-		fatalf("-j sets how many replicas run at once; it needs -replicate")
-	}
-
 	cfg := dap.DefaultConfig()
 	if *quick {
 		cfg = dap.QuickConfig()
@@ -95,6 +88,10 @@ func main() {
 	polVal, err := dap.ParsePolicyName(*policy)
 	fatalIf(err)
 	cfg.Policy = polVal
+	hasDAP := polVal == dap.PolicyDAP || polVal == dap.PolicyDAPFWBWB
+	if msg := ignoredFlags(*replic > 0, *metricsEvery > 0, *tracePath != "", hasDAP); msg != "" {
+		fatalf("%s", msg)
+	}
 	if *capMB > 0 {
 		cfg.Sectored.CapacityBytes = *capMB << 20
 		cfg.Alloy.CapacityBytes = *capMB << 20
@@ -241,16 +238,15 @@ func exportStamp(cfg dap.Config, mixName string, seed uint64, ckptDir string) st
 		ckptDir != "", ckptDir)
 }
 
-// writeArtifacts persists the observability outputs: the Chrome trace JSON
-// (with decision counter tracks merged in when recording was on), the
-// per-window decision records, and the sampled metric series (to a file, or
-// to stdout in text mode when no -metrics-out was given), the last two
-// stamped with their provenance.
+// writeArtifacts persists the observability outputs: the Chrome trace JSON,
+// the per-window decision records, and the sampled metric series (to a
+// file, or to stdout in text mode when no -metrics-out was given), the last
+// two as CSV stamped with their provenance.
 func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, asJSON bool, stamp string) {
 	if tracePath != "" && r.Trace != nil {
 		f, err := os.Create(tracePath)
 		fatalIf(err)
-		fatalIf(r.WriteTrace(f))
+		fatalIf(r.Trace.WriteChromeTrace(f))
 		fatalIf(f.Close())
 		if !asJSON {
 			fmt.Printf("trace: %d spans -> %s (dropped %d)\n",
@@ -258,10 +254,10 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 		}
 	}
 	if decisionsOut != "" && r.Decisions != nil {
-		exportFile(decisionsOut, stamp, r.Decisions.WriteJSONL, r.Decisions.WriteCSV)
+		exportFile(decisionsOut, stamp, r.Decisions.WriteCSV)
 		if !asJSON {
-			fmt.Printf("decisions: %d windows, %d policy events -> %s (evicted %d)\n",
-				len(r.Decisions.Records()), len(r.Decisions.Events()), decisionsOut, r.Decisions.Evicted())
+			fmt.Printf("decisions: %d windows -> %s (evicted %d)\n",
+				len(r.Decisions.Records()), decisionsOut, r.Decisions.Evicted())
 		}
 	}
 	if r.Metrics == nil {
@@ -269,7 +265,7 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 	}
 	switch {
 	case metricsOut != "":
-		exportFile(metricsOut, stamp, r.Metrics.WriteJSONL, r.Metrics.WriteCSV)
+		exportFile(metricsOut, stamp, r.Metrics.WriteCSV)
 		if !asJSON {
 			fmt.Printf("metrics: %d windows -> %s (dropped %d)\n",
 				r.Metrics.Samples(), metricsOut, r.Metrics.Dropped())
@@ -281,20 +277,13 @@ func writeArtifacts(r dap.Result, tracePath, metricsOut, decisionsOut string, as
 	}
 }
 
-// exportFile writes one observer export to path, led by the provenance
-// stamp: JSON Lines (jsonl) under a {"header": ...} object for a
-// `.jsonl`/`.json` suffix, CSV (csv) under a `# ...` comment line otherwise.
-func exportFile(path, stamp string, jsonl, csv func(io.Writer) error) {
+// exportFile writes one observer's CSV export to path, led by the
+// provenance stamp as a `# ...` comment line.
+func exportFile(path, stamp string, csv func(io.Writer) error) {
 	f, err := os.Create(path)
 	fatalIf(err)
-	if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json") {
-		hdr, _ := json.Marshal(stamp) // a string always marshals
-		fmt.Fprintf(f, "{\"header\":%s}\n", hdr)
-		fatalIf(jsonl(f))
-	} else {
-		fmt.Fprintf(f, "# %s\n", stamp)
-		fatalIf(csv(f))
-	}
+	fmt.Fprintf(f, "# %s\n", stamp)
+	fatalIf(csv(f))
 	fatalIf(f.Close())
 }
 
@@ -374,22 +363,40 @@ func report(r dap.Result) {
 	fmt.Printf("delivered bandwidth: %.1f GB/s\n", r.DeliveredGBps)
 }
 
-// ignoredFlags names, in the order the command line set them, the flags
-// the chosen mode would silently ignore: a replicated run measures seeds
-// 0..N-1 with no checkpoint cache, artifact or profile, and only a
-// replicated run reads -j.
-func ignoredFlags(replicate bool) []string {
+// ignoredFlags returns one line naming the flags set on the command line
+// that the chosen mode would silently ignore, or "" when it reads them all.
+// A replicated run measures seeds 0..N-1 with no checkpoint cache, artifact
+// or profile. Only a replicated run reads -j, and a single run reads
+// -metrics-out only when sampling, -trace-sample only when tracing, and
+// -decisions only when a DAP policy makes decisions to record.
+func ignoredFlags(replicate, sampling, tracing, hasDAP bool) string {
 	singleOnly := map[string]bool{
 		"seed": true, "ckpt-dir": true, "trace": true, "trace-sample": true, "decisions": true,
 		"metrics-every": true, "metrics-out": true, "cpuprofile": true, "memprofile": true,
 	}
-	var ignored []string
+	needs := map[string]string{"j": "-replicate"}
+	if !sampling {
+		needs["metrics-out"] = "-metrics-every"
+	}
+	if !tracing {
+		needs["trace-sample"] = "-trace"
+	}
+	if !hasDAP {
+		needs["decisions"] = "-policy dap or dap-fwb-wb"
+	}
+	var dropped, unmet []string
 	flag.Visit(func(f *flag.Flag) {
-		if replicate && singleOnly[f.Name] || !replicate && f.Name == "j" {
-			ignored = append(ignored, "-"+f.Name)
+		switch {
+		case replicate && singleOnly[f.Name]:
+			dropped = append(dropped, "-"+f.Name)
+		case !replicate && needs[f.Name] != "":
+			unmet = append(unmet, "-"+f.Name+" needs "+needs[f.Name])
 		}
 	})
-	return ignored
+	if len(dropped) > 0 {
+		return "-replicate runs seeds 0..N-1 with no checkpoint cache, artifacts or profiles; drop " + strings.Join(dropped, ", ")
+	}
+	return strings.Join(unmet, "; ")
 }
 
 // setCacheBW gives the selected HBM cache (sectored or Alloy) the paper's

@@ -76,8 +76,10 @@ func TestCacheBWNeedsHBMCache(t *testing.T) {
 
 // TestReplicateRejectsIgnoredFlags: a replicated run measures seeds
 // 0..N-1 with no checkpoint cache, artifact or profile, and a single run
-// has no replicas for -j to fan out. Each such combination exits 1 with
-// one line naming the flags, before -ckpt-dir creates its directory.
+// has no replicas for -j to fan out, no series for -metrics-out without
+// -metrics-every, no tracer for -trace-sample without -trace, and no DAP
+// decisions for -decisions under a baseline policy. Each such combination
+// exits 1 with one line naming the flags, before anything is created.
 func TestReplicateRejectsIgnoredFlags(t *testing.T) {
 	run := []string{"-quick", "-workload", "mcf", "-instr", "20000", "-warm", "5000"}
 	for _, tc := range []struct {
@@ -90,6 +92,9 @@ func TestReplicateRejectsIgnoredFlags(t *testing.T) {
 		{"artifacts", []string{"-replicate", "2", "-j", "1", "-ckpt-dir", "DIR/ckpt", "-seed", "9", "-decisions", "DIR/d.csv"},
 			[]string{"-ckpt-dir", "-seed", "-decisions"}},
 		{"j-alone", []string{"-j", "2"}, []string{"-j"}},
+		{"metrics-out-alone", []string{"-metrics-out", "DIR/m.csv"}, []string{"-metrics-out"}},
+		{"trace-sample-alone", []string{"-trace-sample", "4"}, []string{"-trace-sample"}},
+		{"decisions-batman", []string{"-policy", "batman", "-decisions", "DIR/d.csv"}, []string{"-decisions"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

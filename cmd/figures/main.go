@@ -61,7 +61,6 @@ func selectDrivers(only string) ([]dap.Driver, error) {
 func main() {
 	quick := flag.Bool("quick", false, "shortened runs")
 	only := flag.String("only", "", "comma-separated experiment keys (default: every key; an unknown key lists them)")
-	chart := flag.Bool("chart", false, "also render each figure's first series as an ASCII bar chart")
 	jobs := flag.Int("j", 0, "max concurrent simulations per experiment (0 = GOMAXPROCS, 1 = serial)")
 	useCkpt := flag.Bool("ckpt", false, "share warmup checkpoints across each figure's variants (bit-identical output, warmup runs once per mix)")
 	ckptDir := flag.String("ckpt-dir", "", "persist warmup checkpoints under this directory so reruns skip warmup entirely (implies -ckpt)")
@@ -91,9 +90,6 @@ func main() {
 		start := time.Now()
 		fig := d.Run(opts)
 		fmt.Println(fig.String())
-		if *chart {
-			fmt.Println(fig.Chart(0))
-		}
 		fmt.Printf("(%s in %.0fs)\n\n", d.Key, time.Since(start).Seconds())
 	}
 	fmt.Printf("(total in %.0fs)\n", time.Since(total).Seconds())

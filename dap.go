@@ -137,7 +137,7 @@ type Result = harness.Result
 
 // MetricsSampler is the windowed time-series sampler found on
 // Result.Metrics when Config.Observe.MetricsEvery is set; export its series
-// with WriteCSV or WriteJSONL.
+// with WriteCSV.
 type MetricsSampler = obs.Sampler
 
 // LifecycleTracer is the request-lifecycle tracer found on Result.Trace
@@ -246,21 +246,16 @@ type Driver = harness.Driver
 // them; DESIGN.md's experiment index says what each key reproduces.
 var Drivers = harness.Drivers
 
-// DecisionRecorder collects the per-window partitioner decision records and
-// baseline policy events found on Result.Decisions when
-// Config.Observe.Decisions is set; export with WriteCSV/WriteJSONL or merge
-// its counter tracks into the Chrome trace via Result.WriteTrace.
+// DecisionRecorder collects the per-window DAP decision records found on
+// Result.Decisions when Config.Observe.Decisions is set on a DAP run, with
+// the run's constants (solver variant, K ratio, sources, Equation 3 bound);
+// export with WriteCSV.
 type DecisionRecorder = core.DecisionRecorder
 
 // DecisionRecord is one window of partitioner introspection: solver inputs
-// (window counts, K ratio), outputs (credit refills), the implied access
-// fractions, and the counterfactual optimality-gap audit against the
-// Equation 3 bound.
+// (window counts), outputs (credit refills), the implied access fractions,
+// and the counterfactual optimality-gap audit against the Equation 3 bound.
 type DecisionRecord = core.DecisionRecord
-
-// PolicyEvent is the baseline policies' (SBD, BATMAN) introspection record,
-// captured at their own adjustment points into the same decision stream.
-type PolicyEvent = core.PolicyEvent
 
 // DeliveredBandwidth evaluates the paper's Equation 2 and OptimalFractions
 // Equation 3/4: how bandwidth is delivered by n parallel sources and how

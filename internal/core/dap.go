@@ -45,8 +45,12 @@ type Partitioner interface {
 	// TakeIFRM reports whether the next clean read hit (issued by the
 	// given core; -1 when unattributed) should be served from main memory.
 	TakeIFRM(core int) bool
-	// TakeSFRM reports whether a read with unknown hit/miss status should
-	// be speculatively issued to main memory alongside the metadata fetch.
+	// TakeSFRM reports whether a read with unknown hit/miss status takes
+	// an SFRM credit. The sectored controller, its only caller, spends the
+	// credit at the metadata fetch and issues no main-memory read with it:
+	// a clean hit's main-memory read is issued only once the metadata
+	// returns. The paper launches that read in parallel with the fetch;
+	// doing so is the open fix of ROADMAP.md item 16.
 	TakeSFRM() bool
 	// TakeWT reports whether a write should additionally be written
 	// through to main memory (Alloy-cache variant: keeps blocks clean so

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+
 	"dap/internal/mem"
 	"dap/internal/obs"
 )
-
-// DecisionRecordVersion is the schema version stamped on every record, so
-// exported decision logs stay interpretable as fields are added.
-const DecisionRecordVersion = 1
 
 // DecisionRecord is one window of partitioner introspection: exactly what
 // the Figure 3 solver saw at a window rollover, what it chose, and a
@@ -17,27 +18,23 @@ const DecisionRecordVersion = 1
 // those fractions, and compares against the Equation 3 bound (the
 // proportional split, which delivers the sum of the source bandwidths);
 // Gap is the fraction of that bound the chosen split leaves on the table.
+// What is constant over a run (the solver variant, K, the sources and the
+// bound) lives on the DecisionRecorder.
 //
 // A window whose demand does not saturate the cache solves to zero credits
 // by design; its record then audits the raw demand split — the gap of the
 // traffic DAP chose not to touch — which is what makes the series
 // comparable across partitioned and unpartitioned windows.
 type DecisionRecord struct {
-	// Version is DecisionRecordVersion at capture time.
-	Version int
 	// Cycle is the engine cycle the window closed at; Window is the
 	// 1-based window ordinal (DAP.Windows after the rollover).
 	Cycle  mem.Cycle
 	Window uint64
-	// Arch is the solver variant that produced the record.
-	Arch Arch
 
 	// Counts is the demand profile the solver consumed: the controller's
 	// window counters plus queue backlog, after EWMA smoothing when that
 	// learning variant is on.
 	Counts WindowCounts
-	// K is the hardware rational approximation of B_MS$/B_MM in use.
-	K Ratio
 
 	// Solved credit refills in applications (raw counters normalized by
 	// their hardware units: fwb/sfrm by Den, wb/ifrm by Num+Den), after
@@ -47,97 +44,44 @@ type DecisionRecord struct {
 	Partitioned bool
 
 	// Fractions is the per-source access split implied by applying every
-	// granted credit to this window's demand, ordered like SourceNames
-	// (cache read channels[, cache write channels], main memory). Optimal
-	// is the Equation 3/4 proportional split of the same sources.
+	// granted credit to this window's demand, ordered like the recorder's
+	// Sources (cache read channels[, cache write channels], main memory).
 	Fractions []float64
-	Optimal   []float64
 	// DeliveredGBps is Equation 2 evaluated at Fractions over the derated
-	// source bandwidths; OptimalGBps is the Equation 3 bound (their sum).
+	// source bandwidths.
 	DeliveredGBps float64
-	OptimalGBps   float64
-	// Gap = 1 - DeliveredGBps/OptimalGBps, clamped to [0, 1]; 0 for an
-	// empty window (no demand loses no bandwidth).
+	// Gap = 1 - DeliveredGBps/OptimalGBps (the recorder's Equation 3
+	// bound), clamped to [0, 1]; 0 for an empty window (no demand loses no
+	// bandwidth).
 	Gap float64
 }
 
-// PolicyEvent is the smaller introspection record captured at the baseline
-// policies' own adjustment points — BATMAN's epoch evaluation and SBD's
-// periodic dirty-list decay — so baseline steering behaviour lands in the
-// same artifact stream DAP decisions do.
-type PolicyEvent struct {
-	Version int
-	Cycle   mem.Cycle
-	// Policy is "batman" or "sbd".
-	Policy string
-
-	// BATMAN: epoch ordinal and the disabled-set state after it.
-	Epoch        uint64
-	DisabledSets int
-
-	// SBD: dirty-list occupancy and cumulative steering counters at decay.
-	DirtyPages                       int
-	SteeredMM, Promotions, Cleanings uint64
-}
-
-// DecisionRecorder collects per-window DecisionRecords plus baseline
-// PolicyEvents, each in a bounded obs.Ring that keeps the newest. Like the
-// obs.Tracer it is a strict observer with a nil-safe API: a nil
-// *DecisionRecorder is a valid disabled recorder, every method a no-op, so
-// the DAP and the controllers hook it unconditionally. Recording reads
+// DecisionRecorder collects per-window DecisionRecords in a bounded
+// obs.Ring that keeps the newest. It is a strict observer: recording reads
 // already-computed solver state and never feeds anything back, so a run
 // with recording on yields a bit-identical stats.Run
-// (TestDecisionRecordingIsBitIdentical).
+// (TestDecisionRecordingIsBitIdentical). A nil *DecisionRecorder has no
+// records.
 type DecisionRecorder struct {
-	recs   obs.Ring[DecisionRecord]
-	events obs.Ring[PolicyEvent]
+	// The run's constants, set once by DAP.SetRecorder: the solver
+	// variant, the hardware rational approximation of B_MS$/B_MM, the
+	// bandwidth sources every record's Fractions is ordered by, their
+	// Equation 3/4 proportional split, and the Equation 3 bound (the sum
+	// of the derated source bandwidths).
+	Arch        Arch
+	K           Ratio
+	Sources     []string
+	Optimal     []float64
+	OptimalGBps float64
 
-	sources []string
+	bw   []float64 // the derated source bandwidths Equation 2 is evaluated over
+	recs obs.Ring[DecisionRecord]
 }
 
 // NewDecisionRecorder builds a recorder retaining the newest 65,536
-// decision records and the newest 4,096 policy events (events are orders
-// of magnitude rarer than windows).
+// decision records.
 func NewDecisionRecorder() *DecisionRecorder {
-	return &DecisionRecorder{
-		recs:   obs.NewRing[DecisionRecord](1 << 16),
-		events: obs.NewRing[PolicyEvent](4096),
-	}
-}
-
-// setSources names the bandwidth sources the records' fraction vectors are
-// ordered by; the DAP calls it when the recorder is attached.
-func (r *DecisionRecorder) setSources(names []string) {
-	if r == nil {
-		return
-	}
-	r.sources = names
-}
-
-// SourceNames returns the per-source labels for Fractions/Optimal entries.
-func (r *DecisionRecorder) SourceNames() []string {
-	if r == nil {
-		return nil
-	}
-	return r.sources
-}
-
-// Add records one decision, evicting the oldest when the ring is full.
-func (r *DecisionRecorder) Add(rec DecisionRecord) {
-	if r == nil {
-		return
-	}
-	r.recs.Push(rec)
-}
-
-// AddPolicyEvent records one baseline-policy event, evicting the oldest
-// when the ring is full.
-func (r *DecisionRecorder) AddPolicyEvent(ev PolicyEvent) {
-	if r == nil {
-		return
-	}
-	ev.Version = DecisionRecordVersion
-	r.events.Push(ev)
+	return &DecisionRecorder{recs: obs.NewRing[DecisionRecord](1 << 16)}
 }
 
 // Records returns the retained decision records, oldest first.
@@ -148,22 +92,6 @@ func (r *DecisionRecorder) Records() []DecisionRecord {
 	return r.recs.All()
 }
 
-// Last returns the most recent decision record, or false before the first.
-func (r *DecisionRecorder) Last() (DecisionRecord, bool) {
-	if r == nil {
-		return DecisionRecord{}, false
-	}
-	return r.recs.Last()
-}
-
-// Events returns the retained policy events in capture order.
-func (r *DecisionRecorder) Events() []PolicyEvent {
-	if r == nil {
-		return nil
-	}
-	return r.events.All()
-}
-
 // Evicted reports how many decision records the ring evicted.
 func (r *DecisionRecorder) Evicted() uint64 {
 	if r == nil {
@@ -172,19 +100,60 @@ func (r *DecisionRecorder) Evicted() uint64 {
 	return r.recs.Evicted()
 }
 
-// SetRecorder attaches a decision recorder to the partitioner: every window
-// rollover of any solver variant then captures a DecisionRecord. Passing
-// nil detaches.
-func (d *DAP) SetRecorder(r *DecisionRecorder) {
-	d.rec = r
-	r.setSources(d.sourceNames())
+// WriteCSV writes the decision table, one row per retained window. The
+// arch, K and optimal columns repeat the recorder's per-run constants on
+// every row, so each row stands alone.
+func (r *DecisionRecorder) WriteCSV(w io.Writer) error {
+	var sb strings.Builder
+	sb.WriteString("cycle,window,arch,amsr,amsw,amm,rm,wm,clean_hits,k_num,k_den,fwb,wb,ifrm,sfrm,wt,partitioned")
+	for _, s := range r.Sources {
+		fmt.Fprintf(&sb, ",frac_%s", s)
+	}
+	for _, s := range r.Sources {
+		fmt.Fprintf(&sb, ",opt_%s", s)
+	}
+	sb.WriteString(",delivered_gbps,optimal_gbps,gap\n")
+	if _, err := io.WriteString(w, sb.String()); err != nil {
+		return err
+	}
+	for _, rec := range r.Records() {
+		sb.Reset()
+		fmt.Fprintf(&sb, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t",
+			uint64(rec.Cycle), rec.Window, int(r.Arch),
+			rec.Counts.AMSR, rec.Counts.AMSW, rec.Counts.AMM,
+			rec.Counts.Rm, rec.Counts.Wm, rec.Counts.CleanHits,
+			r.K.Num, r.K.Den,
+			rec.FWB, rec.WB, rec.IFRM, rec.SFRM, rec.WT, rec.Partitioned)
+		for _, v := range rec.Fractions {
+			fmt.Fprintf(&sb, ",%s", strconv.FormatFloat(v, 'g', 6, 64))
+		}
+		for _, v := range r.Optimal {
+			fmt.Fprintf(&sb, ",%s", strconv.FormatFloat(v, 'g', 6, 64))
+		}
+		fmt.Fprintf(&sb, ",%s,%s,%s\n",
+			strconv.FormatFloat(rec.DeliveredGBps, 'g', 6, 64),
+			strconv.FormatFloat(r.OptimalGBps, 'g', 6, 64),
+			strconv.FormatFloat(rec.Gap, 'g', 6, 64))
+		if _, err := io.WriteString(w, sb.String()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (d *DAP) sourceNames() []string {
+// SetRecorder attaches a decision recorder to the partitioner and sets its
+// per-run constants: every window rollover of any solver variant then
+// captures a DecisionRecord.
+func (d *DAP) SetRecorder(r *DecisionRecorder) {
+	d.rec = r
+	r.Arch, r.K = d.cfg.Arch, d.k
+	r.Sources = []string{"ms", "mm"}
 	if d.cfg.Arch == EDRAMArch {
-		return []string{"ms.rd", "ms.wr", "mm"}
+		r.Sources = []string{"ms.rd", "ms.wr", "mm"}
 	}
-	return []string{"ms", "mm"}
+	r.bw = d.cfg.SourceBandwidths()
+	r.Optimal = OptimalFractions(r.bw)
+	r.OptimalGBps = MaxDeliveredBandwidth(r.bw, 1)
 }
 
 // recordDecision captures the window just solved: w is the demand profile
@@ -195,25 +164,18 @@ func (d *DAP) sourceNames() []string {
 func (d *DAP) recordDecision(w *WindowCounts) {
 	den, unit := d.k.Den, d.k.Num+d.k.Den
 	rec := DecisionRecord{
-		Version: DecisionRecordVersion,
-		Cycle:   d.eng.Now(),
-		Window:  d.Windows,
-		Arch:    d.cfg.Arch,
-		Counts:  *w,
-		K:       d.k,
-		FWB:     d.rawFWB / den,
-		WB:      d.rawWB / unit,
-		IFRM:    d.rawIFRM / unit,
-		SFRM:    d.rawSFRM,
-		WT:      d.rawWT,
+		Cycle:  d.eng.Now(),
+		Window: d.Windows,
+		Counts: *w,
+		FWB:    d.rawFWB / den,
+		WB:     d.rawWB / unit,
+		IFRM:   d.rawIFRM / unit,
+		SFRM:   d.rawSFRM,
+		WT:     d.rawWT,
 	}
 	// Mirror setCredits' Partitioned++ criterion on the raw counters: a
 	// grant smaller than one application unit still partitions the window.
 	rec.Partitioned = d.rawFWB > 0 || d.rawWB > 0 || d.rawIFRM > 0 || d.rawSFRM > 0 || d.rawWT > 0
-
-	bw := d.cfg.SourceBandwidths()
-	rec.Optimal = OptimalFractions(bw)
-	rec.OptimalGBps = MaxDeliveredBandwidth(bw, 1)
 
 	// Reprice the window's demand under the granted redirections. Each FWB
 	// drops a cache fill outright; each WB and IFRM moves one cache access
@@ -244,12 +206,12 @@ func (d *DAP) recordDecision(w *WindowCounts) {
 		for i, a := range acc {
 			rec.Fractions[i] = float64(a) / float64(total)
 		}
-		rec.DeliveredGBps = DeliveredBandwidth(bw, rec.Fractions)
-		if rec.OptimalGBps > 0 {
-			rec.Gap = clampF(1-rec.DeliveredGBps/rec.OptimalGBps, 0, 1)
+		rec.DeliveredGBps = DeliveredBandwidth(d.rec.bw, rec.Fractions)
+		if opt := d.rec.OptimalGBps; opt > 0 {
+			rec.Gap = clampF(1-rec.DeliveredGBps/opt, 0, 1)
 		}
 	}
-	d.rec.Add(rec)
+	d.rec.recs.Push(rec)
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -260,36 +222,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// CounterTracks renders the recorded decision series as Perfetto counter
-// tracks — the optimality gap, the Equation 2 delivered bandwidth, and one
-// track per source access fraction — mergeable into the request-lifecycle
-// Chrome trace via obs.Tracer.WriteChromeTraceWith, so per-window solver
-// state lines up under the traced misses it caused.
-func (r *DecisionRecorder) CounterTracks() []obs.CounterTrack {
-	if r == nil || r.recs.Len() == 0 {
-		return nil
-	}
-	recs := r.Records()
-	tracks := []obs.CounterTrack{
-		{Name: "dap.gap"},
-		{Name: "dap.delivered_gbps"},
-	}
-	for _, s := range r.sources {
-		tracks = append(tracks, obs.CounterTrack{Name: "dap.frac." + s})
-	}
-	for i := range tracks {
-		tracks[i].Points = make([]obs.CounterPoint, 0, len(recs))
-	}
-	for _, rec := range recs {
-		tracks[0].Points = append(tracks[0].Points, obs.CounterPoint{Cycle: rec.Cycle, Value: rec.Gap})
-		tracks[1].Points = append(tracks[1].Points, obs.CounterPoint{Cycle: rec.Cycle, Value: rec.DeliveredGBps})
-		for i, f := range rec.Fractions {
-			if 2+i < len(tracks) {
-				tracks[2+i].Points = append(tracks[2+i].Points, obs.CounterPoint{Cycle: rec.Cycle, Value: f})
-			}
-		}
-	}
-	return tracks
 }

@@ -84,7 +84,6 @@ type ChannelStats struct {
 	RowMisses  uint64
 	BusyCycles mem.Cycle // data-bus occupancy
 	ReadLatSum mem.Cycle // enqueue-to-data latency, reads only
-	Refreshes  uint64
 }
 
 // CAS returns the total column accesses performed.
@@ -125,26 +124,6 @@ func newChannel(cfg *Config, eng *sim.Engine) *channel {
 	}
 	for i := range ch.banks {
 		ch.banks[i].openRow = -1
-	}
-	if cfg.RefreshInterval > 0 && cfg.RefreshCycles > 0 {
-		interval := cfg.cpuCycles(cfg.RefreshInterval)
-		dur := cfg.cpuCycles(cfg.RefreshCycles)
-		var refresh func()
-		refresh = func() {
-			// all banks close and the channel stalls for tRFC
-			start := maxCycle(eng.Now(), ch.busFree)
-			end := start + dur
-			ch.busFree = end
-			for i := range ch.banks {
-				ch.banks[i].openRow = -1
-				if ch.banks[i].nextData < end {
-					ch.banks[i].nextData = end
-				}
-			}
-			ch.stats.Refreshes++
-			eng.At(eng.Now()+interval, refresh)
-		}
-		eng.At(interval, refresh)
 	}
 	ch.tCAS = cfg.cpuCycles(cfg.TCAS)
 	ch.tRCD = cfg.cpuCycles(cfg.TRCD)

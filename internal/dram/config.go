@@ -7,11 +7,8 @@
 // the data bus is the bandwidth bottleneck (every 64 B access occupies the
 // bus for a burst), banks provide parallelism and row buffers provide the
 // latency/bandwidth difference between hits and misses. Command-bus
-// contention is not modeled. Refresh is modeled but off in every named
-// configuration (the paper likewise assumes no maintenance overheads for
-// its bandwidth kernels): Config.EnableRefresh sets RefreshInterval and
-// RefreshCycles, and each refresh closes every bank and stalls the channel
-// for tRFC.
+// contention and refresh are not modeled (the paper likewise assumes no
+// maintenance overheads for its bandwidth kernels).
 package dram
 
 import (
@@ -55,14 +52,6 @@ type Config struct {
 	WriteLow         int
 	TurnaroundCycles int
 
-	// Refresh: every RefreshInterval device clocks (tREFI) the channel
-	// stalls for RefreshCycles (tRFC) with all banks precharged. Zero
-	// disables refresh, the default — the paper's bandwidth kernels assume
-	// no maintenance overheads, and the evaluation is calibrated that way;
-	// enable it (EnableRefresh) to measure the ~2-4% bandwidth cost.
-	RefreshInterval int
-	RefreshCycles   int
-
 	// ReadOnly / WriteOnly mark eDRAM-style dedicated channels.
 	ReadOnly  bool
 	WriteOnly bool
@@ -95,24 +84,10 @@ func (c *Config) Validate() error {
 	if c.WriteHigh < c.WriteLow {
 		errs.Addf("WriteHigh", c.WriteHigh, "must be >= WriteLow (%d)", c.WriteLow)
 	}
-	if (c.RefreshInterval > 0) != (c.RefreshCycles > 0) {
-		errs.Addf("RefreshInterval", c.RefreshInterval,
-			"RefreshInterval and RefreshCycles must be set together (got tRFC %d)", c.RefreshCycles)
-	}
-	errs.NonNegative("RefreshInterval", c.RefreshInterval)
-	errs.NonNegative("RefreshCycles", c.RefreshCycles)
 	if c.ReadOnly && c.WriteOnly {
 		errs.Addf("ReadOnly", true, "a channel set cannot be both read-only and write-only")
 	}
 	return errs.Err()
-}
-
-// EnableRefresh sets JEDEC-typical refresh timing for the configuration
-// (tREFI 7.8 us, tRFC 350 ns at the device clock) and returns it.
-func (c Config) EnableRefresh() Config {
-	c.RefreshInterval = int(7800 * c.FreqMHz / 1000)
-	c.RefreshCycles = int(350 * c.FreqMHz / 1000)
-	return c
 }
 
 // cpuCycles converts device clocks to CPU cycles (rounded up).

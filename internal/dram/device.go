@@ -152,7 +152,6 @@ func (d *Device) Stats() ChannelStats {
 		s.RowMisses += ch.stats.RowMisses
 		s.BusyCycles += ch.stats.BusyCycles
 		s.ReadLatSum += ch.stats.ReadLatSum
-		s.Refreshes += ch.stats.Refreshes
 	}
 	return s
 }

@@ -15,7 +15,6 @@ func TestNamedConfigsValid(t *testing.T) {
 		DDR4_2400(), DDR4_2400NoIO(), DDR4_3200(), LPDDR4_2400(),
 		HBM102(), HBM128(), HBM204(),
 		EDRAMRead(51.2), EDRAMWrite(51.2),
-		DDR4_2400().EnableRefresh(),
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
@@ -48,17 +47,6 @@ func TestValidateCatchesDerivedTimingHazards(t *testing.T) {
 		if !fields[f] {
 			t.Errorf("hazardous field %s not reported: %v", f, err)
 		}
-	}
-}
-
-// TestValidateRefreshPairing: refresh interval and duration must be set
-// together.
-func TestValidateRefreshPairing(t *testing.T) {
-	cfg := DDR4_2400()
-	cfg.RefreshInterval = 1000
-	cfg.RefreshCycles = 0
-	if cfg.Validate() == nil {
-		t.Fatal("half-configured refresh accepted")
 	}
 }
 

@@ -1,18 +1,6 @@
 package harness
 
-import (
-	"io"
-
-	"dap/internal/stats"
-)
-
-// WriteTrace writes the run's Chrome trace, merging the decision recorder's
-// counter tracks (optimality gap, delivered bandwidth, access fractions)
-// into the request-lifecycle span stream when decision recording was on.
-// Safe with either instrument disabled.
-func (r *Result) WriteTrace(w io.Writer) error {
-	return r.Trace.WriteChromeTraceWith(w, r.Decisions.CounterTracks())
-}
+import "dap/internal/stats"
 
 // gapSeries extracts the per-window optimality-gap values of a run.
 func gapSeries(r Result) []float64 {

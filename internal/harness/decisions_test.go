@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -64,15 +63,17 @@ func TestDecisionRecordingIsBitIdentical(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatal("no decision records")
 			}
-			srcs := rec.Decisions.SourceNames()
+			srcs := rec.Decisions.Sources
+			if len(rec.Decisions.Optimal) != len(srcs) {
+				t.Fatalf("%d optimal fractions for %d sources", len(rec.Decisions.Optimal), len(srcs))
+			}
 			var granted int64
 			for i, r := range recs {
 				if r.Gap < 0 || r.Gap > 1 {
 					t.Fatalf("record %d: gap %v outside [0,1]", i, r.Gap)
 				}
-				if len(r.Fractions) != len(srcs) || len(r.Optimal) != len(srcs) {
-					t.Fatalf("record %d: %d fractions / %d optimal for %d sources",
-						i, len(r.Fractions), len(r.Optimal), len(srcs))
+				if len(r.Fractions) != len(srcs) {
+					t.Fatalf("record %d: %d fractions for %d sources", i, len(r.Fractions), len(srcs))
 				}
 				sum := 0.0
 				for _, f := range r.Fractions {
@@ -89,16 +90,6 @@ func TestDecisionRecordingIsBitIdentical(t *testing.T) {
 				t.Error("techniques applied but no window granted any credit")
 			}
 
-			// Both export encodings must round out valid and non-empty.
-			var jl bytes.Buffer
-			if err := rec.Decisions.WriteJSONL(&jl); err != nil {
-				t.Fatal(err)
-			}
-			for _, line := range strings.Split(strings.TrimSpace(jl.String()), "\n") {
-				if !json.Valid([]byte(line)) {
-					t.Fatalf("invalid JSONL line: %s", line)
-				}
-			}
 			var csv bytes.Buffer
 			if err := rec.Decisions.WriteCSV(&csv); err != nil {
 				t.Fatal(err)
@@ -108,19 +99,6 @@ func TestDecisionRecordingIsBitIdentical(t *testing.T) {
 				if !strings.Contains(header, col) {
 					t.Errorf("decision CSV header missing %q: %s", col, header)
 				}
-			}
-
-			// The merged Chrome trace must stay valid JSON and carry the
-			// counter tracks even with span tracing off.
-			var tr bytes.Buffer
-			if err := rec.WriteTrace(&tr); err != nil {
-				t.Fatal(err)
-			}
-			if !json.Valid(tr.Bytes()) {
-				t.Error("merged Chrome trace is not valid JSON")
-			}
-			if !bytes.Contains(tr.Bytes(), []byte(`"dap.gap"`)) {
-				t.Error("merged Chrome trace missing the dap.gap counter track")
 			}
 		})
 	}
@@ -154,10 +132,6 @@ func TestDecisionsSerialParallelIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ser[i].Decisions.Records(), par[i].Decisions.Records()) {
 			t.Errorf("%s: per-window decision records differ between serial and parallel runs",
-				decArchs[i].name)
-		}
-		if !reflect.DeepEqual(ser[i].Decisions.Events(), par[i].Decisions.Events()) {
-			t.Errorf("%s: policy events differ between serial and parallel runs",
 				decArchs[i].name)
 		}
 	}

@@ -87,44 +87,3 @@ func (f *Figure) String() string {
 	}
 	return b.String()
 }
-
-// Chart renders one series as a horizontal ASCII bar chart, scaled to the
-// series' value range — a terminal-friendly view of a figure.
-func (f *Figure) Chart(seriesIdx int) string {
-	if seriesIdx < 0 || seriesIdx >= len(f.Series) {
-		return ""
-	}
-	s := f.Series[seriesIdx]
-	if len(s.Values) == 0 {
-		return ""
-	}
-	max := s.Values[0]
-	for _, v := range s.Values {
-		if v > max {
-			max = v
-		}
-	}
-	if max <= 0 {
-		max = 1
-	}
-	nameW := 4
-	for _, n := range s.Names {
-		if len(n) > nameW {
-			nameW = len(n)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", f.ID, s.Label)
-	for i, v := range s.Values {
-		name := ""
-		if i < len(s.Names) {
-			name = s.Names[i]
-		}
-		bar := int(v / max * 40)
-		if bar < 0 {
-			bar = 0
-		}
-		fmt.Fprintf(&b, "%-*s %8.3f %s\n", nameW+2, name, v, strings.Repeat("█", bar))
-	}
-	return b.String()
-}

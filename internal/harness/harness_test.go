@@ -228,17 +228,3 @@ func TestBandwidthKernelZeroHitIsMemoryBound(t *testing.T) {
 		t.Fatalf("0%% hits should still stream near memory peak: %v", r.DeliveredGBps)
 	}
 }
-
-func TestFigureChart(t *testing.T) {
-	f := Figure{
-		ID:     "Fig. C",
-		Series: []Series{{Label: "x", Names: []string{"a", "bb"}, Values: []float64{1, 2}}},
-	}
-	c := f.Chart(0)
-	if !strings.Contains(c, "bb") || !strings.Contains(c, "█") {
-		t.Fatalf("chart = %q", c)
-	}
-	if f.Chart(5) != "" || f.Chart(-1) != "" {
-		t.Fatal("out-of-range series must render empty")
-	}
-}

@@ -62,12 +62,6 @@ func (s *System) registerMetrics() {
 	if s.dap != nil {
 		s.dap.RegisterMetrics(m)
 	}
-	if rec := s.decRec; rec != nil && s.dap != nil {
-		m.Gauge("dap.gap", func() float64 {
-			last, _ := rec.Last()
-			return last.Gap
-		})
-	}
 	s.MM.RegisterMetrics(m, "mm")
 	switch cache := s.devices()[1:]; len(cache) {
 	case 1:

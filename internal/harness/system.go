@@ -178,13 +178,12 @@ type Observe struct {
 	// (watchdog stall, deadlock, audit violation, injected fault) the
 	// recording turns the failure into a postmortem artifact.
 	Flight bool
-	// Decisions enables the partitioner decision recorder: every DAP window
-	// rollover captures a versioned record of the solver's inputs (window
-	// counts, K), outputs (credit refills), the implied per-source access
-	// fractions, and a counterfactual optimality-gap audit against the
-	// Equation 3 bound; baseline policies (SBD, BATMAN) log their own
-	// adjustment events into the same stream. Result.Decisions keeps the
-	// newest 65,536 records and 4,096 policy events.
+	// Decisions enables the DAP decision recorder: every DAP window
+	// rollover captures a record of the solver's inputs (window counts),
+	// outputs (credit refills), the implied per-source access fractions,
+	// and a counterfactual optimality-gap audit against the Equation 3
+	// bound. Result.Decisions keeps the newest 65,536 records; a run with
+	// no DAP partitioner records nothing.
 	Decisions bool
 }
 
@@ -234,7 +233,7 @@ type Result struct {
 	Abort error
 
 	// Metrics holds the windowed time series (nil unless
-	// Config.Observe.MetricsEvery > 0). Export with WriteCSV/WriteJSONL.
+	// Config.Observe.MetricsEvery > 0). Export with WriteCSV.
 	Metrics *obs.Sampler
 	// Trace holds the sampled request-lifecycle spans (nil unless
 	// Config.Observe.TraceEvery > 0). Export with WriteChromeTrace.
@@ -247,10 +246,9 @@ type Result struct {
 	// Config.Observe.Flight). On an aborted run its entries, oldest first,
 	// are the postmortem: dapsim prints them after the diagnostic.
 	Flight *obs.FlightRecorder
-	// Decisions holds the per-window partitioner decision records and
-	// baseline policy events (nil unless Config.Observe.Decisions). Export
-	// with Decisions.WriteCSV/WriteJSONL, or WriteTrace to merge its
-	// counter tracks into the Chrome trace.
+	// Decisions holds the per-window DAP decision records (nil unless
+	// Config.Observe.Decisions and the run has a DAP partitioner). Export
+	// with Decisions.WriteCSV.
 	Decisions *core.DecisionRecorder
 }
 
@@ -381,6 +379,10 @@ func Build(cfg Config, mix workload.Mix) *System {
 		d := core.NewDAP(dc, s.Eng, pc.Windows())
 		pc.SetPartitioner(d)
 		s.Part, s.dap = d, d
+		if cfg.Observe.Decisions {
+			s.decRec = core.NewDecisionRecorder()
+			d.SetRecorder(s.decRec)
+		}
 	}
 
 	if cfg.Faults != nil {
@@ -406,17 +408,6 @@ func Build(cfg Config, mix workload.Mix) *System {
 	if o := cfg.Observe; o.TraceEvery > 0 {
 		s.trace = obs.NewTracer(s.Eng.Clock(), o.TraceEvery, 0)
 		s.setTracer(s.trace)
-	}
-	if cfg.Observe.Decisions {
-		// Wired before the sampler so registerMetrics can export the live
-		// optimality gap as a dap.gap probe.
-		s.decRec = core.NewDecisionRecorder()
-		if s.dap != nil {
-			s.dap.SetRecorder(s.decRec)
-		}
-		if s.sectored != nil {
-			s.sectored.SetDecisionRecorder(s.decRec)
-		}
 	}
 	if every := cfg.Observe.MetricsEvery; every > 0 {
 		s.metrics = obs.NewSampler(s.Eng.Clock(), s.Eng.After, s.Eng.Pending, every, 0)

@@ -93,10 +93,6 @@ type Sectored struct {
 	// Optional related-proposal policies (at most one non-nil).
 	SBD    *policy.SBD
 	BATMAN *policy.BATMAN
-
-	// decRec, when non-nil, receives PolicyEvents at the baseline
-	// policies' adjustment points (BATMAN epochs, SBD decays).
-	decRec *core.DecisionRecorder
 }
 
 // tagOp is the pooled continuation for one tag-path lookup: it remembers
@@ -269,29 +265,6 @@ func (s *Sectored) ResetStats() {
 	}
 }
 
-// SetDecisionRecorder attaches the introspection recorder to the baseline
-// policies: each BATMAN epoch evaluation and each SBD counter decay then
-// captures a PolicyEvent. Call after SBD/BATMAN are assigned and before
-// the run starts; passing nil detaches.
-func (s *Sectored) SetDecisionRecorder(r *core.DecisionRecorder) {
-	s.decRec = r
-	if s.SBD == nil {
-		return
-	}
-	if r == nil {
-		s.SBD.OnDecay = nil
-		return
-	}
-	sbd := s.SBD
-	sbd.OnDecay = func() {
-		s.decRec.AddPolicyEvent(core.PolicyEvent{
-			Cycle: s.eng.Now(), Policy: "sbd",
-			DirtyPages: sbd.DirtyPages(), SteeredMM: sbd.SteeredMM,
-			Promotions: sbd.Promotions, Cleanings: sbd.Cleanings,
-		})
-	}
-}
-
 // StartBATMAN arms the periodic set-disable evaluation.
 func (s *Sectored) StartBATMAN() {
 	if s.BATMAN == nil {
@@ -302,12 +275,6 @@ func (s *Sectored) StartBATMAN() {
 		from, to := s.BATMAN.Epoch()
 		for set := from; set < to; set++ {
 			s.disableSet(set)
-		}
-		if s.decRec != nil {
-			s.decRec.AddPolicyEvent(core.PolicyEvent{
-				Cycle: s.eng.Now(), Policy: "batman",
-				Epoch: s.BATMAN.Epochs, DisabledSets: s.BATMAN.DisabledSets(),
-			})
 		}
 		s.eng.After(batmanEpoch, tick)
 	}

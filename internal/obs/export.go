@@ -32,61 +32,9 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONL writes the retained series as JSON Lines: one object per
-// sample window with a "cycle" field plus one field per probe, in
-// registration order (probe names are dotted and never collide with
-// "cycle").
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	s.export(func(t mem.Cycle, vals []float64) {
-		bw.WriteString(`{"cycle":`)
-		bw.WriteString(strconv.FormatUint(uint64(t), 10))
-		for i, v := range vals {
-			bw.WriteString(`,"`)
-			bw.WriteString(jsonEscape(s.probes[i].name))
-			bw.WriteString(`":`)
-			bw.WriteString(jsonNumber(v))
-		}
-		bw.WriteString("}\n")
-	})
-	return bw.Flush()
-}
-
 func csvEscape(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s
 	}
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-func jsonEscape(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		default:
-			if r < 0x20 {
-				b.WriteString(`\u00`)
-				const hex = "0123456789abcdef"
-				b.WriteByte(hex[r>>4])
-				b.WriteByte(hex[r&0xf])
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	return b.String()
-}
-
-// jsonNumber renders v with the same precision as the CSV exporter while
-// staying valid JSON (no bare Inf/NaN).
-func jsonNumber(v float64) string {
-	s := formatVal(v)
-	if strings.ContainsAny(s, "IN") { // +Inf, -Inf, NaN
-		return "null"
-	}
-	return s
 }

@@ -1,9 +1,8 @@
 // Package obs is the time-resolved observability layer of the simulator:
 // a windowed metrics sampler (ring-buffered counter/gauge series exported
-// as CSV or JSONL), a request-lifecycle tracer that stamps L3 misses
-// through their phases and exports Chrome trace-event JSON viewable in
-// Perfetto, and the plumbing that feeds the latency-breakdown histograms
-// in internal/stats.
+// as CSV), a request-lifecycle tracer that stamps L3 misses through their
+// phases and exports Chrome trace-event JSON viewable in Perfetto, and the
+// plumbing that feeds the latency-breakdown histograms in internal/stats.
 //
 // Everything here is designed to be a strict observer: hooks are nil-safe
 // no-ops when disabled, probes never mutate simulated state, and sampler

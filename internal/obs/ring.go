@@ -56,15 +56,6 @@ func (r *Ring[T]) At(i int) T {
 	return r.buf[i]
 }
 
-// Last returns the newest value, or false when the ring is empty.
-func (r *Ring[T]) Last() (T, bool) {
-	if len(r.buf) == 0 {
-		var zero T
-		return zero, false
-	}
-	return r.At(len(r.buf) - 1), true
-}
-
 // All returns a copy of the retained values, oldest first (empty, not nil,
 // when nothing is retained).
 func (r *Ring[T]) All() []T {

@@ -45,13 +45,10 @@ func TestRingMatchesSliceOracle(t *testing.T) {
 						t.Fatalf("cap %d push %d: At(%d) = %d, want %d", capacity, p, i, r.At(i), want[i])
 					}
 				}
-				if last, ok := r.Last(); !ok || last != v {
-					t.Fatalf("cap %d push %d: Last = %d, %v, want %d", capacity, p, last, ok, v)
-				}
 			}
 			if pushes == 0 {
-				if _, ok := r.Last(); ok || r.Len() != 0 || r.All() == nil {
-					t.Fatalf("cap %d: empty ring Last ok=%v Len=%d All=%v", capacity, ok, r.Len(), r.All())
+				if r.Len() != 0 || r.All() == nil {
+					t.Fatalf("cap %d: empty ring Len=%d All=%v", capacity, r.Len(), r.All())
 				}
 			}
 		}

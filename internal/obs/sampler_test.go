@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,33 +98,6 @@ func TestSamplerKindsAndCSVGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("CSV mismatch\ngot:\n%swant:\n%s", buf.String(), want)
-	}
-}
-
-func TestSamplerJSONL(t *testing.T) {
-	eng := &fakeEngine{other: 1}
-	s := NewSampler(eng.now, eng.after, eng.pending, 10, 0)
-	var count uint64
-	s.Counter("hits", func() uint64 { return count })
-	eng.after(9, func() { count = 7 })
-	eng.after(11, func() { eng.other = 0 })
-	s.Start()
-	eng.run()
-
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != s.Samples() {
-		t.Fatalf("got %d JSONL lines, want %d", len(lines), s.Samples())
-	}
-	var row map[string]float64
-	if err := json.Unmarshal([]byte(lines[0]), &row); err != nil {
-		t.Fatalf("line 0 not valid JSON: %v\n%s", err, lines[0])
-	}
-	if row["cycle"] != 10 || row["hits"] != 7 {
-		t.Errorf("row = %v, want cycle=10 hits=7", row)
 	}
 }
 

@@ -220,36 +220,12 @@ func traceUS(c mem.Cycle) string {
 	return strconv.FormatFloat(float64(c)*usPerCycle, 'f', 5, 64)
 }
 
-// CounterPoint is one sample of a counter track: a value at a simulation
-// cycle. CounterTrack is a named series of such samples; producers (e.g.
-// the core decision recorder) hand tracks to WriteChromeTraceWith to merge
-// algorithm-level time series into the request-lifecycle trace.
-type CounterPoint struct {
-	Cycle mem.Cycle
-	Value float64
-}
-
-// CounterTrack is a named counter series rendered as Perfetto "C" events.
-type CounterTrack struct {
-	Name   string
-	Points []CounterPoint
-}
-
 // WriteChromeTrace writes the retained spans as Chrome trace-event JSON
 // (the {"displayTimeUnit":"ns","traceEvents":[...]} form) loadable in
 // Perfetto or chrome://tracing. Each span becomes a top-level complete event on its
 // core's track plus child events for the metadata-probe, device-queue and
 // data-service phases; a metadata event names each track.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return t.WriteChromeTraceWith(w, nil)
-}
-
-// WriteChromeTraceWith writes the span trace plus the given counter tracks
-// in the same envelope, so per-window algorithm state (optimality gap,
-// access fractions) lines up under the request lifecycles it shaped. Safe
-// on a nil tracer (emits only the counter tracks) and with nil tracks
-// (equivalent to WriteChromeTrace).
-func (t *Tracer) WriteChromeTraceWith(w io.Writer, tracks []CounterTrack) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
 	sep := ""
@@ -259,13 +235,6 @@ func (t *Tracer) WriteChromeTraceWith(w io.Writer, tracks []CounterTrack) error 
 		bw.WriteString(sep)
 		sep = ","
 		fmt.Fprintf(bw, format, args...)
-	}
-
-	for _, tr := range tracks {
-		for _, p := range tr.Points {
-			emit(`{"name":%q,"cat":"dap","ph":"C","pid":0,"ts":%s,"args":{"value":%s}}`,
-				tr.Name, traceUS(p.Cycle), strconv.FormatFloat(p.Value, 'g', -1, 64))
-		}
 	}
 
 	if t != nil {

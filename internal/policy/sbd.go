@@ -44,12 +44,6 @@ type SBD struct {
 	// decay bookkeeping
 	writes uint64
 
-	// OnDecay, when non-nil, is invoked after each periodic counter decay
-	// (the policy's own adjustment point) so observers can snapshot
-	// steering state without polling. Strict observer: the callback runs
-	// after the decay completes and must not mutate the policy.
-	OnDecay func()
-
 	// Stats
 	SteeredMM  uint64
 	Promotions uint64
@@ -155,9 +149,6 @@ func (s *SBD) decay() {
 		s.heap[i].count >>= 1
 	}
 	s.heapify()
-	if s.OnDecay != nil {
-		s.OnDecay()
-	}
 }
 
 // dirtyEntry is one Dirty List page with its recent write count.

@@ -39,8 +39,8 @@ func callCycleFunc(ctx any, _ uint64, now mem.Cycle) { ctx.(func(mem.Cycle))(now
 // cycles, tag/DBC latencies single digits, and core wake-ups rarely more
 // than a few thousand. Those events go into a ring of wheelSize one-cycle
 // buckets, giving O(1) schedule and pop; the rare far-future events
-// (refresh ticks, DAP window boundaries, watchdog-scale timers) spill into
-// a conventional binary heap that is consulted only at pop time.
+// (BATMAN's 50,000-cycle epochs, sparse metric samples) spill into a
+// conventional binary heap that is consulted only at pop time.
 const (
 	wheelBits  = 12
 	wheelSize  = 1 << wheelBits // cycles of near-future coverage
